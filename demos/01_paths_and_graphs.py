@@ -9,13 +9,14 @@ matrix power.
 import numpy as np
 
 from quiveralg import (
+    Arrow,
     Quiver,
     apply_permutation,
     are_isomorphic,
+    arrow_path,
     compose,
     enumerate_paths,
     format_path,
-    paths_of_length,
 )
 
 q = Quiver([[1, 2], [0, 1]])
@@ -28,13 +29,14 @@ for p in enumerate_paths(q, 2):
     print(f"  {format_path(p):18s} {p.source + 1} -> {p.target + 1} (length {p.length})")
 
 print("\npath counts vs. matrix powers:")
+lengths = [p.length for p in enumerate_paths(q, 4)]
 for k in range(5):
-    count = len(paths_of_length(q, k))
+    count = lengths.count(k)
     power = int(np.linalg.matrix_power(q.matrix(), k).sum())
     print(f"  k={k}: {count} paths, entry sum of C^{k} = {power}")
 
-loop = paths_of_length(q, 1)[0]       # the loop at vertex 1
-bridge = paths_of_length(q, 1)[1]     # one of the arrows 2 -> 1
+loop = arrow_path(Arrow(0, 0, 0))     # the loop at vertex 1
+bridge = arrow_path(Arrow(1, 0, 0))   # the first arrow 2 -> 1
 print(f"\ncompose({format_path(loop)}, {format_path(bridge)}) =",
       format_path(compose(loop, bridge)))
 print(f"compose({format_path(bridge)}, {format_path(loop)}) =",

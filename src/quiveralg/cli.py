@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from .correspondence import CorrespondenceElement, element_norm
-from .fock import FockSpace, check_isometric_covariance, corner_shift_report, creation_operator, operator_norm
+from .fock import DEFAULT_DEPTH, FockSpace, check_isometric_covariance, corner_shift_report, creation_operator, operator_norm
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
 from .quiver import Quiver, are_isomorphic, enumerate_paths
 from .recovery import RecoveryError, recover, scramble
-from .reps import TwoDimRep, purity_bound, t_tilde_k_norm_closed, t_tilde_k_norm_direct
+from .reps import DIRECT_NORM_CAP, TwoDimRep, purity_bound, t_tilde_k_norm_closed, t_tilde_k_norm_direct
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,11 +51,13 @@ VERIFY_RANDOM_NORM_CHECKS = 2
 
 @dataclass
 class RunConfig:
+    """One run's settings; the defaults here are the CLI's defaults."""
+
     subcommand: str
     graph: Optional[str] = None
     graph2: Optional[str] = None
     expect: Optional[str] = None
-    depth: int = 4
+    depth: int = DEFAULT_DEPTH
     seed: int = 0
     tolerance_exact: float = 1e-12
     tolerance_iterative: float = 1e-9
@@ -66,7 +68,7 @@ class RunConfig:
     lam_j: Optional[str] = None
     gamma: Optional[str] = None
     k_max: int = 6
-    direct_cap: int = 6
+    direct_cap: int = DIRECT_NORM_CAP
     max_len: int = 4
 
     def __post_init__(self) -> None:
@@ -253,30 +255,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         p.add_argument("--output", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("verify", help="consistency checks on the truncated shifts")
     p.add_argument("--graph", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--tolerance-exact", type=float, default=1e-12)
-    p.add_argument("--tolerance-iterative", type=float, default=1e-9)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--tolerance-exact", type=float)
+    p.add_argument("--tolerance-iterative", type=float)
     common(p)
 
     p = sub.add_parser("norms", help="compressed-map norm table for a 2-dim representation")
     p.add_argument("--graph", required=True)
     p.add_argument("--i", dest="vertex_i", type=int, required=True)
     p.add_argument("--j", dest="vertex_j", type=int, required=True)
-    p.add_argument("--lambda-i", dest="lam_i", default=None)
-    p.add_argument("--lambda-j", dest="lam_j", default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=6)
-    p.add_argument("--direct-cap", dest="direct_cap", type=int, default=6)
+    p.add_argument("--lambda-i", dest="lam_i")
+    p.add_argument("--lambda-j", dest="lam_j")
+    p.add_argument("--gamma")
+    p.add_argument("--k-max", dest="k_max", type=int)
+    p.add_argument("--direct-cap", dest="direct_cap", type=int)
     common(p)
 
     p = sub.add_parser("recover", help="scramble a graph and reconstruct it")
     p.add_argument("--graph", required=True)
-    p.add_argument("--expect", default=None)
+    p.add_argument("--expect")
     common(p)
 
     p = sub.add_parser("iso", help="isomorphism witness between two graph files")
@@ -286,13 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="enumerate paths up to a length")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int, default=4)
+    p.add_argument("--max-len", dest="max_len", type=int)
     common(p)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run configuration of parsed arguments; options left out (None)
+    take the RunConfig defaults."""
     fields = {f for f in RunConfig.__dataclass_fields__}
     kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     return RunConfig(**kwargs)

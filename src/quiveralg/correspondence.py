@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quiver import Arrow, Path, Quiver, paths_of_length
+from .quiver import Arrow, Quiver
 
 
 class DiagonalElement:
@@ -209,10 +209,3 @@ def element_norm(xi: CorrespondenceElement) -> float:
     """Module norm: the largest column norm, max_j sqrt(sum_i ||xi_ij||^2)."""
     cols = inner_product(xi, xi).entries.real
     return float(np.sqrt(np.max(cols)))
-
-
-def tensor_power_basis(q: Quiver, k: int) -> list[Path]:
-    """The length-``k`` paths, the orthonormal basis of the k-th tensor power."""
-    if k < 0:
-        raise ValueError("tensor power must be nonnegative")
-    return paths_of_length(q, k)

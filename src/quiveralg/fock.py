@@ -57,17 +57,7 @@ class FockSpace:
         """Cached creation matrix of a single basis arrow."""
         cached = self._arrow_ops.get(a)
         if cached is None:
-            if not self.quiver.has_arrow(a):
-                raise ValueError(f"{a!r} is not an arrow of this quiver")
-            rows, cols = [], []
-            for col, p in enumerate(self.basis):
-                if p.length < self.depth and p.target == a.source:
-                    rows.append(self.index[Path(p.base, p.arrows + (a,))])
-                    cols.append(col)
-            data = np.ones(len(rows), dtype=complex)
-            cached = sp.coo_matrix(
-                (data, (rows, cols)), shape=(self.dim, self.dim)
-            ).tocsr()
+            cached = creation_operator(self, CorrespondenceElement.basis(self.quiver, a)).matrix
             self._arrow_ops[a] = cached
         return cached
 
@@ -81,41 +71,6 @@ class FockOperator:
 
     space: FockSpace
     matrix: sp.spmatrix
-
-    def dense(self) -> np.ndarray:
-        return np.asarray(self.matrix.todense())
-
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, self.matrix.conj().T.tocsr())
-
-    def restrict(self, row_max_len: int, col_max_len: int) -> sp.csr_matrix:
-        """Sub-block on basis paths of bounded length (rows, then columns)."""
-        rows = self.space.length_indices(row_max_len)
-        cols = self.space.length_indices(col_max_len)
-        return self.matrix.tocsr()[rows][:, cols]
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.space, (self.matrix @ other.matrix).tocsr())
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.space, (self.matrix + other.matrix).tocsr())
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.space, (self.matrix - other.matrix).tocsr())
-
-    def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.space, (complex(scalar) * self.matrix).tocsr())
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "FockOperator") -> None:
-        if self.space is not other.space and self.space.quiver != other.space.quiver:
-            raise ValueError("operators live on different spaces")
-        if self.matrix.shape != other.matrix.shape:
-            raise ValueError("operator shapes differ")
 
 
 def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> FockOperator:
@@ -225,8 +180,8 @@ def check_isometric_covariance(
     t_eta = creation_operator(space, eta)
     lhs = t_xi.matrix.conj().T @ t_eta.matrix
     rhs = diag_operator(space, inner_product(xi, eta)).matrix
-    diff = FockOperator(space, (lhs - rhs).tocsr())
-    block = diff.restrict(space.depth - 1, space.depth - 1)
+    inner = space.length_indices(space.depth - 1)
+    block = (lhs - rhs).tocsr()[inner][:, inner]
     return operator_norm(block)
 
 

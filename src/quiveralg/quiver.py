@@ -183,20 +183,6 @@ def compose(p: Path, r: Path) -> Optional[Path]:
     return Path(r.base, r.arrows + p.arrows)
 
 
-def paths_of_length(q: Quiver, k: int) -> list[Path]:
-    """All length-``k`` paths in canonical order."""
-    if k < 0:
-        raise ValueError("path length must be nonnegative")
-    level = [Path(v) for v in q.vertices()]
-    for _ in range(k):
-        level = [
-            Path(p.base, p.arrows + (a,))
-            for p in level
-            for a in q.arrows_from(p.target)
-        ]
-    return level
-
-
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All paths of length at most ``max_len``.
 
@@ -229,21 +215,19 @@ def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
     )
 
 
-def are_isomorphic(
-    q1: Quiver, q2: Quiver, limit: int = ISO_VERTEX_LIMIT
-) -> Optional[tuple[int, ...]]:
+def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     """Search for a vertex permutation tau with ``apply_permutation(q1, tau) == q2``.
 
     Returns the lexicographically least such permutation, or None.  The
     search is exhaustive over all n! candidates, so graphs larger than
-    ``limit`` vertices are refused.
+    ``ISO_VERTEX_LIMIT`` vertices are refused.
     """
     if q1.n != q2.n:
         return None
-    if q1.n > limit:
+    if q1.n > ISO_VERTEX_LIMIT:
         raise ValueError(
             f"size limit exceeded: refusing isomorphism search on {q1.n} > "
-            f"{limit} vertices"
+            f"{ISO_VERTEX_LIMIT} vertices"
         )
     for tau in itertools.permutations(range(q1.n)):
         if apply_permutation(q1, tau) == q2:

@@ -35,7 +35,11 @@ import numpy as np
 
 from .polynomials import PathPolynomial
 from .quiver import Quiver, are_isomorphic
-from .reps import TwoDimRep, membership_G, rho_eval
+from .reps import TwoDimRep, rho_eval
+
+# re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
+# its self-tests expect every wrapped name to exist
+from .reps import membership_G  # noqa: F401
 
 #: singular values below this count as numerical zero in rank computations
 RANK_TOL = 1e-8
@@ -236,7 +240,13 @@ def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     return _rank(vecs, dim)
 
 
-def _pair_probe_dims(s: ScrambledPresentation, a: int, b: int) -> tuple[int, int]:
+def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
+    """Dimension of the off-diagonal parameter space at the label pair (a, b),
+    computed by both probes; raises ProbeMismatchError if they disagree."""
+    _check_label(s, a)
+    _check_label(s, b)
+    if a == b:
+        raise ValueError("the pair probe needs two distinct labels")
     (va, vb), dim, vecs = _compressions(s, a, b)
     span_dim = _rank(vecs, dim)
 
@@ -248,23 +258,14 @@ def _pair_probe_dims(s: ScrambledPresentation, a: int, b: int) -> tuple[int, int
         nrm = np.linalg.norm(vec)
         if nrm == 0:
             continue
-        gamma = vec / nrm
-        if not membership_G(q, va, vb, lam_i, lam_j, gamma):
-            raise RecoveryError("normalized compression rejected by the family test")
-        rep = TwoDimRep(q, va, vb, lam_i, lam_j, gamma)
+        try:
+            rep = TwoDimRep(q, va, vb, lam_i, lam_j, vec / nrm)
+        except ValueError as exc:
+            raise RecoveryError(
+                f"normalized compression rejected by the family test: {exc}"
+            ) from exc
         rows.append(np.array([rho_eval(rep, g)[0, 1] for g in s.generators]))
     rep_dim = _rank(rows, len(s.generators))
-    return span_dim, rep_dim
-
-
-def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
-    """Dimension of the off-diagonal parameter space at the label pair (a, b),
-    computed by both probes; raises ProbeMismatchError if they disagree."""
-    _check_label(s, a)
-    _check_label(s, b)
-    if a == b:
-        raise ValueError("the pair probe needs two distinct labels")
-    span_dim, rep_dim = _pair_probe_dims(s, a, b)
     if span_dim != rep_dim:
         raise ProbeMismatchError(
             f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"
@@ -296,13 +297,9 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
         for b in range(n):
             if a == b:
                 continue
-            span_dim, rep_dim = _pair_probe_dims(s, a, b)
-            evidence.append(PairEvidence(a=a, b=b, span_dim=span_dim, rep_dim=rep_dim))
-            if span_dim != rep_dim:
-                raise ProbeMismatchError(
-                    f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"
-                )
-            c[a][b] = span_dim
+            d = probe_pair_dimension(s, a, b)
+            evidence.append(PairEvidence(a=a, b=b, span_dim=d, rep_dim=d))
+            c[a][b] = d
     recovered = Quiver(c)
     witness = None
     if s.hidden_truth is not None:

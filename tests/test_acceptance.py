@@ -25,9 +25,9 @@ from quiveralg import (
     recover,
     rho_eval,
     scramble,
+    t_tilde_k_matrix,
     t_tilde_k_norm_closed,
     t_tilde_k_norm_direct,
-    t_tilde_matrix,
 )
 from helpers import (
     dyadic_ball_vector,
@@ -52,7 +52,7 @@ def test_criterion_1_compressed_map_product():
         d_i, d_g, d_j = (int(d) for d in rng.integers(0, 5, size=3))
         q = two_block_quiver(d_i, d_g, d_j)
         lam_i, lam_j, gamma = random_contractive_params(rng, d_i, d_g, d_j)
-        tt = t_tilde_matrix(q, 0, 1, lam_i, lam_j, gamma)
+        tt = t_tilde_k_matrix(q, 0, 1, lam_i, lam_j, gamma, 1)
         assembled = tt @ tt.conj().T
         expected = np.diag(
             [
@@ -126,7 +126,7 @@ def test_criterion_3_contractivity_boundary():
     q = two_block_quiver(1, 1, 1)
     lam_i = np.array([0.6])
     gamma = np.array([np.sqrt(1.0 - 0.36 + 0.01)])
-    tt = t_tilde_matrix(q, 0, 1, lam_i, [0.0], gamma)
+    tt = t_tilde_k_matrix(q, 0, 1, lam_i, [0.0], gamma, 1)
     bumped = float(np.linalg.svd(tt, compute_uv=False)[0])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and bumped > 1.0

@@ -16,7 +16,6 @@ from quiveralg import (
     t_tilde_k_matrix,
     t_tilde_k_norm_closed,
     t_tilde_k_norm_direct,
-    t_tilde_matrix,
     t_tilde_product,
 )
 from quiveralg.reps import TwoDimRep
@@ -142,6 +141,15 @@ class TestMembership:
         assert not membership_G(q, 0, 1, [0.5], [], [0.5])
         assert not membership_G(q, 0, 0, [0.5, 0], [], [0.5])
 
+    def test_lam_j_outside_ball_is_not(self):
+        q = Quiver([[1, 1], [0, 1]])
+        assert not membership_G(q, 0, 1, [0], [5.0], [0])
+
+    def test_lam_i_on_sphere_is_not(self):
+        # TwoDimRep needs both diagonal vectors in the open ball
+        q = two_block_quiver(1, 1, 1)
+        assert not membership_G(q, 0, 1, [1.0], [0.0], [0.0])
+
 
 class TestRhoEval:
     def test_saturating_witness_matrix(self):
@@ -250,7 +258,7 @@ class TestTTildeProduct:
         dims = rng.integers(0, 5, size=3)
         q = two_block_quiver(*map(int, dims))
         lam_i, lam_j, gamma = random_contractive_params(rng, *map(int, dims))
-        tt = t_tilde_matrix(q, 0, 1, lam_i, lam_j, gamma)
+        tt = t_tilde_k_matrix(q, 0, 1, lam_i, lam_j, gamma, 1)
         assembled = tt @ tt.conj().T
         q1 = np.linalg.norm(lam_i) ** 2
         q2 = np.linalg.norm(lam_j) ** 2
@@ -311,6 +319,11 @@ class TestNormRecursion:
         with pytest.raises(ValueError):
             t_tilde_k_matrix(rep.quiver, 0, 1, rep.lam_i, rep.lam_j, rep.gamma, 0)
 
+    def test_k_matrix_rejects_surplus_parameter(self):
+        q = Quiver([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="dimensions"):
+            t_tilde_k_matrix(q, 0, 1, [0.5, 3], [0.1], [0.2], 2)
+
 
 class TestPurityBound:
     def test_nilpotent_case(self):
@@ -366,7 +379,7 @@ class TestContractivityBoundary:
         lam_i = np.array([0.6])
         t_bumped = 1.0 - 0.36 + 0.01
         gamma = np.array([np.sqrt(t_bumped)])
-        tt = t_tilde_matrix(q, 0, 1, lam_i, [], gamma)
+        tt = t_tilde_k_matrix(q, 0, 1, lam_i, [], gamma, 1)
         norm = np.linalg.svd(tt, compute_uv=False)[0]
         assert norm > 1.0
         assert norm == pytest.approx(np.sqrt(0.36 + t_bumped), abs=1e-12)
