@@ -7,9 +7,11 @@ with literal equality instead of a tolerance.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from quiveralg import (
     CorrespondenceElement,
+    Path,
     PathPolynomial,
     Quiver,
     TwoDimRep,
@@ -95,3 +97,23 @@ def random_rep(rng, d_i=2, d_g=2, d_j=2, boundary=False):
     q = two_block_quiver(d_i, d_g, d_j)
     lam_i, lam_j, gamma = random_contractive_params(rng, d_i, d_g, d_j, boundary)
     return TwoDimRep(q, 0, 1, lam_i, lam_j, gamma)
+
+
+def reference_creation_matrix(space, xi):
+    """The creation matrix built path by path: column p gets xi[a] in the row
+    of (a after p) for every arrow a leaving p's target, zero coefficients
+    dropped, paths of length ``depth`` mapped to zero."""
+    rows, cols, data = [], [], []
+    arrows_by_source = [list(space.quiver.arrows_from(v)) for v in space.quiver.vertices()]
+    for col, p in enumerate(space.basis):
+        if p.length == space.depth:
+            continue
+        for a in arrows_by_source[p.target]:
+            z = xi.blocks[a.target][a.source][a.index]
+            if z != 0:
+                rows.append(space.index[Path(p.base, p.arrows + (a,))])
+                cols.append(col)
+                data.append(z)
+    return sp.coo_matrix(
+        (np.array(data, dtype=complex), (rows, cols)), shape=(space.dim, space.dim)
+    ).tocsr()

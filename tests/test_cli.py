@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,16 @@ class TestVerify:
     def test_depth_zero_rejected(self, two_loop):
         with pytest.raises(ValueError, match="depth"):
             RunConfig("verify", graph=two_loop, depth=0)
+
+    def test_two_loops_depth_10_within_budget(self, two_loop, tmp_path):
+        # dim 2047; every norm here is a weighted-shift norm, so no SVD runs
+        out = tmp_path / "verify.json"
+        t0 = time.perf_counter()
+        code = main(["verify", "--graph", two_loop, "--depth", "10", "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(out.read_text())["dim"] == 2047
+        assert elapsed < 0.5
 
 
 class TestNorms:

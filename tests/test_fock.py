@@ -17,12 +17,13 @@ from quiveralg import (
     diag_operator,
     enumerate_paths,
     evaluate_polynomial,
+    inner_product,
     left_action,
     operator_norm,
     right_action,
 )
 from quiveralg.fock import _power_iteration_norm
-from helpers import random_element, random_polynomial, random_quiver
+from helpers import random_element, random_polynomial, random_quiver, reference_creation_matrix
 
 
 @pytest.fixture
@@ -85,6 +86,28 @@ class TestCreationOperator:
         space = FockSpace(loop1, 2)
         with pytest.raises(ValueError, match="different quiver"):
             creation_operator(space, CorrespondenceElement.zeros(Quiver([[2]])))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_csr_arrays_equal_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        q = random_quiver(rng, max_n=3, max_entry=2)
+        elements = [CorrespondenceElement.basis(q, a) for a in q.arrows()]
+        elements += [random_element(q, rng) for _ in range(2)]
+        holes = random_element(q, rng)
+        for k, a in enumerate(q.arrows()):
+            if k % 2 == 0:
+                holes.blocks[a.target][a.source][a.index] = 0.0
+        elements += [holes, CorrespondenceElement.zeros(q)]
+        for depth in range(4):
+            space = FockSpace(q, depth)
+            for xi in elements:
+                got = creation_operator(space, xi).matrix
+                want = reference_creation_matrix(space, xi)
+                assert got.shape == want.shape
+                for name in ("data", "indices", "indptr"):
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes()
 
 
 class TestDiagOperator:
@@ -189,6 +212,42 @@ class TestOperatorNorm:
     def test_power_iteration_zero_matrix(self):
         z = sp.csr_matrix((10, 10), dtype=complex)
         assert _power_iteration_norm(z, 1e-9) == 0.0
+
+    def test_power_iteration_raises_when_not_converged(self):
+        # top singular values 1 and 0.999: two steps cannot settle to 1e-15
+        m = sp.diags([1.0, 0.999, 0.5], format="csr", dtype=complex)
+        with pytest.raises(RuntimeError, match=r"2 iterations .*delta sigma"):
+            _power_iteration_norm(m, 1e-15, max_iter=2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_shift_route_matches_svd(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        q = random_quiver(rng, max_n=3, max_entry=2)
+        space = FockSpace(q, 3)
+        xi, eta = random_element(q, rng), random_element(q, rng)
+        t_xi = creation_operator(space, xi).matrix
+        t_eta = creation_operator(space, eta).matrix
+        inner = space.length_indices(space.depth - 1)
+        gram = (t_xi.conj().T @ t_eta).tocsr()[inner][:, inner]
+        block = (
+            t_xi.conj().T @ t_eta - diag_operator(space, inner_product(xi, eta)).matrix
+        ).tocsr()[inner][:, inner]
+        for mat in (t_xi, t_eta, gram, block):
+            assert np.diff(mat.indptr).max() <= 1
+            svd = float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])
+            assert abs(operator_norm(mat) - svd) <= 1e-13
+            assert abs(operator_norm(mat.toarray()) - svd) <= 1e-13
+        assert check_isometric_covariance(space, xi, eta) == operator_norm(block)
+
+    def test_two_entries_in_a_row_take_the_svd(self):
+        row = np.array([[1.0, 1.0]])
+        assert operator_norm(row) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        assert operator_norm(sp.csr_matrix(row)) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
+        dense = float(np.linalg.svd(m, compute_uv=False)[0])
+        assert operator_norm(m) == dense
+        assert operator_norm(sp.csr_matrix(m)) == dense
 
 
 class TestIsometricCovariance:

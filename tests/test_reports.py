@@ -1,11 +1,15 @@
 """CLI reports on committed fixtures, and the demo scripts, end to end.
 
 The expected reports in ``fixtures/reports`` were printed by the CLI on the
-graphs in ``fixtures/graphs``.  They hold only integers and path names, so
-they do not depend on the machine, and a change to the code must reproduce
-them byte for byte.
+graphs in ``fixtures/graphs``.  The ``paths``, ``iso`` and ``recover``
+reports hold only integers and path names, so they do not depend on the
+machine, and a change to the code must reproduce them byte for byte.  The
+``verify`` reports hold norms, which may move in the last bit when the
+arithmetic is reordered: they must match in exit code, keys, integers,
+booleans and strings, and in every float to within ``FLOAT_TOL``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +51,41 @@ def test_report_matches_fixture(name, capsys):
     assert main(argv) == code
     expected = (FIXTURES / "reports" / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+#: verify report name -> CLI arguments (each run exits EXIT_OK)
+VERIFY_REPORTS = {
+    "verify_two_loops_d10": ["verify", "--graph", graph("two_loops"), "--depth", "10", "--seed", "3"],
+    "verify_four_cycle_loop_d8": [
+        "verify", "--graph", graph("four_cycle_loop"), "--depth", "8", "--seed", "5"
+    ],
+}
+
+FLOAT_TOL = 1e-14
+
+
+def assert_close(got, want, where="report"):
+    """Equal structure, keys, integers, booleans and strings; floats within FLOAT_TOL."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= FLOAT_TOL, f"{where}: {got!r} vs {want!r}"
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_REPORTS))
+def test_verify_report_matches_fixture(name, capsys):
+    assert main(VERIFY_REPORTS[name]) == EXIT_OK
+    expected = json.loads((FIXTURES / "reports" / f"{name}.json").read_text(encoding="utf-8"))
+    assert_close(json.loads(capsys.readouterr().out), expected)
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
