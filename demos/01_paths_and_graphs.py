@@ -1,4 +1,4 @@
-"""Quivers, their paths, and brute-force graph matching.
+"""Quivers, their paths, and the isomorphism witness search.
 
 A quiver is a directed multigraph encoded by a multiplicity matrix: c[i][j]
 counts the arrows from vertex j to vertex i.  Paths compose right to left

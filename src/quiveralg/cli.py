@@ -9,7 +9,8 @@ Subcommands:
   norms of a two-dimensional representation.
 * ``recover`` -- scramble a graph, reconstruct its multiplicity matrix, and
   report the witness permutation; ``--expect`` compares against a reference.
-* ``iso``     -- brute-force isomorphism witness between two graph files.
+* ``iso``     -- the lexicographically least isomorphism witness between two
+  graph files, found by signature-pruned backtracking.
 * ``paths``   -- enumerate the paths of a graph up to a length.
 
 All randomness is drawn from a single ``--seed`` (default 0) through one
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect")
     common(p)
 
-    p = sub.add_parser("iso", help="isomorphism witness between two graph files")
+    p = sub.add_parser("iso", help="least isomorphism witness between two graph files (backtracking search)")
     p.add_argument("graph")
     p.add_argument("graph2")
     common(p)

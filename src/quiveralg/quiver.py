@@ -16,16 +16,16 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-#: ``are_isomorphic`` refuses graphs with more vertices than this
-#: (the search is a plain sweep over all n! vertex permutations).
-ISO_VERTEX_LIMIT = 8
+#: ``are_isomorphic`` refuses graphs with more vertices than this.  It is an
+#: input guard, not a cost cap: the search backtracks over signature classes
+#: (see ``are_isomorphic``) and stays far from exhaustive on graphs this size.
+ISO_VERTEX_LIMIT = 64
 
 
 def _as_count(value) -> int:
@@ -215,11 +215,34 @@ def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
     )
 
 
+def _vertex_signatures(c: tuple[tuple[int, ...], ...]) -> list[tuple]:
+    """Per vertex: its loop count and the sorted multisets of its off-diagonal
+    out- and in-multiplicities.  A vertex permutation carrying one graph onto
+    another maps every vertex to one of equal signature."""
+    n = len(c)
+    return [
+        (
+            c[v][v],
+            tuple(sorted(c[w][v] for w in range(n) if w != v)),
+            tuple(sorted(c[v][w] for w in range(n) if w != v)),
+        )
+        for v in range(n)
+    ]
+
+
 def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     """Search for a vertex permutation tau with ``apply_permutation(q1, tau) == q2``.
 
-    Returns the lexicographically least such permutation, or None.  The
-    search is exhaustive over all n! candidates, so graphs larger than
+    Returns the lexicographically least such permutation, or None.  Graphs
+    whose vertex signatures (loop count, out- and in-multiplicity multisets)
+    differ as multisets are told apart at once.  Otherwise ``tau[0], tau[1],
+    ...`` are filled in order by depth-first search: ``tau[k]`` ranges in
+    increasing order over the unused vertices of ``q1`` whose signature equals
+    that of vertex ``k`` of ``q2``, and a choice is dropped as soon as one
+    multiplicity between it and an earlier placed vertex differs.  Since only
+    choices that no isomorphism extends are dropped, the first complete
+    assignment is the lexicographically least isomorphism; it is certified
+    with ``apply_permutation`` before it is returned.  Graphs with more than
     ``ISO_VERTEX_LIMIT`` vertices are refused.
     """
     if q1.n != q2.n:
@@ -229,7 +252,37 @@ def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
             f"size limit exceeded: refusing isomorphism search on {q1.n} > "
             f"{ISO_VERTEX_LIMIT} vertices"
         )
-    for tau in itertools.permutations(range(q1.n)):
-        if apply_permutation(q1, tau) == q2:
-            return tau
-    return None
+    n, c1, c2 = q1.n, q1.c, q2.c
+    sig1, sig2 = _vertex_signatures(c1), _vertex_signatures(c2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    candidates = [[v for v in range(n) if sig1[v] == sig2[k]] for k in range(n)]
+    tau: list[int] = []
+    used = [False] * n
+
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        row2, col2 = c2[k], [c2[i][k] for i in range(k)]
+        for v in candidates[k]:
+            if used[v]:
+                continue
+            row1 = c1[v]
+            if any(
+                c1[t][v] != col2[i] or row1[t] != row2[i] for i, t in enumerate(tau)
+            ):
+                continue
+            tau.append(v)
+            used[v] = True
+            if extend(k + 1):
+                return True
+            tau.pop()
+            used[v] = False
+        return False
+
+    if not extend(0):
+        return None
+    witness = tuple(tau)
+    if apply_permutation(q1, witness) != q2:
+        raise RuntimeError(f"isomorphism search returned a non-witness {witness!r}")
+    return witness

@@ -11,7 +11,12 @@ presentation mechanizes that invariance.
 Two independent probes count each matrix entry:
 
 * the span probe compresses every generator between two idempotents and
-  takes the rank of the compressed coefficient vectors;
+  takes the rank of the compressed coefficient vectors.  Each generator lies
+  in one arrow block, so it is labelled once per presentation: multiplying
+  it by the idempotents finds the one label b with g * p_b != 0 and then the
+  one label a with p_a * g * p_b != 0.  The compression at (a, b) is the
+  coefficient vector of p_a * g * p_b for the generators labelled (a, b) and
+  zero for all others;
 * the representation probe builds contractive two-dimensional
   representations with zero diagonal data from the compressed generators and
   takes the rank of the family of upper-right-entry functionals evaluated on
@@ -28,6 +33,7 @@ source graph and is never consulted by the probes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,6 +120,24 @@ class ScrambledPresentation:
     def quiver(self) -> Quiver:
         return self.idempotents[0].quiver
 
+    @functools.cached_property
+    def _generator_labels(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """For every generator g, in order, the labels (a, b) of the one
+        idempotent pair with p_a * g * p_b != 0 and the (read-only) coefficient
+        vector of p_a * g * p_b in the arrow-index basis of its block.  Found
+        by multiplication alone, with at most 2n products per generator."""
+        out = []
+        for k, g in enumerate(self.generators):
+            right = _first_nonzero(g * pb for pb in self.idempotents)
+            left = right and _first_nonzero(pa * right[1] for pa in self.idempotents)
+            if not left:
+                raise RecoveryError(f"generator {k} is not compressed by any label pair")
+            (b, _), (a, compressed) = right, left
+            vec = _block_support(compressed)[1]
+            vec.flags.writeable = False
+            out.append((a, b, vec))
+        return tuple(out)
+
 
 @dataclass
 class PairEvidence:
@@ -139,6 +163,11 @@ def _idempotent_vertex(p: PathPolynomial) -> int:
     if len(items) != 1 or items[0][0].length != 0 or items[0][1] != 1:
         raise ValueError("idempotent labels must be single vertex monomials")
     return items[0][0].base
+
+
+def _first_nonzero(products):
+    """The index and value of the first nonzero product, or None."""
+    return next(((i, p) for i, p in enumerate(products) if p), None)
 
 
 def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], np.ndarray]:
@@ -208,18 +237,14 @@ def scramble(q: Quiver, seed: int, force_identity: bool = False) -> ScrambledPre
 
 
 def _compressions(s: ScrambledPresentation, a: int, b: int):
-    """Coefficient vectors of p_a * g * p_b for every generator g, together
-    with the hidden block the pair of labels selects."""
-    pa, pb = s.idempotents[a], s.idempotents[b]
-    va, vb = _idempotent_vertex(pa), _idempotent_vertex(pb)
+    """Coefficient vectors of p_a * g * p_b for every generator g (read-only;
+    the zero ones are one shared array), together with the hidden block the
+    pair of labels selects."""
+    va, vb = _idempotent_vertex(s.idempotents[a]), _idempotent_vertex(s.idempotents[b])
     dim = s.quiver.c[va][vb]
-    vecs = []
-    for g in s.generators:
-        comp = pa * g * pb
-        vec = np.zeros(dim, dtype=complex)
-        for p, coeff in comp.items():
-            vec[p.arrows[0].index] = coeff
-        vecs.append(vec)
+    zero = np.zeros(dim, dtype=complex)
+    zero.flags.writeable = False
+    vecs = [vec if (ga, gb) == (a, b) else zero for ga, gb, vec in s._generator_labels]
     return (va, vb), dim, vecs
 
 

@@ -117,3 +117,33 @@ def reference_creation_matrix(space, xi):
     return sp.coo_matrix(
         (np.array(data, dtype=complex), (rows, cols)), shape=(space.dim, space.dim)
     ).tocsr()
+
+
+def reference_compressions(s, a, b):
+    """The compressions built pair by pair: the coefficient vector of
+    p_a * g * p_b for every generator g, with the hidden block the labels
+    select and its size."""
+    pa, pb = s.idempotents[a], s.idempotents[b]
+    (va,) = [p.base for p in pa.terms]
+    (vb,) = [p.base for p in pb.terms]
+    dim = s.quiver.c[va][vb]
+    vecs = []
+    for g in s.generators:
+        vec = np.zeros(dim, dtype=complex)
+        for p, coeff in (pa * g * pb).items():
+            vec[p.arrows[0].index] = coeff
+        vecs.append(vec)
+    return (va, vb), dim, vecs
+
+
+def signature_multiset(q):
+    """Sorted (loops, out-multiplicities, in-multiplicities) of every vertex."""
+    n = q.n
+    return sorted(
+        (
+            q.c[v][v],
+            sorted(q.c[w][v] for w in range(n) if w != v),
+            sorted(q.c[v][w] for w in range(n) if w != v),
+        )
+        for v in range(n)
+    )

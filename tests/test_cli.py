@@ -174,6 +174,33 @@ class TestRecoverCommand:
             if ev["a"] != ev["b"]:
                 assert ev["span_dim"] == ev["rep_dim"]
 
+    def test_nine_cycle_expectation_met(self, tmp_path):
+        # past the old 8-vertex isomorphism cap
+        g = graph_file(
+            tmp_path, "c9.json", {"n": 9, "edges": [{"from": v, "to": v % 9 + 1, "count": 1} for v in range(1, 10)]}
+        )
+        out = tmp_path / "recover.json"
+        assert main(["recover", "--graph", g, "--expect", g, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n_recovered"] == 9 and report["expect_met"] is True
+
+    def test_late_witness_within_budget(self, tmp_path):
+        # a graph without automorphisms whose scramble at seed 3 puts the
+        # witness in the last eighth of the lexicographic order (it starts
+        # with vertex 8); a sweep over permutations tries 7/8 of 8! first
+        edges = [{"from": v, "to": v % 8 + 1, "count": 1} for v in range(1, 9)]
+        edges += [{"from": 1, "to": 1, "count": 1}, {"from": 1, "to": 4, "count": 2},
+                  {"from": 3, "to": 6, "count": 1}]
+        g = graph_file(tmp_path, "g8.json", {"n": 8, "edges": edges})
+        out = tmp_path / "recover.json"
+        t0 = time.perf_counter()
+        code = main(["recover", "--graph", g, "--expect", g, "--seed", "3", "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        report = json.loads(out.read_text())
+        assert code == 0 and report["expect_met"] is True
+        assert report["witness"][0] == 8
+        assert elapsed < 0.5
+
     def test_wrong_expectation_exits_3(self, reference, tmp_path):
         other = graph_file(
             tmp_path, "other.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 3}]}
@@ -192,6 +219,21 @@ class TestIso:
         code, report = run(RunConfig("iso", graph=two_loop, graph2=three))
         assert code == 3
         assert report["isomorphic"] is False
+
+    def test_eight_vertex_miss_within_budget(self, tmp_path):
+        # an 8-cycle against two 4-cycles: equal arrow counts and equal vertex
+        # signatures, so only the search can tell them apart
+        cycle = [{"from": v, "to": v % 8 + 1, "count": 1} for v in range(1, 9)]
+        halves = [{"from": v, "to": (v - 1) // 4 * 4 + v % 4 + 1, "count": 1} for v in range(1, 9)]
+        g1 = graph_file(tmp_path, "c8.json", {"n": 8, "edges": cycle})
+        g2 = graph_file(tmp_path, "c4c4.json", {"n": 8, "edges": halves})
+        out = tmp_path / "iso.json"
+        t0 = time.perf_counter()
+        code = main(["iso", g1, g2, "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 3
+        assert json.loads(out.read_text()) == {"isomorphic": False, "permutation": None}
+        assert elapsed < 0.1
 
     def test_swapped_copy_found(self, tmp_path):
         g1 = graph_file(

@@ -14,7 +14,81 @@ from quiveralg import (
     enumerate_paths,
     vertex_path,
 )
-from helpers import random_quiver
+from quiveralg.quiver import ISO_VERTEX_LIMIT
+from helpers import random_quiver, signature_multiset
+
+
+def brute_force_witness(q1, q2):
+    """The lexicographically least tau with q2[i][j] == q1[tau[i]][tau[j]],
+    found by trying every permutation in order, or None."""
+    if q1.n != q2.n:
+        return None
+    n = q1.n
+    for tau in itertools.permutations(range(n)):
+        if all(q2.c[i][j] == q1.c[tau[i]][tau[j]] for i in range(n) for j in range(n)):
+            return tau
+    return None
+
+
+def _permuted(rng, c):
+    tau = rng.permutation(len(c))
+    return [[c[tau[i]][tau[j]] for j in range(len(c))] for i in range(len(c))]
+
+
+def _one_arrow_moved(rng, c):
+    n = len(c)
+    c = [list(row) for row in c]
+    full = [(i, j) for i in range(n) for j in range(n) if c[i][j]]
+    i, j = full[int(rng.integers(len(full)))]
+    c[i][j] -= 1
+    c[int(rng.integers(n))][int(rng.integers(n))] += 1
+    return c
+
+
+def _degree_preserving_switch(rng, c):
+    """Swap the heads of two arrows of a loopless 0/1 matrix: i <- j and
+    k <- l become i <- l and k <- j.  Every vertex keeps its in- and
+    out-degree, so both graphs have the same vertex signatures."""
+    n = len(c)
+    c = [list(row) for row in c]
+    for _ in range(100):
+        i, j, k, l = (int(v) for v in rng.integers(n, size=4))
+        if (
+            c[i][j] and c[k][l] and not c[i][l] and not c[k][j]
+            and len({i, k}) == 2 and len({j, l}) == 2 and i != l and k != j
+        ):
+            c[i][j] = c[k][l] = 0
+            c[i][l] = c[k][j] = 1
+            break
+    return c
+
+
+def oracle_pairs(seed, count):
+    """``count`` pairs of graphs with at most 6 vertices, in four kinds:
+    permuted copies, one arrow moved, constant matrices and pairs with equal
+    vertex signatures."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(count):
+        kind = k % 4
+        n = int(rng.integers(2, 7))
+        if kind == 2:
+            m = int(rng.integers(0, 3))
+            c = [[m] * n for _ in range(n)]
+            other = _one_arrow_moved(rng, c) if m and rng.random() < 0.5 else c
+        elif kind == 3:
+            c = (rng.random((n, n)) < 0.4).astype(int)
+            np.fill_diagonal(c, 0)
+            c[0][1] = 1
+            c = c.tolist()
+            other = _permuted(rng, _degree_preserving_switch(rng, c))
+        else:
+            c = rng.integers(0, 3, size=(n, n)).tolist()
+            if not any(map(any, c)):
+                c[0][0] = 1
+            other = _permuted(rng, c) if kind == 0 else _one_arrow_moved(rng, _permuted(rng, c))
+        pairs.append((kind, Quiver(c), Quiver(other)))
+    return pairs
 
 
 class TestQuiverConstruction:
@@ -213,24 +287,39 @@ class TestAreIsomorphic:
         assert witness is not None
         assert apply_permutation(q, witness) == apply_permutation(q, tau)
 
+    @pytest.mark.parametrize("n", [9, 30])
+    def test_permuted_copies_past_eight_vertices(self, n):
+        rng = np.random.default_rng(n)
+        q = Quiver(rng.integers(0, 3, size=(n, n)).tolist())
+        tau = tuple(int(v) for v in rng.permutation(n))
+        q2 = apply_permutation(q, tau)
+        witness = are_isomorphic(q, q2)
+        assert witness is not None
+        assert apply_permutation(q, witness) == q2
+
     def test_size_limit(self):
-        q = Quiver(np.zeros((9, 9), dtype=int))
+        n = ISO_VERTEX_LIMIT + 1
+        q = Quiver(np.zeros((n, n), dtype=int))
         with pytest.raises(ValueError, match="size limit exceeded"):
             are_isomorphic(q, q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_brute_force(self, seed):
+        # exact witness (the lexicographically least) or None, on 4 x 60 pairs
+        pairs = oracle_pairs(seed, 60)
+        found = {kind: [0, 0] for kind in range(4)}
+        for kind, q1, q2 in pairs:
+            expected = brute_force_witness(q1, q2)
+            assert are_isomorphic(q1, q2) == expected, (q1.c, q2.c)
+            found[kind][expected is None] += 1
+        assert found[0] == [15, 0]  # permuted copies are always isomorphic
+        assert found[1][1] > 0 and found[2][0] > 0  # moved arrows miss, constants hit
+        assert all(signature_multiset(q1) == signature_multiset(q2) for k, q1, q2 in pairs if k == 3)
+        assert found[3][0] > 0 and found[3][1] > 0  # equal signatures: hits and misses
 
     def test_round_trip_with_itertools_oracle(self):
         # brute-force oracle written independently of the library search
         q1 = Quiver([[0, 2, 1], [1, 0, 0], [0, 1, 1]])
         tau = (2, 0, 1)
         q2 = apply_permutation(q1, tau)
-        expected = None
-        for cand in itertools.permutations(range(3)):
-            ok = all(
-                q2.c[i][j] == q1.c[cand[i]][cand[j]]
-                for i in range(3)
-                for j in range(3)
-            )
-            if ok:
-                expected = cand
-                break
-        assert are_isomorphic(q1, q2) == expected
+        assert are_isomorphic(q1, q2) == brute_force_witness(q1, q2)

@@ -14,7 +14,8 @@ from quiveralg import (
     recover,
     scramble,
 )
-from helpers import random_quiver
+from quiveralg.recovery import RANK_TOL, RecoveryError, _compressions
+from helpers import random_quiver, reference_compressions
 
 
 def manual_presentation(q, tau):
@@ -151,6 +152,57 @@ class TestProbes:
         s = scramble(Quiver([[1]]), seed=0)
         with pytest.raises(ValueError, match="out of range"):
             probe_character_dimension(s, 3)
+
+
+class TestCompressions:
+    """The generators are labelled once per presentation; the compressions
+    built from those labels must equal p_a * g * p_b computed pair by pair."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("force_identity", [False, True])
+    def test_equal_to_pairwise_products(self, seed, force_identity):
+        rng = np.random.default_rng(500 + seed)
+        q = random_quiver(rng, max_n=6, max_entry=2, min_n=2)
+        s = scramble(q, seed=seed, force_identity=force_identity)
+        for a in range(q.n):
+            for b in range(q.n):
+                block, dim, vecs = _compressions(s, a, b)
+                ref_block, ref_dim, ref_vecs = reference_compressions(s, a, b)
+                assert (block, dim) == (ref_block, ref_dim)
+                assert len(vecs) == len(ref_vecs) == len(s.generators)
+                for vec, ref in zip(vecs, ref_vecs):
+                    assert vec.dtype == ref.dtype and np.array_equal(vec, ref)
+                # the probe counts are those of the pairwise compressions
+                ref_rank = (
+                    int(np.linalg.matrix_rank(np.array(ref_vecs), tol=RANK_TOL))
+                    if dim and np.any(ref_vecs)
+                    else 0
+                )
+                probe = (
+                    probe_character_dimension(s, a)
+                    if a == b
+                    else probe_pair_dimension(s, a, b)
+                )
+                assert probe == ref_rank == q.c[block[0]][block[1]]
+
+    def test_each_generator_is_labelled_once(self):
+        q = Quiver([[1, 2, 0], [0, 1, 3], [1, 0, 0]])
+        s = scramble(q, seed=4)
+        tau = s.hidden_truth.tau
+        counts = {}
+        for a in range(q.n):
+            for b in range(q.n):
+                _, _, vecs = _compressions(s, a, b)
+                counts[(a, b)] = sum(bool(np.any(v)) for v in vecs)
+        assert sum(counts.values()) == len(s.generators) == q.total_arrows()
+        assert all(counts[(a, b)] == q.c[tau[a]][tau[b]] for (a, b) in counts)
+
+    def test_unlabelled_generator_raises_recovery_error(self):
+        q = Quiver([[1, 1], [0, 1]])
+        s = scramble(q, seed=2)
+        s.generators = s.generators + (PathPolynomial.zero(q),)
+        with pytest.raises(RecoveryError, match="generator 3"):
+            probe_character_dimension(s, 0)
 
 
 class TestRecover:
