@@ -4,8 +4,8 @@ A character lives at one vertex and pairs degree-1 elements against a vector
 in the closed unit ball of the loop space there.  A two-dimensional
 representation couples two vertices through a corner vector gamma; it is
 contractive exactly when ||gamma||^2 <= 1 - ||lam_i||^2, and the norms of its
-compressed k-fold maps follow a closed form that we cross-check against the
-explicit matrix assembly.
+compressed k-fold maps follow a closed form that we cross-check against a
+per-vertex recursion of the 2x2 Gram matrix T~_k T~_k*.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ print(rho_eval(rep, parse_polynomial(q, "1<2:1")))
 print("  T~ T~* =")
 print(t_tilde_product(rep).real)
 
-print("\nnorm recursion (closed form vs explicit assembly) and decay bound:")
+print("\nnorm recursion (closed form vs Gram recursion) and decay bound:")
 print("   k   closed        direct        bound")
 for k in range(1, 7):
     closed = t_tilde_k_norm_closed(rep, k)

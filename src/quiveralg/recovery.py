@@ -279,12 +279,12 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     lam_i = np.zeros(q.c[va][va], dtype=complex)
     lam_j = np.zeros(q.c[vb][vb], dtype=complex)
     rows = []
-    for vec in vecs:
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
+    # only the generators labelled (a, b) have a nonzero compression here
+    for ga, gb, vec in s._generator_labels:
+        if (ga, gb) != (a, b):
             continue
         try:
-            rep = TwoDimRep(q, va, vb, lam_i, lam_j, vec / nrm)
+            rep = TwoDimRep(q, va, vb, lam_i, lam_j, vec / np.linalg.norm(vec))
         except ValueError as exc:
             raise RecoveryError(
                 f"normalized compression rejected by the family test: {exc}"

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,22 @@ class TestNorms:
         for row in report["rows"]:
             assert abs(row["closed"] - row["direct"]) <= 1e-10
             assert row["direct"] ** 2 <= row["bound"] + 1e-12
+
+    def test_k6_three_blocks_within_budget(self, tmp_path):
+        # [[3, 3], [0, 3]]: the explicit assembly at k = 6 has 2 x 5,832
+        # entries, the Gram recursion only 2 x 2 blocks per vertex
+        g = str(Path(__file__).parent / "fixtures" / "graphs" / "three_blocks.json")
+        out = tmp_path / "norms.json"
+        t0 = time.perf_counter()
+        code = main(
+            ["norms", "--graph", g, "--i", "1", "--j", "2", "--lambda-i", "0.3,0.2j,-0.1",
+             "--lambda-j", "0.25,-0.15j,0.1", "--gamma", "0.4,0.3j,-0.2", "--k-max", "6",
+             "--output", str(out)]
+        )
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 7))
+        assert elapsed < 0.05
 
     def test_k_max_beyond_cap_rejected(self, reference):
         cfg = RunConfig("norms", graph=reference, vertex_i=1, vertex_j=2, k_max=9)

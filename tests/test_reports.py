@@ -4,9 +4,11 @@ The expected reports in ``fixtures/reports`` were printed by the CLI on the
 graphs in ``fixtures/graphs``.  The ``paths``, ``iso`` and ``recover``
 reports hold only integers and path names, so they do not depend on the
 machine, and a change to the code must reproduce them byte for byte.  The
-``verify`` reports hold norms, which may move in the last bit when the
-arithmetic is reordered: they must match in exit code, keys, integers,
-booleans and strings, and in every float to within ``FLOAT_TOL``.
+``verify`` and ``norms`` reports hold norms, which may move in the last bit
+when the arithmetic is reordered (the ``norms`` fixture on a 3/3/3 block
+graph was printed while its direct column still came from an SVD of the
+explicit assembly): they must match in exit code, keys, integers, booleans
+and strings, and in every float to within ``FLOAT_TOL``.
 """
 
 import json
@@ -53,11 +55,17 @@ def test_report_matches_fixture(name, capsys):
     assert capsys.readouterr().out == expected
 
 
-#: verify report name -> CLI arguments (each run exits EXIT_OK)
+#: report name -> CLI arguments, for reports compared with a float
+#: tolerance (each run exits EXIT_OK)
 VERIFY_REPORTS = {
     "verify_two_loops_d10": ["verify", "--graph", graph("two_loops"), "--depth", "10", "--seed", "3"],
     "verify_four_cycle_loop_d8": [
         "verify", "--graph", graph("four_cycle_loop"), "--depth", "8", "--seed", "5"
+    ],
+    "norms_three_blocks_k6": [
+        "norms", "--graph", graph("three_blocks"), "--i", "1", "--j", "2",
+        "--lambda-i", "0.3,0.2j,-0.1", "--lambda-j", "0.25,-0.15j,0.1",
+        "--gamma", "0.4,0.3j,-0.2", "--k-max", "6",
     ],
 }
 

@@ -25,6 +25,7 @@ from helpers import (
     random_contractive_params,
     random_polynomial,
     random_rep,
+    random_unit_vector,
     two_block_quiver,
 )
 
@@ -308,6 +309,34 @@ class TestNormRecursion:
             assert abs(
                 t_tilde_k_norm_closed(rep, k) - t_tilde_k_norm_direct(rep, k)
             ) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_direct_matches_assembled_svd(self, seed):
+        # the Gram recursion against the singular values of the explicit
+        # 2 x d assembly, on quivers with arrows i -> j and extra vertices
+        rng = np.random.default_rng(1300 + seed)
+        n = 2 + seed % 3
+        while True:
+            c = rng.choice(3, size=(n, n), p=[0.5, 0.35, 0.15])
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            c[i][j] = max(c[i][j], 1)
+            c[j][i] = max(c[j][i], 1)
+            for u in set(range(n)) - {i, j}:
+                c[u][i] = max(c[u][i], 1)
+                c[j][u] = max(c[j][u], 1)
+            starts = c[:, i] + c[:, j]
+            if int(np.sum(np.linalg.matrix_power(c, 5) @ starts)) <= 3000:
+                break
+        q = Quiver(c.tolist())
+        lam_i = random_unit_vector(rng, q.c[i][i]) * rng.uniform(0.3, 0.95)
+        lam_j = random_unit_vector(rng, q.c[j][j]) * rng.uniform(0.3, 0.95)
+        t_max = np.sqrt(1.0 - np.linalg.norm(lam_i) ** 2)
+        gamma = random_unit_vector(rng, q.c[i][j]) * rng.uniform(0.5, 1.0) * t_max
+        rep = TwoDimRep(q, i, j, lam_i, lam_j, gamma)
+        for k in range(1, 7):
+            m = t_tilde_k_matrix(q, i, j, lam_i, lam_j, gamma, k)
+            sigma = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
+            assert abs(t_tilde_k_norm_direct(rep, k) - sigma) <= 1e-13
 
     def test_direct_cap(self):
         rep = random_rep(np.random.default_rng(3), 1, 1, 1)
