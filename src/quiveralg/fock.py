@@ -2,7 +2,9 @@
 
 The basis of ``FockSpace(q, depth)`` is every path of length <= depth, in the
 canonical enumeration order; the basis is orthonormal, so operators are plain
-(sparse) matrices and adjoints are conjugate transposes.
+(sparse) matrices and adjoints are conjugate transposes.  The space holds the
+basis as arrays (each path's length, end vertex, parent and last arrow), not
+as ``Path`` objects; the tuple ``FockSpace.basis`` is built only on first use.
 
 A creation operator prepends one more arrow at the target end of a path:
 paths of length ``depth`` are mapped to zero.  Identities that hold on the
@@ -33,7 +35,7 @@ import scipy.sparse as sp
 
 from .correspondence import CorrespondenceElement, DiagonalElement, inner_product
 from .polynomials import PathPolynomial
-from .quiver import Arrow, Path, Quiver, enumerate_paths
+from .quiver import Arrow, Path, Quiver, _path_tree, enumerate_paths
 
 #: matrices at least this large go to power iteration instead of dense SVD
 DENSE_SVD_LIMIT = 2000
@@ -43,10 +45,22 @@ DEFAULT_DEPTH = 4
 
 
 class FockSpace:
-    """The span of all paths of length <= depth, with its canonical basis."""
+    """The span of all paths of length <= depth, with its canonical basis.
+
+    Basis vector k is the k-th path of ``enumerate_paths(quiver, depth)``.
+    The space is defined by four arrays from ``quiver._path_tree``, and no
+    ``Path`` object is built for it: ``lengths[k]`` and ``targets[k]`` are
+    the length and end vertex of path k, and path n + r (n vertices) is path
+    ``parent[r]`` followed by the arrow at position ``last_arrow[r]`` of
+    ``tuple(quiver.arrows())``.  ``basis``, the tuple of those paths, is
+    built on first use and cached.  There is no ``index`` attribute: a
+    path's position is its place in ``basis``.
+    Graphs with more than ``PATH_LIMIT`` paths up to ``depth`` are refused
+    with ``ValueError`` before anything is allocated.
+    """
 
     __slots__ = (
-        "quiver", "depth", "basis", "index", "lengths", "targets", "parent", "last_arrow",
+        "quiver", "depth", "lengths", "targets", "parent", "last_arrow", "_basis",
         "_arrow_ops",
     )
 
@@ -55,31 +69,20 @@ class FockSpace:
             raise ValueError("depth must be nonnegative")
         self.quiver = quiver
         self.depth = depth
-        self.basis: tuple[Path, ...] = tuple(enumerate_paths(quiver, depth))
-        self.index: dict[Path, int] = {p: k for k, p in enumerate(self.basis)}
-        self.lengths = np.array([p.length for p in self.basis])
-        self.targets = np.array([p.target for p in self.basis])
-        # Basis path n + r is the child of column parent[r] by the arrow at
-        # position last_arrow[r] of tuple(quiver.arrows()).  enumerate_paths
-        # lists each level's children parent by parent, each parent's in
-        # arrows_from order, and level k + 1 right after level k, so the
-        # children of all non-leaf columns, in column order, are the basis
-        # from position n on.
-        position = {a: k for k, a in enumerate(quiver.arrows())}
-        out = [[position[a] for a in quiver.arrows_from(v)] for v in quiver.vertices()]
-        out_deg = np.array([len(o) for o in out], dtype=np.intp)
-        out_start = np.cumsum(out_deg) - out_deg
-        out_flat = np.array([k for o in out for k in o], dtype=np.intp)
-        cols = np.flatnonzero(self.lengths < depth)
-        counts = out_deg[self.targets[cols]]
-        self.parent = np.repeat(cols, counts)
-        offsets = np.repeat(out_start[self.targets[cols]] - (np.cumsum(counts) - counts), counts)
-        self.last_arrow = out_flat[offsets + np.arange(len(self.parent))]
+        self.parent, self.last_arrow, self.lengths, self.targets = _path_tree(quiver, depth)
+        self._basis: Optional[tuple[Path, ...]] = None
         self._arrow_ops: dict[Arrow, sp.csr_matrix] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.lengths)
+
+    @property
+    def basis(self) -> tuple[Path, ...]:
+        """The basis paths in order, built on first use."""
+        if self._basis is None:
+            self._basis = tuple(enumerate_paths(self.quiver, self.depth))
+        return self._basis
 
     def length_indices(self, max_len: int) -> np.ndarray:
         """Positions of the basis paths of length <= max_len."""

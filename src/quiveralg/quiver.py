@@ -27,6 +27,11 @@ import numpy as np
 #: (see ``are_isomorphic``) and stays far from exhaustive on graphs this size.
 ISO_VERTEX_LIMIT = 64
 
+#: ``enumerate_paths`` and ``FockSpace`` refuse graphs with more paths than
+#: this up to the requested length; the count is exact and taken before any
+#: path is built.
+PATH_LIMIT = 2**20
+
 
 def _as_count(value) -> int:
     if isinstance(value, bool):
@@ -183,25 +188,89 @@ def compose(p: Path, r: Path) -> Optional[Path]:
     return Path(r.base, r.arrows + p.arrows)
 
 
+def _path_count_check(c: tuple[tuple[int, ...], ...], max_len: int) -> None:
+    """Refuse, before anything is allocated, graphs with more than
+    ``PATH_LIMIT`` paths of length <= ``max_len``.
+
+    The count sum over k <= max_len of 1^T C^k 1 is taken in exact integers,
+    level by level, and stops at the first empty level.  A nonempty level at
+    length >= n holds a path through n + 1 vertices, hence a cycle, so every
+    longer level holds at least one path: the remaining levels are counted
+    as one path each, which decides very large ``max_len`` at once.
+    """
+    n = len(c)
+    level = [1] * n  # paths of the current length, by end vertex
+    total = n
+    for k in range(1, max_len + 1):
+        level = [sum(c[t][s] * level[s] for s in range(n) if c[t][s]) for t in range(n)]
+        size = sum(level)
+        if size == 0:
+            break
+        total += size
+        if total > PATH_LIMIT or (k >= n and total + (max_len - k) > PATH_LIMIT):
+            raise ValueError(
+                f"size limit exceeded: refusing more than {PATH_LIMIT} paths "
+                f"(lengths up to {max_len})"
+            )
+
+
+def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The paths of length <= ``max_len`` as arrays, in ``enumerate_paths`` order.
+
+    Returns ``(parent, last_arrow, lengths, targets)``.  Paths 0..n-1 are the
+    vertices; path n + r is path ``parent[r]`` followed by the arrow at
+    position ``last_arrow[r]`` of ``tuple(q.arrows())``.  ``lengths`` and
+    ``targets`` hold every path's length and end vertex.  Each level lists
+    the children of the level before it parent by parent, each parent's in
+    ``arrows_from`` order, so the children of all paths shorter than
+    ``max_len``, in path order, are the paths from position n on.  Graphs
+    with more than ``PATH_LIMIT`` such paths are refused before any array is
+    built.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    _path_count_check(q.c, max_len)
+    position = {a: k for k, a in enumerate(q.arrows())}
+    out = [list(q.arrows_from(v)) for v in q.vertices()]
+    out_deg = np.array([len(o) for o in out], dtype=np.intp)
+    out_start = np.cumsum(out_deg) - out_deg
+    out_arrow = np.array([position[a] for o in out for a in o], dtype=np.intp)
+    out_target = np.array([a.target for o in out for a in o], dtype=np.intp)
+
+    ends = np.arange(q.n, dtype=np.intp)  # end vertices of the current level
+    start = 0  # position of its first path
+    none = np.zeros(0, dtype=np.intp)
+    parent, last_arrow, lengths, targets = [none], [none], [np.zeros(q.n, dtype=np.intp)], [ends]
+    for k in range(1, max_len + 1):
+        counts = out_deg[ends]
+        size = int(counts.sum())
+        if size == 0:
+            break
+        parent.append(np.repeat(np.arange(start, start + len(ends)), counts))
+        pos = np.repeat(out_start[ends] - (np.cumsum(counts) - counts), counts) + np.arange(size)
+        start += len(ends)
+        ends = out_target[pos]
+        last_arrow.append(out_arrow[pos])
+        lengths.append(np.full(size, k, dtype=np.intp))
+        targets.append(ends)
+    return tuple(np.concatenate(a) for a in (parent, last_arrow, lengths, targets))
+
+
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All paths of length at most ``max_len``.
 
     The order is deterministic: by length, then by the canonical per-length
     order of :meth:`Path.sort_key`.  This ordering fixes the basis of every
-    matrix built downstream, so runs are reproducible bit for bit.
+    matrix built downstream, so runs are reproducible bit for bit.  The paths
+    are read off ``_path_tree``, which defines that order, and graphs with
+    more than ``PATH_LIMIT`` paths are refused.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    out: list[Path] = []
-    level = [Path(v) for v in q.vertices()]
-    out.extend(level)
-    for _ in range(max_len):
-        level = [
-            Path(p.base, p.arrows + (a,))
-            for p in level
-            for a in q.arrows_from(p.target)
-        ]
-        out.extend(level)
+    parent, last_arrow, _, _ = _path_tree(q, max_len)
+    arrows = tuple(q.arrows())
+    out = [Path(v) for v in q.vertices()]
+    for p, a in zip(parent.tolist(), last_arrow.tolist()):
+        head = out[p]
+        out.append(Path(head.base, head.arrows + (arrows[a],)))
     return out
 
 

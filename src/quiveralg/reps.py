@@ -36,11 +36,6 @@ DEGENERATE_EPS = 1e-13
 #: slack for boundary cases of the contractivity inequality in floats
 BOUNDARY_SLACK = 1e-12
 
-#: default cap on k for the direct norm route; the Gram recursion itself is
-#: linear in k, the cap bounds the CLI table and keeps the explicit assembly
-#: (the oracle the tests compare it with) small
-DIRECT_NORM_CAP = 6
-
 
 def _as_vector(x) -> np.ndarray:
     """A parameter as a flat complex vector (a copy); None is the empty vector."""
@@ -265,7 +260,7 @@ def t_tilde_k_norm_closed(r: TwoDimRep, k: int) -> float:
     return float(np.sqrt(max(q1**k + t * geometric, q2**k)))
 
 
-def t_tilde_k_norm_direct(r: TwoDimRep, k: int, cap: int = DIRECT_NORM_CAP) -> float:
+def t_tilde_k_norm_direct(r: TwoDimRep, k: int) -> float:
     """Norm of the k-fold compressed map from its Gram matrix T~_k T~_k*.
 
     The columns of ``t_tilde_k_matrix`` are indexed by balanced paths; the
@@ -279,13 +274,10 @@ def t_tilde_k_norm_direct(r: TwoDimRep, k: int, cap: int = DIRECT_NORM_CAP) -> f
     with M_a the 2 x 2 matrix of the representation on the arrow a.  The
     norm is the square root of the largest eigenvalue of sum_w G_k[w].  No
     column is built, so the cost is O(k * arrows); the route uses the arrow
-    matrices only, never the closed form in q1, q2 and t, and k stays capped
-    at ``cap``.
+    matrices only, never the closed form in q1, q2 and t.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > cap:
-        raise ValueError(f"cap exceeded: k = {k} > {cap}")
     arrows = [
         (a.source, a.target, _arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a))
         for a in r.quiver.arrows()

@@ -99,19 +99,61 @@ def random_rep(rng, d_i=2, d_g=2, d_j=2, boundary=False):
     return TwoDimRep(q, 0, 1, lam_i, lam_j, gamma)
 
 
+def reference_enumerate_paths(q, max_len):
+    """All paths of length <= max_len, level by level: every path of a level
+    extended by every arrow leaving its target, in ``arrows_from`` order."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    out = []
+    level = [Path(v) for v in q.vertices()]
+    out.extend(level)
+    for _ in range(max_len):
+        level = [
+            Path(p.base, p.arrows + (a,))
+            for p in level
+            for a in q.arrows_from(p.target)
+        ]
+        out.extend(level)
+    return out
+
+
+def basis_index(paths):
+    """Position of every path in a basis sequence."""
+    return {p: k for k, p in enumerate(paths)}
+
+
+def reference_path_tree(q, max_len):
+    """(parent, last_arrow, lengths, targets) read off the reference
+    enumeration path by path: path n + r is its parent followed by the arrow
+    at position last_arrow[r] of ``tuple(q.arrows())``."""
+    paths = reference_enumerate_paths(q, max_len)
+    index = basis_index(paths)
+    position = {a: k for k, a in enumerate(q.arrows())}
+    tails = paths[q.n:]
+    return (
+        np.array([index[Path(p.base, p.arrows[:-1])] for p in tails], dtype=np.intp),
+        np.array([position[p.arrows[-1]] for p in tails], dtype=np.intp),
+        np.array([p.length for p in paths], dtype=np.intp),
+        np.array([p.target for p in paths], dtype=np.intp),
+    )
+
+
 def reference_creation_matrix(space, xi):
-    """The creation matrix built path by path: column p gets xi[a] in the row
-    of (a after p) for every arrow a leaving p's target, zero coefficients
-    dropped, paths of length ``depth`` mapped to zero."""
+    """The creation matrix built path by path on the reference enumeration:
+    column p gets xi[a] in the row of (a after p) for every arrow a leaving
+    p's target, zero coefficients dropped, paths of length ``depth`` mapped
+    to zero."""
     rows, cols, data = [], [], []
+    paths = reference_enumerate_paths(space.quiver, space.depth)
+    index = basis_index(paths)
     arrows_by_source = [list(space.quiver.arrows_from(v)) for v in space.quiver.vertices()]
-    for col, p in enumerate(space.basis):
+    for col, p in enumerate(paths):
         if p.length == space.depth:
             continue
         for a in arrows_by_source[p.target]:
             z = xi.blocks[a.target][a.source][a.index]
             if z != 0:
-                rows.append(space.index[Path(p.base, p.arrows + (a,))])
+                rows.append(index[Path(p.base, p.arrows + (a,))])
                 cols.append(col)
                 data.append(z)
     return sp.coo_matrix(

@@ -2,10 +2,13 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quiveralg import GRAPH_SCHEMA_VERSION, Quiver, parse_quiver_dict, parse_quiver_file, quiver_to_dict, write_quiver_file
-from quiveralg.cli import RunConfig, build_parser, config_from_args, main, run
+from quiveralg import GRAPH_SCHEMA_VERSION, FockSpace, Quiver, format_path, parse_quiver_dict, parse_quiver_file, quiver_to_dict, write_quiver_file
+from quiveralg.quiver import Path as QuiverPath
+from quiveralg.cli import NORMS_K_MAX, RunConfig, build_parser, config_from_args, main, run
+from helpers import random_quiver, reference_enumerate_paths
 
 
 def graph_file(tmp_path, name, doc):
@@ -32,6 +35,24 @@ def reference(tmp_path):
                 {"from": 1, "to": 1, "count": 1},
                 {"from": 2, "to": 1, "count": 2},
                 {"from": 2, "to": 2, "count": 1},
+            ],
+        },
+    )
+
+
+@pytest.fixture
+def dense3(tmp_path):
+    # C = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]: 195,023 paths of length <= 12
+    return graph_file(
+        tmp_path,
+        "dense3.json",
+        {
+            "n": 3,
+            "edges": [
+                {"from": s, "to": t, "count": 1}
+                for t, row in enumerate([[1, 1, 1], [1, 1, 0], [1, 0, 1]], start=1)
+                for s, x in enumerate(row, start=1)
+                if x
             ],
         },
     )
@@ -131,6 +152,21 @@ class TestVerify:
         assert json.loads(out.read_text())["dim"] == 2047
         assert elapsed < 0.5
 
+    def test_dense3_depth_12_within_budget(self, dense3, tmp_path):
+        out = tmp_path / "verify.json"
+        t0 = time.perf_counter()
+        code = main(["verify", "--graph", dense3, "--depth", "12", "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(out.read_text())["dim"] == 195023
+        assert elapsed < 1.0
+
+    def test_depth_past_path_limit_exits_1(self, two_loop, capsys):
+        t0 = time.perf_counter()
+        assert main(["verify", "--graph", two_loop, "--depth", "20"]) == 1
+        assert time.perf_counter() - t0 < 0.5
+        assert "size limit" in capsys.readouterr().err
+
 
 class TestNorms:
     def test_table_shape_and_agreement(self, reference):
@@ -166,10 +202,18 @@ class TestNorms:
         assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 7))
         assert elapsed < 0.05
 
-    def test_k_max_beyond_cap_rejected(self, reference):
-        cfg = RunConfig("norms", graph=reference, vertex_i=1, vertex_j=2, k_max=9)
-        with pytest.raises(ValueError, match="cap"):
-            run(cfg)
+    def test_k_max_out_of_range_rejected(self, reference):
+        for k_max in (0, -3, NORMS_K_MAX + 1):
+            cfg = RunConfig("norms", graph=reference, vertex_i=1, vertex_j=2, k_max=k_max)
+            with pytest.raises(ValueError, match="k-max must be in 1"):
+                run(cfg)
+
+    def test_k_max_past_six_accepted(self, reference):
+        # the direct route is a Gram recursion, so k-max has no cap at 6
+        cfg = RunConfig("norms", graph=reference, vertex_i=1, vertex_j=2, k_max=NORMS_K_MAX)
+        code, report = run(cfg)
+        assert code == 0
+        assert [row["k"] for row in report["rows"]] == list(range(1, NORMS_K_MAX + 1))
 
     def test_bad_vector_rejected(self, reference):
         cfg = RunConfig(
@@ -275,6 +319,55 @@ class TestPaths:
         assert report["count"] == 7
         assert report["paths"][0] == "v1"
         assert "1<1:1*1<1:2" in report["paths"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_names_are_format_path_of_reference(self, seed, tmp_path):
+        rng = np.random.default_rng(800 + seed)
+        q = random_quiver(rng, max_n=3, max_entry=2)
+        g = str(tmp_path / "g.json")
+        write_quiver_file(q, g)
+        for max_len in range(4):
+            code, report = run(RunConfig("paths", graph=g, max_len=max_len))
+            want = [format_path(p) for p in reference_enumerate_paths(q, max_len)]
+            assert code == 0
+            assert report == {"count": len(want), "paths": want}
+
+    def test_dense3_max_len_12_within_budget(self, dense3, tmp_path):
+        out = tmp_path / "paths.json"
+        t0 = time.perf_counter()
+        code = main(["paths", "--graph", dense3, "--max-len", "12", "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(out.read_text())["count"] == 195023
+        assert elapsed < 1.0
+
+    def test_past_path_limit_exits_1(self, two_loop, capsys):
+        # 2,097,151 paths: refused before any is built
+        t0 = time.perf_counter()
+        assert main(["paths", "--graph", two_loop, "--max-len", "20"]) == 1
+        assert time.perf_counter() - t0 < 0.5
+        assert "size limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["paths", "--max-len", "6"], ["verify", "--depth", "6"]],
+    ids=["paths", "verify"],
+)
+def test_builds_no_path_objects(argv, reference, tmp_path, monkeypatch):
+    # only the vertex and arrow tokens of the path names are Path objects
+    built = []
+    post_init = QuiverPath.__post_init__
+    monkeypatch.setattr(QuiverPath, "__post_init__", lambda p: (built.append(p), post_init(p)))
+    out = tmp_path / "report.json"
+    assert main([*argv, "--graph", reference, "--output", str(out)]) == 0
+    q = parse_quiver_file(reference)
+    assert len(built) <= q.n + q.total_arrows()
+    assert all(p.length <= 1 for p in built)
+    built.clear()
+    space = FockSpace(q, 6)
+    assert built == []
+    assert len(space.basis) == space.dim == len(built)  # built on first use
 
 
 class TestMainEntry:

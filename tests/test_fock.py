@@ -23,7 +23,13 @@ from quiveralg import (
     right_action,
 )
 from quiveralg.fock import _power_iteration_norm
-from helpers import random_element, random_polynomial, random_quiver, reference_creation_matrix
+from helpers import (
+    basis_index,
+    random_element,
+    random_polynomial,
+    random_quiver,
+    reference_creation_matrix,
+)
 
 
 @pytest.fixture
@@ -57,6 +63,11 @@ class TestFockSpace:
     def test_rejects_negative_depth(self, loop1):
         with pytest.raises(ValueError):
             FockSpace(loop1, -1)
+
+    def test_refuses_more_paths_than_the_limit(self, loop2):
+        # 2^21 - 1 paths: refused before any array is built
+        with pytest.raises(ValueError, match="size limit"):
+            FockSpace(loop2, 20)
 
 
 class TestCreationOperator:
@@ -130,7 +141,7 @@ class TestDiagOperator:
         q = Quiver([[0, 1], [0, 0]])
         space = FockSpace(q, 2)
         d = diag_operator(space, DiagonalElement([2.0, 3.0]))
-        a = space.index[arrow_path(Arrow(1, 0, 0))]
+        a = basis_index(space.basis)[arrow_path(Arrow(1, 0, 0))]
         assert d.matrix[a, a] == 2.0
 
 

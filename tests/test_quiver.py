@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +15,13 @@ from quiveralg import (
     enumerate_paths,
     vertex_path,
 )
-from quiveralg.quiver import ISO_VERTEX_LIMIT
-from helpers import random_quiver, signature_multiset
+from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, _path_tree
+from helpers import (
+    random_quiver,
+    reference_enumerate_paths,
+    reference_path_tree,
+    signature_multiset,
+)
 
 
 def brute_force_witness(q1, q2):
@@ -196,6 +202,51 @@ class TestEnumeratePaths:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             enumerate_paths(Quiver([[1]]), -1)
+
+
+#: the random set of the creation-operator oracle, a sink (vertex 2 has no
+#: out-arrows), an arrowless graph, and a cycle through single out-arrows
+#: with a loop
+TREE_CASES = {
+    **{f"random{seed}": random_quiver(np.random.default_rng(800 + seed), max_n=3, max_entry=2)
+       for seed in range(10)},
+    "sink": Quiver([[1, 1, 0], [0, 0, 0], [1, 2, 0]]),
+    "arrowless": Quiver([[0, 0], [0, 0]]),
+    "cycle_loop": Quiver([[1, 0, 1], [1, 0, 0], [0, 1, 0]]),
+}
+
+
+class TestPathTree:
+    """``_path_tree`` against the path-by-path reference enumeration."""
+
+    @pytest.mark.parametrize("name", sorted(TREE_CASES))
+    def test_equal_to_reference(self, name):
+        q = TREE_CASES[name]
+        for max_len in range(5):
+            got, want = _path_tree(q, max_len), reference_path_tree(q, max_len)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+            assert enumerate_paths(q, max_len) == reference_enumerate_paths(q, max_len)
+
+    def test_limit_is_inclusive(self):
+        # two loops at one vertex and an isolated vertex: 2^(L+1) paths
+        q = Quiver([[2, 0], [0, 0]])
+        assert len(_path_tree(q, 19)[2]) == PATH_LIMIT
+        with pytest.raises(ValueError, match="size limit"):
+            _path_tree(q, 20)
+        with pytest.raises(ValueError, match="size limit"):
+            enumerate_paths(q, 20)
+
+    def test_huge_lengths_decided_at_once(self):
+        t0 = time.perf_counter()
+        # a cycle makes every level nonempty: refused without counting them
+        with pytest.raises(ValueError, match="size limit"):
+            _path_tree(Quiver([[0, 1], [1, 0]]), 10**12)
+        # no cycle: the levels run out after one arrow
+        assert _path_tree(Quiver([[0, 1], [0, 0]]), 10**12)[2].tolist() == [0, 0, 1]
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestCompose:

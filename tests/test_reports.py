@@ -32,6 +32,9 @@ def graph(name: str) -> str:
 #: report name -> (CLI arguments, exit code)
 REPORTS = {
     "paths_reference": (["paths", "--graph", graph("reference")], EXIT_OK),
+    "paths_four_cycle_loop_l6": (
+        ["paths", "--graph", graph("four_cycle_loop"), "--max-len", "6"], EXIT_OK
+    ),
     "iso_relabelled": (["iso", graph("recover6"), graph("recover6_relabelled")], EXIT_OK),
     "iso_other": (["iso", graph("recover6"), graph("recover6_other")], EXIT_MISMATCH),
     "recover4_expect": (

@@ -338,10 +338,13 @@ class TestNormRecursion:
             sigma = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
             assert abs(t_tilde_k_norm_direct(rep, k) - sigma) <= 1e-13
 
-    def test_direct_cap(self):
+    def test_direct_k_range(self):
+        # k >= 1 is the only bound on k
         rep = random_rep(np.random.default_rng(3), 1, 1, 1)
-        with pytest.raises(ValueError, match="cap exceeded"):
-            t_tilde_k_norm_direct(rep, 7)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                t_tilde_k_norm_direct(rep, k)
+        assert abs(t_tilde_k_norm_direct(rep, 40) - t_tilde_k_norm_closed(rep, 40)) <= 1e-12
 
     def test_k_matrix_rejects_k_zero(self):
         rep = random_rep(np.random.default_rng(4), 1, 1, 1)
