@@ -13,15 +13,15 @@ paths of length <= depth - 1, where the truncation is invisible.
 
 Every path of length >= 1 has exactly one parent (itself without its last
 arrow), so a creation operator is a weighted shift: each row holds at most
-one entry and the columns are orthogonal.  ``operator_norm`` takes the first
-of three routes that applies:
+one entry and the columns are orthogonal.  ``operator_norm`` has two routes,
+both exact:
 
-1. at most one stored entry in every row: the largest column 2-norm, which
-   is the exact norm, in O(nnz) (every creation operator, and every
-   covariance block, which is diagonal);
-2. dimension below ``DENSE_SVD_LIMIT``: a dense SVD;
-3. otherwise: power iteration on mat* mat, which raises ``RuntimeError``
-   when it does not converge.
+1. at most one stored entry in every row: the largest column 2-norm, in
+   O(nnz) (every creation operator, and every covariance block, which is
+   diagonal);
+2. any other matrix: a dense SVD when both sides are below
+   ``DENSE_SVD_LIMIT``; larger ones are refused with ``ValueError`` before
+   anything is densified.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .correspondence import CorrespondenceElement, DiagonalElement, inner_produc
 from .polynomials import PathPolynomial
 from .quiver import Arrow, Path, Quiver, _path_tree, enumerate_paths
 
-#: matrices at least this large go to power iteration instead of dense SVD
+#: a matrix that is not a weighted shift gets its norm from a dense SVD only
+#: when both sides are below this; larger ones are refused
 DENSE_SVD_LIMIT = 2000
 
 #: default truncation depth
@@ -157,39 +158,6 @@ def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> FockOperator:
     return FockOperator(space, total.tocsr())
 
 
-def _power_iteration_norm(mat, tol: float, max_iter: int = 20000) -> float:
-    """Largest singular value by power iteration on mat* mat.
-
-    Stops once |delta sigma| <= tol; raises RuntimeError after ``max_iter``
-    iterations without that.
-    """
-    rng = np.random.default_rng(0x51B1)
-    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0 or mat.shape[0] == 0 or mat.shape[1] == 0:
-        return 0.0
-    v /= nv
-    mh = mat.conj().T
-    sigma = 0.0
-    delta = float("inf")
-    for _ in range(max_iter):
-        w = mh @ (mat @ v)
-        lam = max(float(np.real(np.vdot(v, w))), 0.0)
-        new_sigma = float(np.sqrt(lam))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        delta = abs(new_sigma - sigma)
-        if delta <= tol:
-            return new_sigma
-        sigma = new_sigma
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last |delta sigma| = {delta:.3e}, tol = {tol:.3e})"
-    )
-
-
 def _weighted_shift_norm(mat) -> Optional[float]:
     """The largest column 2-norm when every row holds at most one stored
     entry (the columns are then orthogonal, so this is the exact norm);
@@ -207,15 +175,15 @@ def _weighted_shift_norm(mat) -> Optional[float]:
     return float(np.sqrt(sq.max()))
 
 
-def operator_norm(op, tol: float = 1e-9) -> float:
-    """Largest singular value, by the first route that applies.
+def operator_norm(op) -> float:
+    """Largest singular value, by one of two exact routes.
 
     1. At most one stored entry in every row (a weighted shift, such as a
        creation operator or a diagonal block): the largest column 2-norm,
-       which is exact, in O(nnz).
-    2. Dimension below ``DENSE_SVD_LIMIT``: dense decomposition.
-    3. Otherwise power iteration on mat* mat to tolerance ``tol``; it raises
-       RuntimeError when it does not converge.
+       in O(nnz).
+    2. Any other matrix: a dense SVD when both sides are below
+       ``DENSE_SVD_LIMIT``; otherwise ``ValueError`` ("size limit
+       exceeded"), raised before anything is densified.
 
     Accepts a FockOperator, a numpy array, or a scipy sparse matrix.
     """
@@ -225,11 +193,14 @@ def operator_norm(op, tol: float = 1e-9) -> float:
     shift_norm = _weighted_shift_norm(mat)
     if shift_norm is not None:
         return shift_norm
-    if max(mat.shape) < DENSE_SVD_LIMIT:
-        dense = np.asarray(mat.todense()) if sp.issparse(mat) else np.asarray(mat)
-        svals = np.linalg.svd(dense, compute_uv=False)
-        return float(svals[0]) if svals.size else 0.0
-    return _power_iteration_norm(mat, tol)
+    if max(mat.shape) >= DENSE_SVD_LIMIT:
+        raise ValueError(
+            f"size limit exceeded: the norm of a {mat.shape[0]}x{mat.shape[1]} matrix "
+            f"that is not a weighted shift needs a dense SVD, taken only below "
+            f"{DENSE_SVD_LIMIT} on both sides"
+        )
+    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 
 def check_isometric_covariance(

@@ -14,9 +14,9 @@ Two independent probes count each matrix entry:
   takes the rank of the compressed coefficient vectors.  Each generator lies
   in one arrow block, so it is labelled once per presentation: multiplying
   it by the idempotents finds the one label b with g * p_b != 0 and then the
-  one label a with p_a * g * p_b != 0.  The compression at (a, b) is the
-  coefficient vector of p_a * g * p_b for the generators labelled (a, b) and
-  zero for all others;
+  one label a with p_a * g * p_b != 0.  The compressions at (a, b) are the
+  coefficient vectors of p_a * g * p_b for the generators labelled (a, b);
+  every other generator compresses to zero there;
 * the representation probe builds contractive two-dimensional
   representations with zero diagonal data from the compressed generators and
   takes the rank of the family of upper-right-entry functionals evaluated on
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .polynomials import PathPolynomial
-from .quiver import Quiver, are_isomorphic
+from .quiver import Quiver, are_isomorphic, arrow_path
 from .reps import TwoDimRep, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
@@ -121,22 +121,21 @@ class ScrambledPresentation:
         return self.idempotents[0].quiver
 
     @functools.cached_property
-    def _generator_labels(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        """For every generator g, in order, the labels (a, b) of the one
-        idempotent pair with p_a * g * p_b != 0 and the (read-only) coefficient
-        vector of p_a * g * p_b in the arrow-index basis of its block.  Found
-        by multiplication alone, with at most 2n products per generator."""
-        out = []
+    def _compressions(self) -> dict[tuple[int, int], list[np.ndarray]]:
+        """Label pair (a, b) -> the coefficient vectors of p_a * g * p_b, in
+        the arrow-index basis of its block, for the generators g labelled
+        (a, b) -- the one pair with p_a * g * p_b != 0 -- in generator order.
+        Found by multiplication alone, with at most 2n products per
+        generator."""
+        table: dict[tuple[int, int], list[np.ndarray]] = {}
         for k, g in enumerate(self.generators):
             right = _first_nonzero(g * pb for pb in self.idempotents)
             left = right and _first_nonzero(pa * right[1] for pa in self.idempotents)
             if not left:
                 raise RecoveryError(f"generator {k} is not compressed by any label pair")
             (b, _), (a, compressed) = right, left
-            vec = _block_support(compressed)[1]
-            vec.flags.writeable = False
-            out.append((a, b, vec))
-        return tuple(out)
+            table.setdefault((a, b), []).append(_block_support(compressed)[1])
+        return table
 
 
 @dataclass
@@ -217,13 +216,8 @@ def scramble(q: Quiver, seed: int, force_identity: bool = False) -> ScrambledPre
                 continue
             u = np.eye(d, dtype=complex) if force_identity else _haar_unitary(rng, d)
             unitaries[(i, j)] = u
-            block = q.block(i, j)
-            for m in range(d):
-                g = PathPolynomial.zero(q)
-                for l in range(d):
-                    if u[l, m] != 0:
-                        g = g + PathPolynomial.arrow(q, block[l]).scaled(u[l, m])
-                generators.append(g)
+            paths = [arrow_path(a) for a in q.block(i, j)]
+            generators += [PathPolynomial(q, dict(zip(paths, u[:, m]))) for m in range(d)]
     if not force_identity and len(generators) > 1:
         order = rng.permutation(len(generators))
         generators = [generators[k] for k in order]
@@ -236,33 +230,15 @@ def scramble(q: Quiver, seed: int, force_identity: bool = False) -> ScrambledPre
     )
 
 
-def _compressions(s: ScrambledPresentation, a: int, b: int):
-    """Coefficient vectors of p_a * g * p_b for every generator g (read-only;
-    the zero ones are one shared array), together with the hidden block the
-    pair of labels selects."""
-    va, vb = _idempotent_vertex(s.idempotents[a]), _idempotent_vertex(s.idempotents[b])
-    dim = s.quiver.c[va][vb]
-    zero = np.zeros(dim, dtype=complex)
-    zero.flags.writeable = False
-    vecs = [vec if (ga, gb) == (a, b) else zero for ga, gb, vec in s._generator_labels]
-    return (va, vb), dim, vecs
-
-
-def _rank(matrix_rows: list[np.ndarray], width: int) -> int:
-    if width == 0 or not matrix_rows:
-        return 0
-    m = np.array(matrix_rows)
-    if not np.any(m):
-        return 0
-    return int(np.linalg.matrix_rank(m, tol=RANK_TOL))
+def _rank(rows: list[np.ndarray]) -> int:
+    return int(np.linalg.matrix_rank(np.array(rows), tol=RANK_TOL)) if rows else 0
 
 
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     """Dimension of the character-parameter ball at the label a: the rank of
     the doubly-compressed generators p_a * g * p_a."""
     _check_label(s, a)
-    _, dim, vecs = _compressions(s, a, a)
-    return _rank(vecs, dim)
+    return _rank(s._compressions.get((a, a), []))
 
 
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
@@ -272,17 +248,15 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    (va, vb), dim, vecs = _compressions(s, a, b)
-    span_dim = _rank(vecs, dim)
+    vecs = s._compressions.get((a, b), [])
+    span_dim = _rank(vecs)
 
     q = s.quiver
+    va, vb = _idempotent_vertex(s.idempotents[a]), _idempotent_vertex(s.idempotents[b])
     lam_i = np.zeros(q.c[va][va], dtype=complex)
     lam_j = np.zeros(q.c[vb][vb], dtype=complex)
     rows = []
-    # only the generators labelled (a, b) have a nonzero compression here
-    for ga, gb, vec in s._generator_labels:
-        if (ga, gb) != (a, b):
-            continue
+    for vec in vecs:
         try:
             rep = TwoDimRep(q, va, vb, lam_i, lam_j, vec / np.linalg.norm(vec))
         except ValueError as exc:
@@ -290,7 +264,7 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
                 f"normalized compression rejected by the family test: {exc}"
             ) from exc
         rows.append(np.array([rho_eval(rep, g)[0, 1] for g in s.generators]))
-    rep_dim = _rank(rows, len(s.generators))
+    rep_dim = _rank(rows)
     if span_dim != rep_dim:
         raise ProbeMismatchError(
             f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"

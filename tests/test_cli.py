@@ -407,6 +407,36 @@ class TestMainEntry:
         _, err = capsys.readouterr()
         assert "error" in err
 
+    def test_missing_option_exits_1(self, capsys):
+        assert main(["verify"]) == 1
+        _, err = capsys.readouterr()
+        assert "required: --graph" in err and "usage:" in err
+
+    def test_malformed_option_exits_1(self, two_loop, capsys):
+        assert main(["paths", "--max-len", "abc"]) == 1
+        assert main(["paths", "--graph", two_loop, "--max-len", "abc"]) == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iso", "{g}", "{g}", "--seed", "1"],
+            ["paths", "--graph", "{g}", "--seed", "1"],
+            ["norms", "--graph", "{g}", "--i", "1", "--j", "1", "--seed", "1"],
+            ["verify", "--graph", "{g}", "--tolerance-iterative", "1e-9"],
+        ],
+        ids=["iso-seed", "paths-seed", "norms-seed", "tolerance-iterative"],
+    )
+    def test_removed_options_exit_1(self, argv, two_loop, capsys):
+        assert main([a.format(g=two_loop) for a in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
     def test_version_mentions_schema(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -22,7 +22,7 @@ from quiveralg import (
     operator_norm,
     right_action,
 )
-from quiveralg.fock import _power_iteration_norm
+from quiveralg.fock import DENSE_SVD_LIMIT
 from helpers import (
     basis_index,
     random_element,
@@ -212,24 +212,6 @@ class TestOperatorNorm:
         t = creation_operator(space, (1.0 / nrm) * xi)
         assert operator_norm(t) == pytest.approx(1.0, abs=1e-9)
 
-    def test_power_iteration_matches_dense(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
-        dense = float(np.linalg.svd(m, compute_uv=False)[0])
-        assert _power_iteration_norm(sp.csr_matrix(m), 1e-12) == pytest.approx(
-            dense, abs=1e-8
-        )
-
-    def test_power_iteration_zero_matrix(self):
-        z = sp.csr_matrix((10, 10), dtype=complex)
-        assert _power_iteration_norm(z, 1e-9) == 0.0
-
-    def test_power_iteration_raises_when_not_converged(self):
-        # top singular values 1 and 0.999: two steps cannot settle to 1e-15
-        m = sp.diags([1.0, 0.999, 0.5], format="csr", dtype=complex)
-        with pytest.raises(RuntimeError, match=r"2 iterations .*delta sigma"):
-            _power_iteration_norm(m, 1e-15, max_iter=2)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_weighted_shift_route_matches_svd(self, seed):
         rng = np.random.default_rng(900 + seed)
@@ -259,6 +241,22 @@ class TestOperatorNorm:
         dense = float(np.linalg.svd(m, compute_uv=False)[0])
         assert operator_norm(m) == dense
         assert operator_norm(sp.csr_matrix(m)) == dense
+
+    def test_large_matrix_off_the_shift_route_is_refused(self, monkeypatch):
+        # norm 1 + O(1e-9); an iterative route stopped at |delta sigma| <=
+        # 1e-9 returned 0.99998373 here, so no such route is taken
+        n = 4000
+        m = sp.diags([1 - 1e-4 * np.arange(n) / n, np.full(n - 1, 1e-9)], [0, 1])
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("SVD taken"))
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            operator_norm(m)
+
+    def test_limit_bounds_both_sides(self):
+        wide = sp.csr_matrix(np.ones((2, DENSE_SVD_LIMIT)))
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            operator_norm(wide)
+        below = np.ones((2, DENSE_SVD_LIMIT - 1))
+        assert operator_norm(below) == pytest.approx(np.sqrt(2 * (DENSE_SVD_LIMIT - 1)))
 
 
 class TestIsometricCovariance:

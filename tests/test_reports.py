@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quiveralg.cli import EXIT_MISMATCH, EXIT_OK, main
@@ -97,6 +98,18 @@ def test_verify_report_matches_fixture(name, capsys):
     assert main(VERIFY_REPORTS[name]) == EXIT_OK
     expected = json.loads((FIXTURES / "reports" / f"{name}.json").read_text(encoding="utf-8"))
     assert_close(json.loads(capsys.readouterr().out), expected)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in VERIFY_REPORTS if n.startswith("verify")))
+def test_verify_takes_no_svd(name, capsys, monkeypatch):
+    """Every norm ``verify`` takes is a weighted-shift norm: with the dense
+    SVD disabled its reports are unchanged."""
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("verify took a dense SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    test_verify_report_matches_fixture(name, capsys)
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
