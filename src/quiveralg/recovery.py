@@ -8,7 +8,7 @@ shuffled order.  Exactly these are the degrees of freedom under which the
 multiplicity matrix is known to be invariant, so recovering it from the
 presentation mechanizes that invariance.
 
-Two independent probes count each matrix entry:
+Two independent probes count each off-diagonal entry:
 
 * the span probe compresses every generator between two idempotents and
   takes the rank of the compressed coefficient vectors.  Each generator lies
@@ -17,18 +17,29 @@ Two independent probes count each matrix entry:
   one label a with p_a * g * p_b != 0.  The compressions at (a, b) are the
   coefficient vectors of p_a * g * p_b for the generators labelled (a, b);
   every other generator compresses to zero there;
-* the representation probe builds contractive two-dimensional
-  representations with zero diagonal data from the compressed generators and
-  takes the rank of the family of upper-right-entry functionals evaluated on
-  the generators.
+* the representation probe builds, from each compression at (a, b), a
+  two-dimensional representation with zero diagonal data and the normalized
+  compression as gamma, which the family test of ``TwoDimRep`` must accept,
+  and takes the rank of their upper-right entries on all generators.  Those
+  rows are one product per label pair, A @ C.T: row r of A holds the
+  upper-right entries of the arrow matrices of representation r over the
+  arrow basis, and C is the (generators x arrows) coefficient matrix of the
+  presentation, built once and kept by its nonzero blocks.  One entry per
+  pair is recomputed by ``rho_eval``; a gap above ``BATCH_TOL`` raises
+  RecoveryError.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
-recoverable state.
+recoverable state.  A diagonal entry is the rank of the compressions at
+(a, a) alone.
 
-The recovery code touches the hidden quiver only through the polynomial
-values it is handed (their multiplication and their block coefficients);
-``hidden_truth`` exists so callers can cross-check the result against the
-source graph and is never consulted by the probes.
+Labels and compressions are found by multiplying the polynomials.  Beyond
+that the code reads the hidden quiver in a few places: the vertex each
+idempotent names, the multiplicity matrix, which sizes every compression
+vector and every block of C (``_block_support``) and the zero diagonal data
+of the representations, and the arrows of a block (``_rep_rows``).  The
+counts themselves are ranks.
+``hidden_truth`` is read only by ``recover``, to check the result against
+the source graph and report the witness.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import numpy as np
 
 from .polynomials import PathPolynomial
 from .quiver import Quiver, are_isomorphic, arrow_path
-from .reps import TwoDimRep, rho_eval
+from .reps import TwoDimRep, _arrow_matrix, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
 # its self-tests expect every wrapped name to exist
@@ -49,6 +60,10 @@ from .reps import membership_G  # noqa: F401
 
 #: singular values below this count as numerical zero in rank computations
 RANK_TOL = 1e-8
+
+#: largest gap allowed between a batched representation row entry and the
+#: same entry from ``rho_eval``
+BATCH_TOL = 1e-12
 
 
 class RecoveryError(RuntimeError):
@@ -95,13 +110,9 @@ class ScrambledPresentation:
                 raise ValueError("duplicate idempotent label")
             seen.add(v)
         q = self.quiver
-        per_block: dict[tuple[int, int], list[np.ndarray]] = {}
-        for g in self.generators:
-            block, vec = _block_support(g)
-            per_block.setdefault(block, []).append(vec)
-        for (i, j), vecs in per_block.items():
+        for (i, j), (_, vecs) in self._coefficients.items():
             want = q.c[i][j]
-            got = np.linalg.matrix_rank(np.array(vecs), tol=RANK_TOL) if vecs else 0
+            got = np.linalg.matrix_rank(vecs, tol=RANK_TOL)
             if len(vecs) != want or got != want:
                 raise ValueError(
                     f"generators do not span block ({i}, {j}): "
@@ -111,7 +122,7 @@ class ScrambledPresentation:
             (i, j)
             for i in range(q.n)
             for j in range(q.n)
-            if q.c[i][j] and (i, j) not in per_block
+            if q.c[i][j] and (i, j) not in self._coefficients
         ]
         if missing:
             raise ValueError(f"no generators for nonempty blocks {missing}")
@@ -137,6 +148,22 @@ class ScrambledPresentation:
             table.setdefault((a, b), []).append(_block_support(compressed)[1])
         return table
 
+    @functools.cached_property
+    def _coefficients(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """The (generators x arrows) coefficient matrix C, kept by its
+        nonzero blocks: (i, j) -> the indices of the generators supported on
+        the arrows j -> i, in generator order, and their coefficient vectors
+        over those arrows, one row each.  Every generator lies in one block,
+        so C has no other nonzero entries, and the blocks take O(arrows)
+        memory where the dense matrix takes O(arrows^2)."""
+        rows: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+        for k, g in enumerate(self.generators):
+            block, vec = _block_support(g)
+            rows.setdefault(block, []).append((k, vec))
+        return {
+            block: (np.array([k for k, _ in kvs]), np.array([vec for _, vec in kvs]))
+            for block, kvs in rows.items()
+        }
 
 @dataclass
 class PairEvidence:
@@ -230,8 +257,9 @@ def scramble(q: Quiver, seed: int, force_identity: bool = False) -> ScrambledPre
     )
 
 
-def _rank(rows: list[np.ndarray]) -> int:
-    return int(np.linalg.matrix_rank(np.array(rows), tol=RANK_TOL)) if rows else 0
+def _rank(rows) -> int:
+    """Numerical rank of a list or array of rows; 0 when there are none."""
+    return int(np.linalg.matrix_rank(np.array(rows), tol=RANK_TOL)) if len(rows) else 0
 
 
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
@@ -241,29 +269,71 @@ def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     return _rank(s._compressions.get((a, a), []))
 
 
-def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
-    """Dimension of the off-diagonal parameter space at the label pair (a, b),
-    computed by both probes; raises ProbeMismatchError if they disagree."""
-    _check_label(s, a)
-    _check_label(s, b)
-    if a == b:
-        raise ValueError("the pair probe needs two distinct labels")
-    vecs = s._compressions.get((a, b), [])
-    span_dim = _rank(vecs)
-
+def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
+    """One representation per generator labelled (a, b): zero diagonal data
+    and gamma its normalized compression, each passed by the family test."""
     q = s.quiver
     va, vb = _idempotent_vertex(s.idempotents[a]), _idempotent_vertex(s.idempotents[b])
     lam_i = np.zeros(q.c[va][va], dtype=complex)
     lam_j = np.zeros(q.c[vb][vb], dtype=complex)
-    rows = []
-    for vec in vecs:
+    reps = []
+    for vec in s._compressions.get((a, b), []):
         try:
-            rep = TwoDimRep(q, va, vb, lam_i, lam_j, vec / np.linalg.norm(vec))
+            reps.append(TwoDimRep(q, va, vb, lam_i, lam_j, vec / np.linalg.norm(vec)))
         except ValueError as exc:
             raise RecoveryError(
                 f"normalized compression rejected by the family test: {exc}"
             ) from exc
-        rows.append(np.array([rho_eval(rep, g)[0, 1] for g in s.generators]))
+    return reps
+
+
+def _rep_rows(s: ScrambledPresentation, reps: list[TwoDimRep]) -> np.ndarray:
+    """The upper-right entries of the representations, which share one
+    vertex pair (i, j), on every generator: one product A @ C.T.
+
+    Row r of A holds the [0, 1] entries of the arrow matrices of reps[r]
+    over the arrow basis, and C is the coefficient matrix of all generators.
+    A vanishes off the arrows j -> i, and there C is nonzero only in the rows
+    of the generators on that block, so the product is taken over that
+    block of C; every other generator gets 0.
+    """
+    i, j = reps[0].i, reps[0].j
+    upper = np.array(
+        [
+            [_arrow_matrix(i, j, r.lam_i, r.lam_j, r.gamma, x)[0, 1] for x in s.quiver.block(i, j)]
+            for r in reps
+        ]
+    )
+    gens, vecs = s._coefficients[(i, j)]
+    rows = np.zeros((len(reps), len(s.generators)), dtype=complex)
+    rows[:, gens] = upper @ vecs.T
+    return rows
+
+
+def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
+    """Dimension of the off-diagonal parameter space at the label pair (a, b),
+    computed by both probes; raises ProbeMismatchError if they disagree.
+
+    The representation rows come from one batched product (``_rep_rows``);
+    its largest entry in the first row is recomputed by ``rho_eval``, and a
+    gap above ``BATCH_TOL`` raises RecoveryError.
+    """
+    _check_label(s, a)
+    _check_label(s, b)
+    if a == b:
+        raise ValueError("the pair probe needs two distinct labels")
+    span_dim = _rank(s._compressions.get((a, b), []))
+    reps = _pair_reps(s, a, b)
+    rows = []
+    if reps:
+        rows = _rep_rows(s, reps)
+        k = int(np.argmax(np.abs(rows[0])))
+        gap = abs(rho_eval(reps[0], s.generators[k])[0, 1] - rows[0, k])
+        if gap > BATCH_TOL:
+            raise RecoveryError(
+                f"batched representation rows disagree with rho_eval at pair "
+                f"({a}, {b}), generator {k}: gap {gap:.3g}"
+            )
     rep_dim = _rank(rows)
     if span_dim != rep_dim:
         raise ProbeMismatchError(

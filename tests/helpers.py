@@ -15,7 +15,9 @@ from quiveralg import (
     PathPolynomial,
     Quiver,
     TwoDimRep,
+    compose,
     enumerate_paths,
+    rho_eval,
 )
 
 
@@ -189,3 +191,21 @@ def signature_multiset(q):
         )
         for v in range(n)
     )
+
+
+def reference_rep_rows(s, reps):
+    """The representation rows entry by entry: the upper-right entry of
+    ``rho_eval`` of every representation on every generator."""
+    return np.array([[rho_eval(r, g)[0, 1] for g in s.generators] for r in reps])
+
+
+def reference_product(p, r):
+    """The product of two polynomials by the double loop over their terms,
+    with no shortcut for vertex factors."""
+    terms = {}
+    for u, cu in p.terms.items():
+        for v, cv in r.terms.items():
+            w = compose(u, v)
+            if w is not None:
+                terms[w] = terms.get(w, 0j) + cu * cv
+    return PathPolynomial(p.quiver, terms)

@@ -5,6 +5,7 @@ from quiveralg import (
     Arrow,
     CorrespondenceElement,
     FockSpace,
+    Path,
     PathPolynomial,
     Quiver,
     arrow_path,
@@ -97,6 +98,18 @@ class TestMultiplication:
             high = high * a  # degree 10
         with pytest.raises(ValueError, match="degree cap"):
             high * high
+
+    def test_degree_cap_with_a_vertex_factor(self):
+        # a vertex adds no degree, but a factor already past the cap is refused
+        q1 = Quiver([[1]])
+        loop = Arrow(0, 0, 0)
+        e = PathPolynomial.vertex(q1, 0)
+        at_cap = PathPolynomial.monomial(q1, Path(0, (loop,) * 16))
+        assert (e * at_cap) == at_cap == (at_cap * e)
+        past = PathPolynomial.monomial(q1, Path(0, (loop,) * 17))
+        for x, y in [(e, past), (past, e)]:
+            with pytest.raises(ValueError, match="degree cap exceeded: .* degree 17 > 16"):
+                x * y
 
 
 class TestFromCorrespondence:

@@ -1,3 +1,6 @@
+import collections
+import time
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,12 @@ from quiveralg import (
     probe_character_dimension,
     probe_pair_dimension,
     recover,
+    rho_eval,
     scramble,
 )
-from quiveralg.recovery import RANK_TOL, RecoveryError
-from helpers import random_quiver, reference_compressions
+from quiveralg import recovery
+from quiveralg.recovery import RANK_TOL, RecoveryError, _pair_reps, _rep_rows
+from helpers import random_quiver, reference_compressions, reference_rep_rows
 
 
 def manual_presentation(q, tau):
@@ -206,6 +211,56 @@ class TestCompressions:
             probe_character_dimension(s, 0)
 
 
+class TestBatchedRows:
+    """The pair probe's representation rows come from one product per label
+    pair; ``rho_eval`` on every (representation, generator) is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("force_identity", [False, True])
+    def test_equal_to_rho_eval(self, seed, force_identity):
+        rng = np.random.default_rng(900 + seed)
+        q = random_quiver(rng, max_n=6, max_entry=2, min_n=2)
+        s = scramble(q, seed=seed, force_identity=force_identity)
+        pairs = 0
+        for a in range(q.n):
+            for b in range(q.n):
+                reps = _pair_reps(s, a, b) if a != b else []
+                if not reps:
+                    continue
+                pairs += 1
+                rows = _rep_rows(s, reps)
+                ref = reference_rep_rows(s, reps)
+                assert rows.shape == ref.shape == (len(reps), len(s.generators))
+                assert np.max(np.abs(rows - ref)) <= 1e-15
+        assert pairs == sum(
+            1 for i in range(q.n) for j in range(q.n) if i != j and q.c[i][j]
+        )
+
+    @pytest.mark.parametrize("c", [[[1, 2, 0], [0, 1, 3], [1, 0, 0]], [[2]], [[1, 0], [0, 2]]])
+    def test_rho_eval_once_per_nonempty_pair(self, c, monkeypatch):
+        q = Quiver(c)
+        s = scramble(q, seed=6)
+        calls = collections.Counter()
+
+        def counting(r, p):
+            calls[(r.i, r.j)] += 1
+            return rho_eval(r, p)
+
+        monkeypatch.setattr(recovery, "rho_eval", counting)
+        recover(s)
+        nonempty = {(i, j) for i in range(q.n) for j in range(q.n) if i != j and q.c[i][j]}
+        assert set(calls) == nonempty
+        assert all(count == 1 for count in calls.values())
+
+    def test_cross_check_gap_raises(self, monkeypatch):
+        s = scramble(Quiver([[0, 2], [1, 0]]), seed=3)
+        monkeypatch.setattr(
+            recovery, "rho_eval", lambda r, p: rho_eval(r, p) + 1e-11 * np.eye(2, k=1)
+        )
+        with pytest.raises(RecoveryError, match="disagree with rho_eval"):
+            recover(s)
+
+
 class TestRecover:
     def test_identity_scramble_recovers_exactly(self):
         q = Quiver([[1, 2], [0, 1]])
@@ -274,3 +329,15 @@ class TestRecover:
             witness = report.witness
             assert witness is not None
             assert apply_permutation(Quiver(report.c_recovered), witness) == q
+
+
+def test_thirty_vertices_within_budget():
+    """Scrambling and recovering a random 0/1/2 graph on 30 vertices (about
+    900 generators) takes well under a second."""
+    rng = np.random.default_rng(1)
+    q = Quiver(rng.integers(0, 3, size=(30, 30)).tolist())
+    t0 = time.perf_counter()
+    report = recover(scramble(q, seed=1))
+    elapsed = time.perf_counter() - t0
+    assert report.witness is not None
+    assert elapsed < 1.0

@@ -48,6 +48,11 @@ REPORTS = {
          "--expect", graph("recover6_relabelled")],
         EXIT_OK,
     ),
+    "recover12_expect": (
+        ["recover", "--graph", graph("recover12"), "--seed", "12",
+         "--expect", graph("recover12_relabelled")],
+        EXIT_OK,
+    ),
 }
 
 
