@@ -105,16 +105,14 @@ class CorrespondenceElement:
         return out
 
     @classmethod
-    def random(cls, quiver: Quiver, rng: np.random.Generator, scale: float = 1.0):
+    def random(cls, quiver: Quiver, rng: np.random.Generator):
         """Standard complex Gaussian entries in every block."""
         out = cls.zeros(quiver)
         for i in range(quiver.n):
             for j in range(quiver.n):
                 d = quiver.c[i][j]
                 if d:
-                    out.blocks[i][j] = scale * (
-                        rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                    )
+                    out.blocks[i][j] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         return out
 
     def block(self, target: int, source: int) -> np.ndarray:

@@ -250,7 +250,9 @@ def format_polynomial(p: PathPolynomial) -> str:
         return "0"
     parts = []
     for path in sorted(p.terms, key=Path.sort_key):
-        coeff = p.terms[path]
+        coeff = str(p.terms[path])
+        if coeff.startswith("-"):  # a bare pure imaginary; its sign would parse as an operator
+            coeff = f"({coeff})"
         parts.append(f"{coeff}*{format_path(path)}")
     return " + ".join(parts)
 

@@ -299,6 +299,15 @@ def _vertex_signatures(c: tuple[tuple[int, ...], ...]) -> list[tuple]:
     ]
 
 
+def _check_iso_size(n: int) -> None:
+    """Refuse an isomorphism search on more than ``ISO_VERTEX_LIMIT`` vertices."""
+    if n > ISO_VERTEX_LIMIT:
+        raise ValueError(
+            f"size limit exceeded: refusing isomorphism search on {n} > "
+            f"{ISO_VERTEX_LIMIT} vertices"
+        )
+
+
 def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     """Search for a vertex permutation tau with ``apply_permutation(q1, tau) == q2``.
 
@@ -316,11 +325,7 @@ def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     """
     if q1.n != q2.n:
         return None
-    if q1.n > ISO_VERTEX_LIMIT:
-        raise ValueError(
-            f"size limit exceeded: refusing isomorphism search on {q1.n} > "
-            f"{ISO_VERTEX_LIMIT} vertices"
-        )
+    _check_iso_size(q1.n)
     n, c1, c2 = q1.n, q1.c, q2.c
     sig1, sig2 = _vertex_signatures(c1), _vertex_signatures(c2)
     if sorted(sig1) != sorted(sig2):

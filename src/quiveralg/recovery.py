@@ -8,38 +8,40 @@ shuffled order.  Exactly these are the degrees of freedom under which the
 multiplicity matrix is known to be invariant, so recovering it from the
 presentation mechanizes that invariance.
 
+Both probes read one table, built when the presentation is constructed:
+label pair (a, b) -> the indices of the generators labelled (a, b) and their
+coefficient rows.  Each generator g lies in one arrow block, so at most 2n
+products with the idempotents find its one label pair, the one with
+p_a * g * p_b != 0.  Every other pair compresses g to zero, so the rows at
+(a, b) are the compressions p_a * g * p_b, and all rows together are the
+nonzero blocks of the (generators x arrows) coefficient matrix C.
+
 Two independent probes count each off-diagonal entry:
 
-* the span probe compresses every generator between two idempotents and
-  takes the rank of the compressed coefficient vectors.  Each generator lies
-  in one arrow block, so it is labelled once per presentation: multiplying
-  it by the idempotents finds the one label b with g * p_b != 0 and then the
-  one label a with p_a * g * p_b != 0.  The compressions at (a, b) are the
-  coefficient vectors of p_a * g * p_b for the generators labelled (a, b);
-  every other generator compresses to zero there;
-* the representation probe builds, from each compression at (a, b), a
+* the span probe takes the rank of the rows at (a, b);
+* the representation probe builds, from each row at (a, b), a
   two-dimensional representation with zero diagonal data and the normalized
-  compression as gamma, which the family test of ``TwoDimRep`` must accept,
-  and takes the rank of their upper-right entries on all generators.  Those
+  row as gamma, which the family test of ``TwoDimRep`` must accept, and
+  takes the rank of their upper-right entries on all generators.  Those
   rows are one product per label pair, A @ C.T: row r of A holds the
   upper-right entries of the arrow matrices of representation r over the
-  arrow basis, and C is the (generators x arrows) coefficient matrix of the
-  presentation, built once and kept by its nonzero blocks.  One entry per
-  pair is recomputed by ``rho_eval``; a gap above ``BATCH_TOL`` raises
-  RecoveryError.
+  arrow basis, and C is nonzero there only in the table's rows at (a, b).
+  One entry per pair is recomputed by ``rho_eval``; a gap above
+  ``BATCH_TOL`` raises RecoveryError.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
-recoverable state.  A diagonal entry is the rank of the compressions at
-(a, a) alone.
+recoverable state.  A diagonal entry is the rank of the rows at (a, a)
+alone.
 
-Labels and compressions are found by multiplying the polynomials.  Beyond
-that the code reads the hidden quiver in a few places: the vertex each
-idempotent names, the multiplicity matrix, which sizes every compression
-vector and every block of C (``_block_support``) and the zero diagonal data
-of the representations, and the arrows of a block (``_rep_rows``).  The
-counts themselves are ranks.
-``hidden_truth`` is read only by ``recover``, to check the result against
-the source graph and report the witness.
+Labels are found by multiplying the polynomials, and the counts are ranks.
+Beyond the polynomial values the code reads the hidden quiver in these
+places only: the vertex each idempotent names, and its multiplicity matrix
+``c`` in ``_block_support``, which sizes each coefficient row, and in the
+constructor's span check.  The probes read no ``c``: their vectors come
+from the table, and ``TwoDimRep`` sizes the zero diagonal data itself.
+``hidden_truth`` is read only by ``recover``, to refuse a presentation too
+large for the isomorphism search, to check the result against the source
+graph and to report the witness.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .polynomials import PathPolynomial
-from .quiver import Quiver, are_isomorphic, arrow_path
+from .quiver import Arrow, Quiver, _check_iso_size, are_isomorphic, arrow_path
 from .reps import TwoDimRep, _arrow_matrix, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
@@ -60,6 +62,9 @@ from .reps import membership_G  # noqa: F401
 
 #: singular values below this count as numerical zero in rank computations
 RANK_TOL = 1e-8
+
+#: the table entry of a label pair that no generator carries
+_UNLABELLED: tuple = ((), ())
 
 #: largest gap allowed between a batched representation row entry and the
 #: same entry from ``rho_eval``
@@ -103,14 +108,12 @@ class ScrambledPresentation:
             raise ValueError("label count does not match n")
         if self.n != self.quiver.n:
             raise ValueError("label count does not match the vertex count")
-        seen = set()
-        for p in self.idempotents:
-            v = _idempotent_vertex(p)
-            if v in seen:
-                raise ValueError("duplicate idempotent label")
-            seen.add(v)
+        vertex = [_idempotent_vertex(p) for p in self.idempotents]
+        if len(set(vertex)) != self.n:
+            raise ValueError("duplicate idempotent label")
         q = self.quiver
-        for (i, j), (_, vecs) in self._coefficients.items():
+        by_block = {(vertex[a], vertex[b]): vecs for (a, b), (_, vecs) in self._by_label.items()}
+        for (i, j), vecs in by_block.items():
             want = q.c[i][j]
             got = np.linalg.matrix_rank(vecs, tol=RANK_TOL)
             if len(vecs) != want or got != want:
@@ -118,12 +121,8 @@ class ScrambledPresentation:
                     f"generators do not span block ({i}, {j}): "
                     f"{len(vecs)} generators of rank {got}, need {want}"
                 )
-        missing = [
-            (i, j)
-            for i in range(q.n)
-            for j in range(q.n)
-            if q.c[i][j] and (i, j) not in self._coefficients
-        ]
+        nonempty = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
+        missing = [block for block in nonempty if block not in by_block]
         if missing:
             raise ValueError(f"no generators for nonempty blocks {missing}")
 
@@ -132,38 +131,22 @@ class ScrambledPresentation:
         return self.idempotents[0].quiver
 
     @functools.cached_property
-    def _compressions(self) -> dict[tuple[int, int], list[np.ndarray]]:
-        """Label pair (a, b) -> the coefficient vectors of p_a * g * p_b, in
-        the arrow-index basis of its block, for the generators g labelled
-        (a, b) -- the one pair with p_a * g * p_b != 0 -- in generator order.
-        Found by multiplication alone, with at most 2n products per
-        generator."""
-        table: dict[tuple[int, int], list[np.ndarray]] = {}
-        for k, g in enumerate(self.generators):
-            right = _first_nonzero(g * pb for pb in self.idempotents)
-            left = right and _first_nonzero(pa * right[1] for pa in self.idempotents)
-            if not left:
-                raise RecoveryError(f"generator {k} is not compressed by any label pair")
-            (b, _), (a, compressed) = right, left
-            table.setdefault((a, b), []).append(_block_support(compressed)[1])
-        return table
-
-    @functools.cached_property
-    def _coefficients(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """The (generators x arrows) coefficient matrix C, kept by its
-        nonzero blocks: (i, j) -> the indices of the generators supported on
-        the arrows j -> i, in generator order, and their coefficient vectors
-        over those arrows, one row each.  Every generator lies in one block,
-        so C has no other nonzero entries, and the blocks take O(arrows)
-        memory where the dense matrix takes O(arrows^2)."""
+    def _by_label(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """The generator table: label pair (a, b) -> the indices of the
+        generators labelled (a, b), in generator order, and their coefficient
+        rows.  A generator in one block is p_a * g * p_b for the one pair with
+        g * p_b != 0 and p_a * g != 0, and the idempotents cover every vertex."""
         rows: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
         for k, g in enumerate(self.generators):
-            block, vec = _block_support(g)
-            rows.setdefault(block, []).append((k, vec))
+            vec = _block_support(g)
+            b = next(b for b, pb in enumerate(self.idempotents) if g * pb)
+            a = next(a for a, pa in enumerate(self.idempotents) if pa * g)
+            rows.setdefault((a, b), []).append((k, vec))
         return {
-            block: (np.array([k for k, _ in kvs]), np.array([vec for _, vec in kvs]))
-            for block, kvs in rows.items()
+            pair: (np.array([k for k, _ in kvs]), np.array([vec for _, vec in kvs]))
+            for pair, kvs in rows.items()
         }
+
 
 @dataclass
 class PairEvidence:
@@ -191,14 +174,9 @@ def _idempotent_vertex(p: PathPolynomial) -> int:
     return items[0][0].base
 
 
-def _first_nonzero(products):
-    """The index and value of the first nonzero product, or None."""
-    return next(((i, p) for i, p in enumerate(products) if p), None)
-
-
-def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], np.ndarray]:
-    """The (target, source) block of a degree-1 generator and its coefficient
-    vector in the arrow-index basis of that block."""
+def _block_support(g: PathPolynomial) -> np.ndarray:
+    """The coefficient vector of a degree-1 generator in the arrow-index basis
+    of the one (target, source) block it lies in."""
     if not g.terms or any(p.length != 1 for p in g.terms):
         raise ValueError("generators must be homogeneous of degree 1")
     blocks = {(p.target, p.source) for p in g.terms}
@@ -208,7 +186,7 @@ def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], np.ndarray]:
     vec = np.zeros(g.quiver.c[i][j], dtype=complex)
     for p, coeff in g.items():
         vec[p.arrows[0].index] = coeff
-    return (i, j), vec
+    return vec
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -220,20 +198,15 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def scramble(q: Quiver, seed: int, force_identity: bool = False) -> ScrambledPresentation:
+def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     """Produce a relabelled presentation of the path algebra of ``q``.
 
     Deterministic in ``seed``: the vertex permutation, one unitary per
     nonempty arrow block, and the generator order are all drawn from a single
-    generator seeded with it.  ``force_identity`` pins the permutation and
-    every unitary to the identity (and keeps the generator order), which is
-    useful as a fixed point in tests.
+    generator seeded with it.
     """
     rng = np.random.default_rng(seed)
-    if force_identity:
-        tau = tuple(range(q.n))
-    else:
-        tau = tuple(int(v) for v in rng.permutation(q.n))
+    tau = tuple(int(v) for v in rng.permutation(q.n))
     unitaries: dict[tuple[int, int], np.ndarray] = {}
     generators: list[PathPolynomial] = []
     for i in range(q.n):
@@ -241,18 +214,14 @@ def scramble(q: Quiver, seed: int, force_identity: bool = False) -> ScrambledPre
             d = q.c[i][j]
             if d == 0:
                 continue
-            u = np.eye(d, dtype=complex) if force_identity else _haar_unitary(rng, d)
-            unitaries[(i, j)] = u
+            u = unitaries[(i, j)] = _haar_unitary(rng, d)
             paths = [arrow_path(a) for a in q.block(i, j)]
             generators += [PathPolynomial(q, dict(zip(paths, u[:, m]))) for m in range(d)]
-    if not force_identity and len(generators) > 1:
-        order = rng.permutation(len(generators))
-        generators = [generators[k] for k in order]
-    idempotents = tuple(PathPolynomial.vertex(q, tau[a]) for a in range(q.n))
+    order = rng.permutation(len(generators))
     return ScrambledPresentation(
         n=q.n,
-        idempotents=idempotents,
-        generators=tuple(generators),
+        idempotents=tuple(PathPolynomial.vertex(q, v) for v in tau),
+        generators=tuple(generators[k] for k in order),
         hidden_truth=HiddenTruth(quiver=q, tau=tau, unitaries=unitaries),
     )
 
@@ -266,20 +235,17 @@ def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     """Dimension of the character-parameter ball at the label a: the rank of
     the doubly-compressed generators p_a * g * p_a."""
     _check_label(s, a)
-    return _rank(s._compressions.get((a, a), []))
+    return _rank(s._by_label.get((a, a), _UNLABELLED)[1])
 
 
 def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
     """One representation per generator labelled (a, b): zero diagonal data
     and gamma its normalized compression, each passed by the family test."""
-    q = s.quiver
     va, vb = _idempotent_vertex(s.idempotents[a]), _idempotent_vertex(s.idempotents[b])
-    lam_i = np.zeros(q.c[va][va], dtype=complex)
-    lam_j = np.zeros(q.c[vb][vb], dtype=complex)
     reps = []
-    for vec in s._compressions.get((a, b), []):
+    for vec in s._by_label.get((a, b), _UNLABELLED)[1]:
         try:
-            reps.append(TwoDimRep(q, va, vb, lam_i, lam_j, vec / np.linalg.norm(vec)))
+            reps.append(TwoDimRep(s.quiver, va, vb, gamma=vec / np.linalg.norm(vec)))
         except ValueError as exc:
             raise RecoveryError(
                 f"normalized compression rejected by the family test: {exc}"
@@ -287,24 +253,23 @@ def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
     return reps
 
 
-def _rep_rows(s: ScrambledPresentation, reps: list[TwoDimRep]) -> np.ndarray:
-    """The upper-right entries of the representations, which share one
-    vertex pair (i, j), on every generator: one product A @ C.T.
+def _rep_rows(s: ScrambledPresentation, a: int, b: int, reps: list[TwoDimRep]) -> np.ndarray:
+    """The upper-right entries of the representations ``_pair_reps(s, a, b)``,
+    which share one vertex pair (i, j), on every generator: one product
+    A @ C.T.
 
     Row r of A holds the [0, 1] entries of the arrow matrices of reps[r]
     over the arrow basis, and C is the coefficient matrix of all generators.
     A vanishes off the arrows j -> i, and there C is nonzero only in the rows
-    of the generators on that block, so the product is taken over that
-    block of C; every other generator gets 0.
+    of the generators labelled (a, b), so the product is taken over their
+    rows of the table; every other generator gets 0.
     """
     i, j = reps[0].i, reps[0].j
+    arrows = [Arrow(j, i, x) for x in range(len(reps[0].gamma))]
     upper = np.array(
-        [
-            [_arrow_matrix(i, j, r.lam_i, r.lam_j, r.gamma, x)[0, 1] for x in s.quiver.block(i, j)]
-            for r in reps
-        ]
+        [[_arrow_matrix(i, j, r.lam_i, r.lam_j, r.gamma, x)[0, 1] for x in arrows] for r in reps]
     )
-    gens, vecs = s._coefficients[(i, j)]
+    gens, vecs = s._by_label[(a, b)]
     rows = np.zeros((len(reps), len(s.generators)), dtype=complex)
     rows[:, gens] = upper @ vecs.T
     return rows
@@ -322,11 +287,11 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    span_dim = _rank(s._compressions.get((a, b), []))
+    span_dim = _rank(s._by_label.get((a, b), _UNLABELLED)[1])
     reps = _pair_reps(s, a, b)
     rows = []
     if reps:
-        rows = _rep_rows(s, reps)
+        rows = _rep_rows(s, a, b, reps)
         k = int(np.argmax(np.abs(rows[0])))
         gap = abs(rho_eval(reps[0], s.generators[k])[0, 1] - rows[0, k])
         if gap > BATCH_TOL:
@@ -353,9 +318,13 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
     Diagonal entries come from the character probe, off-diagonal entries from
     the pair probe (whose two mechanisms must agree).  When the withheld
     scramble data is available, the result is checked to be a vertex
-    relabelling of the source graph and the witness permutation is reported.
+    relabelling of the source graph and the witness permutation is reported;
+    a presentation too large for that isomorphism search is refused before
+    any probe runs.
     """
     n = s.n
+    if s.hidden_truth is not None:
+        _check_iso_size(n)
     c = [[0] * n for _ in range(n)]
     evidence = []
     for a in range(n):
@@ -379,7 +348,7 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
             )
     return RecoveryReport(
         n_recovered=n,
-        c_recovered=recovered.c,
+        c_recovered=tuple(map(tuple, c)),
         witness=witness,
         evidence=tuple(evidence),
     )

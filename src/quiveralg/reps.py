@@ -43,8 +43,9 @@ def _as_vector(x) -> np.ndarray:
 
 
 def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> np.ndarray:
-    vec = _as_vector(lam)
+    """lam checked against the loop space at the vertex; None is its zero vector."""
     dim = q.c[vertex][vertex]
+    vec = np.zeros(dim, dtype=complex) if lam is None else _as_vector(lam)
     if vec.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {vec.shape[0]}")
     nrm = np.linalg.norm(vec)

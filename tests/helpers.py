@@ -27,8 +27,8 @@ def random_quiver(rng, max_n=3, max_entry=2, min_n=1):
     return Quiver(c.tolist())
 
 
-def random_element(q, rng, scale=1.0):
-    return CorrespondenceElement.random(q, rng, scale=scale)
+def random_element(q, rng):
+    return CorrespondenceElement.random(q, rng)
 
 
 def random_polynomial(q, rng, max_degree=2, terms=4, scale=1.0):

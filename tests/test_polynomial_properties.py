@@ -1,4 +1,4 @@
-"""Property tests of polynomial multiplication (need hypothesis).
+"""Property tests of polynomial multiplication and text form (need hypothesis).
 
 Coefficients are dyadic, (a + b*i) / 8 with small integers a and b, so every
 product and sum below is exact in double precision and the laws are asserted
@@ -11,7 +11,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from quiveralg import PathPolynomial, Quiver, enumerate_paths, vertex_path  # noqa: E402
+from quiveralg import (  # noqa: E402
+    PathPolynomial,
+    Quiver,
+    enumerate_paths,
+    format_polynomial,
+    parse_polynomial,
+    vertex_path,
+)
 from helpers import reference_product  # noqa: E402
 
 dyadic = st.builds(lambda re, im: complex(re, im) / 8, st.integers(-8, 8), st.integers(-8, 8))
@@ -93,3 +100,22 @@ def test_foreign_quiver_factor_raises(pair, other_vertex):
     for x, y in [(foreign, p), (p, foreign), (foreign, e), (e, foreign)]:
         with pytest.raises(ValueError, match="different quivers"):
             x * y
+
+
+finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def text_round_trips(draw):
+    q = draw(quivers())
+    terms = st.dictionaries(st.sampled_from(enumerate_paths(q, 3)), st.one_of(dyadic, finite), max_size=6)
+    return q, PathPolynomial(q, draw(terms))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text_round_trips())
+def test_text_form_round_trip(pair):
+    """The printed coefficients are exact reprs, so the text form parses back
+    to the same polynomial."""
+    q, p = pair
+    assert parse_polynomial(q, format_polynomial(p)) == p

@@ -1,4 +1,7 @@
+import ast
 import collections
+import inspect
+import json
 import time
 
 import numpy as np
@@ -19,6 +22,8 @@ from quiveralg import (
     scramble,
 )
 from quiveralg import recovery
+from quiveralg.cli import main
+from quiveralg.quiver import ISO_VERTEX_LIMIT
 from quiveralg.recovery import RANK_TOL, RecoveryError, _pair_reps, _rep_rows
 from helpers import random_quiver, reference_compressions, reference_rep_rows
 
@@ -41,20 +46,6 @@ def manual_presentation(q, tau):
 
 
 class TestScramble:
-    def test_identity_scramble(self):
-        q = Quiver([[1, 2], [0, 1]])
-        s = scramble(q, seed=0, force_identity=True)
-        assert s.hidden_truth.tau == (0, 1)
-        expected = [
-            PathPolynomial.arrow(q, a)
-            for i in range(2)
-            for j in range(2)
-            for a in q.block(i, j)
-        ]
-        assert list(s.generators) == expected
-        for block, u in s.hidden_truth.unitaries.items():
-            assert np.array_equal(u, np.eye(u.shape[0]))
-
     def test_generator_count_and_block_supports(self):
         q = Quiver([[1, 2], [0, 1]])
         for seed in range(5):
@@ -116,7 +107,7 @@ class TestScramble:
 class TestProbes:
     def test_two_loops_identity(self):
         q = Quiver([[2]])
-        s = scramble(q, seed=0, force_identity=True)
+        s = manual_presentation(q, range(q.n))
         assert probe_character_dimension(s, 0) == 2
 
     def test_diagonal_counts_on_reference_quiver(self):
@@ -142,7 +133,7 @@ class TestProbes:
 
     def test_identity_scramble_pair_dimensions_equal_matrix(self):
         q = Quiver([[1, 2], [1, 1]])
-        s = scramble(q, seed=0, force_identity=True)
+        s = manual_presentation(q, range(q.n))
         for a in range(2):
             for b in range(2):
                 if a != b:
@@ -160,21 +151,24 @@ class TestProbes:
 
 
 class TestCompressions:
-    """The generators are labelled once per presentation; the table of
-    compressions built from those labels must hold exactly the nonzero
-    p_a * g * p_b computed pair by pair, in generator order."""
+    """The generators are labelled once per presentation; the generator
+    table built from those labels must hold exactly the generators with a
+    nonzero p_a * g * p_b, computed pair by pair, and those compressions, in
+    generator order.  ``force_identity`` selects the unscrambled
+    presentation."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("force_identity", [False, True])
     def test_equal_to_pairwise_products(self, seed, force_identity):
         rng = np.random.default_rng(500 + seed)
         q = random_quiver(rng, max_n=6, max_entry=2, min_n=2)
-        s = scramble(q, seed=seed, force_identity=force_identity)
+        s = manual_presentation(q, range(q.n)) if force_identity else scramble(q, seed=seed)
         for a in range(q.n):
             for b in range(q.n):
                 block, _, ref_vecs = reference_compressions(s, a, b)
                 nonzero = [ref for ref in ref_vecs if np.any(ref)]
-                vecs = s._compressions.get((a, b), [])
+                gens, vecs = s._by_label.get((a, b), ((), ()))
+                assert list(gens) == [k for k, ref in enumerate(ref_vecs) if np.any(ref)]
                 assert len(vecs) == len(nonzero)
                 for vec, ref in zip(vecs, nonzero):
                     assert vec.dtype == ref.dtype and np.array_equal(vec, ref)
@@ -195,7 +189,7 @@ class TestCompressions:
         q = Quiver([[1, 2, 0], [0, 1, 3], [1, 0, 0]])
         s = scramble(q, seed=4)
         tau = s.hidden_truth.tau
-        counts = {pair: len(vecs) for pair, vecs in s._compressions.items()}
+        counts = {pair: len(gens) for pair, (gens, _) in s._by_label.items()}
         assert sum(counts.values()) == len(s.generators) == q.total_arrows()
         assert all(
             counts.get((a, b), 0) == q.c[tau[a]][tau[b]]
@@ -203,24 +197,30 @@ class TestCompressions:
             for b in range(q.n)
         )
 
-    def test_unlabelled_generator_raises_recovery_error(self):
+    def test_zero_generator_is_refused_at_construction(self):
+        # every generator is labelled when the presentation is built, so one
+        # that no label pair compresses is refused there
         q = Quiver([[1, 1], [0, 1]])
         s = scramble(q, seed=2)
-        s.generators = s.generators + (PathPolynomial.zero(q),)
-        with pytest.raises(RecoveryError, match="generator 3"):
-            probe_character_dimension(s, 0)
+        with pytest.raises(ValueError, match="homogeneous of degree 1"):
+            ScrambledPresentation(
+                n=s.n,
+                idempotents=s.idempotents,
+                generators=s.generators + (PathPolynomial.zero(q),),
+            )
 
 
 class TestBatchedRows:
     """The pair probe's representation rows come from one product per label
-    pair; ``rho_eval`` on every (representation, generator) is the oracle."""
+    pair; ``rho_eval`` on every (representation, generator) is the oracle.
+    ``force_identity`` selects the unscrambled presentation."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("force_identity", [False, True])
     def test_equal_to_rho_eval(self, seed, force_identity):
         rng = np.random.default_rng(900 + seed)
         q = random_quiver(rng, max_n=6, max_entry=2, min_n=2)
-        s = scramble(q, seed=seed, force_identity=force_identity)
+        s = manual_presentation(q, range(q.n)) if force_identity else scramble(q, seed=seed)
         pairs = 0
         for a in range(q.n):
             for b in range(q.n):
@@ -228,7 +228,7 @@ class TestBatchedRows:
                 if not reps:
                     continue
                 pairs += 1
-                rows = _rep_rows(s, reps)
+                rows = _rep_rows(s, a, b, reps)
                 ref = reference_rep_rows(s, reps)
                 assert rows.shape == ref.shape == (len(reps), len(s.generators))
                 assert np.max(np.abs(rows - ref)) <= 1e-15
@@ -264,7 +264,7 @@ class TestBatchedRows:
 class TestRecover:
     def test_identity_scramble_recovers_exactly(self):
         q = Quiver([[1, 2], [0, 1]])
-        report = recover(scramble(q, seed=0, force_identity=True))
+        report = recover(manual_presentation(q, range(q.n)))
         assert report.c_recovered == q.c
         assert report.witness == (0, 1)
 
@@ -341,3 +341,37 @@ def test_thirty_vertices_within_budget():
     elapsed = time.perf_counter() - t0
     assert report.witness is not None
     assert elapsed < 1.0
+
+
+def test_oversized_recovery_refused_before_probing(tmp_path, monkeypatch):
+    """A presentation too large for the witness check is refused with the
+    isomorphism search's size-limit error before any probe runs."""
+    n = ISO_VERTEX_LIMIT + 1
+    q = Quiver([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
+
+    def fail(s, a):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(recovery, "probe_character_dimension", fail)
+    with pytest.raises(ValueError, match="size limit exceeded"):
+        recover(scramble(q, seed=1))
+    g = tmp_path / "cycle.json"
+    edges = [{"from": v, "to": v % n + 1, "count": 1} for v in range(1, n + 1)]
+    g.write_text(json.dumps({"n": n, "edges": edges}))
+    assert main(["recover", "--graph", str(g)]) == 1
+
+
+def test_probes_read_no_multiplicity_matrix():
+    """The probes get their vectors from the generator table: none of them
+    reads an attribute ``c`` or calls ``block``."""
+    tree = ast.parse(inspect.getsource(recovery))
+    names = {"_pair_reps", "_rep_rows", "probe_character_dimension", "probe_pair_dimension", "recover"}
+    found = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            found[fn.name] = [
+                node.attr
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and node.attr in ("c", "block")
+            ]
+    assert found == {name: [] for name in names}

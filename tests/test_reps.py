@@ -48,6 +48,10 @@ class TestCharacter:
         with pytest.raises(ValueError, match="dimension"):
             Character(q, 0, [0.5])
 
+    def test_lam_defaults_to_zero_at_a_loop_vertex(self, loop2):
+        c = Character(loop2, 0)
+        assert c.lam.dtype == complex and np.array_equal(c.lam, np.zeros(2))
+
     def test_interior_flag(self, loop2):
         assert Character(loop2, 0, [0.5, 0]).interior_flag
         assert not Character(loop2, 0, [1.0, 0]).interior_flag
@@ -117,6 +121,12 @@ class TestTwoDimRepValidation:
         TwoDimRep(q, 0, 1, [0.6], [], [0.8])  # equality case admitted
         with pytest.raises(ValueError, match="not contractive"):
             TwoDimRep(q, 0, 1, [0.8], [], [0.8])
+
+    def test_diagonal_data_defaults_to_zero(self):
+        q = Quiver([[2, 1], [0, 3]])
+        r = TwoDimRep(q, 0, 1, gamma=[0.5])
+        assert r.lam_i.dtype == r.lam_j.dtype == complex
+        assert np.array_equal(r.lam_i, np.zeros(2)) and np.array_equal(r.lam_j, np.zeros(3))
 
     def test_dimension_checks(self):
         q = two_block_quiver(2, 1, 0)
