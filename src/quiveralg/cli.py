@@ -21,8 +21,9 @@ are 1-based.  ``verify`` judges every check against ``--tolerance-exact``:
 the covariance deviation and both sides of each norm check are closed-form.
 
 ``paths`` refuses, before it builds any path, graphs whose paths hold more
-than ``PATHS_TOKEN_LIMIT`` arrow tokens in all (as well as more than
-``quiver.PATH_LIMIT`` paths); ``recover`` refuses graphs past
+than ``PATHS_TOKEN_LIMIT`` arrow tokens in all (``quiver.PATH_TOKEN_LIMIT``,
+which ``enumerate_paths`` applies too), as well as more than
+``quiver.PATH_LIMIT`` paths; ``recover`` refuses graphs past
 ``quiver.ISO_VERTEX_LIMIT`` vertices before it scrambles them.
 
 ``main`` builds its argument parser on its first call and reuses it for the
@@ -49,10 +50,11 @@ import numpy as np
 
 from . import __version__
 from .correspondence import CorrespondenceElement, element_norm
+# perfbench's tracer wraps the four fock functions here as well as in fock
 from .fock import DEFAULT_DEPTH, FockSpace, check_isometric_covariance, corner_shift_report, creation_operator, operator_norm
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
-from .quiver import Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
+from .quiver import PATH_TOKEN_LIMIT, Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
 # Not called here: perfbench's tracer wraps quiveralg.cli.enumerate_paths and
 # its self-test requires every wrapped name to exist.
 from .quiver import enumerate_paths  # noqa: F401
@@ -72,7 +74,7 @@ VERIFY_RANDOM_NORM_CHECKS = 2
 NORMS_K_MAX = 100
 
 #: most arrow tokens (sum of the lengths of its paths) a paths report holds
-PATHS_TOKEN_LIMIT = 2**24
+PATHS_TOKEN_LIMIT = PATH_TOKEN_LIMIT
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Depth-truncated Fock space on the path basis, and its shift operators.
 
 The basis of ``FockSpace(q, depth)`` is every path of length <= depth, in the
-canonical enumeration order; the basis is orthonormal, so operators are plain
-(sparse) matrices and adjoints are conjugate transposes.  The space holds the
-basis as arrays (each path's length, end vertex, parent and last arrow), not
-as ``Path`` objects; the tuple ``FockSpace.basis`` is built only on first use.
+canonical enumeration order; the basis is orthonormal, so adjoints are
+conjugate transposes.  The space holds the basis as arrays (each path's
+length, end vertex, parent and last arrow), not as ``Path`` objects; the
+tuple ``FockSpace.basis`` is built only on first use.
 
 A creation operator prepends one more arrow at the target end of a path:
 paths of length ``depth`` are mapped to zero.  Identities that hold on the
@@ -13,12 +13,18 @@ paths of length <= depth - 1, where the truncation is invisible.
 
 Every path of length >= 1 has exactly one parent (itself without its last
 arrow), so a creation operator is a weighted shift: each row holds at most
-one entry and the columns are orthogonal.  ``operator_norm`` has two routes,
-both exact:
+one entry and the columns are orthogonal.  It is held as one weight per
+path of length >= 1, and the checks ``verify`` makes (the covariance
+deviation, the corner report, the creation-operator norm) are read off
+those weights and the path tree's arrays with ``bincount``; no sparse
+matrix is built for them.  ``scipy.sparse`` is imported only where a CSR
+matrix is asked for: ``FockOperator.matrix``, ``diag_operator``,
+``evaluate_polynomial`` and ``FockSpace.arrow_creation``.
+
+``operator_norm`` has two routes, both exact:
 
 1. at most one stored entry in every row: the largest column 2-norm, in
-   O(nnz) (every creation operator, and every covariance block, which is
-   diagonal);
+   O(nnz) (every creation operator, and every diagonal block);
 2. any other matrix: a dense SVD when both sides are below
    ``DENSE_SVD_LIMIT``; larger ones are refused with ``ValueError`` before
    anything is densified.
@@ -26,16 +32,19 @@ both exact:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .correspondence import CorrespondenceElement, DiagonalElement, inner_product
 from .polynomials import PathPolynomial
 from .quiver import Arrow, Path, Quiver, _path_tree, enumerate_paths
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: a matrix that is not a weighted shift gets its norm from a dense SVD only
 #: when both sides are below this; larger ones are refused
@@ -53,7 +62,8 @@ class FockSpace:
     ``Path`` object is built for it: ``lengths[k]`` and ``targets[k]`` are
     the length and end vertex of path k, and path n + r (n vertices) is path
     ``parent[r]`` followed by the arrow at position ``last_arrow[r]`` of
-    ``tuple(quiver.arrows())``.  ``basis``, the tuple of those paths, is
+    ``tuple(quiver.arrows())``.  Creation operators and the checks on them
+    are computed from these arrays.  ``basis``, the tuple of those paths, is
     built on first use and cached.  There is no ``index`` attribute: a
     path's position is its place in ``basis``.
     Graphs with more than ``PATH_LIMIT`` paths up to ``depth`` are refused
@@ -101,12 +111,45 @@ class FockSpace:
         return f"FockSpace(n={self.quiver.n}, depth={self.depth}, dim={self.dim})"
 
 
-@dataclass
 class FockOperator:
-    """An operator on a FockSpace, stored sparse in the path basis."""
+    """An operator on a FockSpace in the path basis.
 
-    space: FockSpace
-    matrix: sp.spmatrix
+    A creation operator is a weighted shift and is held as its weights:
+    ``weights[r]`` is its entry in row n + r, column ``space.parent[r]``
+    (n vertices).  Its ``matrix``, in CSR form with the zero weights
+    dropped, is built on first use.  Any other operator is held as a sparse
+    ``matrix``, and its ``weights`` are None.
+    """
+
+    __slots__ = ("space", "weights", "_matrix")
+
+    def __init__(
+        self,
+        space: FockSpace,
+        matrix: Optional[sp.spmatrix] = None,
+        weights: Optional[np.ndarray] = None,
+    ) -> None:
+        if (matrix is None) == (weights is None):
+            raise TypeError("a FockOperator takes exactly one of matrix and weights")
+        self.space = space
+        self.weights = weights
+        self._matrix = matrix
+
+    @property
+    def matrix(self) -> sp.spmatrix:
+        if self._matrix is None:
+            import scipy.sparse as sp
+
+            space, w = self.space, self.weights
+            keep = w != 0
+            # rows 0..n-1 (the vertices) are empty; row n + r holds keep[r] entries
+            indptr = np.concatenate(
+                (np.zeros(space.quiver.n + 1, dtype=np.intp), np.cumsum(keep))
+            )
+            self._matrix = sp.csr_matrix(
+                (w[keep], space.parent[keep], indptr), shape=(space.dim, space.dim)
+            )
+        return self._matrix
 
 
 def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> FockOperator:
@@ -118,18 +161,13 @@ def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> FockOperat
     coeffs = np.concatenate(
         [xi.blocks[t][s] for t in q.vertices() for s in q.vertices()]
     ).astype(complex, copy=False)
-    data = coeffs[space.last_arrow]
-    keep = data != 0
-    # rows 0..n-1 (the vertices) are empty; row n + r holds keep[r] entries
-    indptr = np.concatenate((np.zeros(q.n + 1, dtype=np.intp), np.cumsum(keep)))
-    mat = sp.csr_matrix(
-        (data[keep], space.parent[keep], indptr), shape=(space.dim, space.dim)
-    )
-    return FockOperator(space, mat)
+    return FockOperator(space, weights=coeffs[space.last_arrow])
 
 
 def diag_operator(space: FockSpace, d: DiagonalElement) -> FockOperator:
     """The diagonal action: entry d_{target(p)} at every basis path p."""
+    import scipy.sparse as sp
+
     if d.n != space.quiver.n:
         raise ValueError("diagonal size does not match the quiver")
     vals = d.entries[space.targets]
@@ -140,6 +178,8 @@ def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> FockOperator:
     """Represent a path polynomial: vertex monomials become the corner
     projections, arrows their creation operators, longer monomials the
     corresponding operator products, all extended linearly."""
+    import scipy.sparse as sp
+
     if p.quiver != space.quiver:
         raise ValueError("polynomial lives over a different quiver")
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -158,11 +198,11 @@ def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> FockOperator:
     return FockOperator(space, total.tocsr())
 
 
-def _weighted_shift_norm(mat) -> Optional[float]:
+def _weighted_shift_norm(mat, sparse: bool) -> Optional[float]:
     """The largest column 2-norm when every row holds at most one stored
     entry (the columns are then orthogonal, so this is the exact norm);
     None otherwise."""
-    if sp.issparse(mat):
+    if sparse:
         csr = mat.tocsr()
         if np.diff(csr.indptr).max() > 1:
             return None
@@ -180,17 +220,26 @@ def operator_norm(op) -> float:
 
     1. At most one stored entry in every row (a weighted shift, such as a
        creation operator or a diagonal block): the largest column 2-norm,
-       in O(nnz).
+       in O(nnz); for a creation operator, straight from its weights.
     2. Any other matrix: a dense SVD when both sides are below
        ``DENSE_SVD_LIMIT``; otherwise ``ValueError`` ("size limit
        exceeded"), raised before anything is densified.
 
     Accepts a FockOperator, a numpy array, or a scipy sparse matrix.
     """
-    mat = op.matrix if isinstance(op, FockOperator) else op
+    mat = op
+    if isinstance(op, FockOperator):
+        if op.weights is not None:
+            # column parent[r] holds weights[r]
+            sq = np.bincount(op.space.parent, np.abs(op.weights) ** 2, minlength=op.space.dim)
+            return float(np.sqrt(sq.max()))
+        mat = op.matrix
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return 0.0
-    shift_norm = _weighted_shift_norm(mat)
+    # a sparse matrix exists only once scipy.sparse has been imported
+    sparse_mod = sys.modules.get("scipy.sparse")
+    sparse = sparse_mod is not None and sparse_mod.issparse(mat)
+    shift_norm = _weighted_shift_norm(mat, sparse)
     if shift_norm is not None:
         return shift_norm
     if max(mat.shape) >= DENSE_SVD_LIMIT:
@@ -199,7 +248,7 @@ def operator_norm(op) -> float:
             f"that is not a weighted shift needs a dense SVD, taken only below "
             f"{DENSE_SVD_LIMIT} on both sides"
         )
-    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    dense = mat.toarray() if sparse else np.asarray(mat)
     return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 
@@ -210,17 +259,22 @@ def check_isometric_covariance(
 
     The two sides agree exactly on the untruncated part, so the norm is taken
     on the sub-block of paths of length <= depth - 1 (the truncation boundary
-    row/column is excluded).
+    row/column is excluded).  Both sides are diagonal: entry p of T_xi* T_eta
+    is the sum of conj(x[r]) y[r] over the children n + r of path p, summed
+    in the order of r, and the norm is the largest modulus on the diagonal.
     """
     if space.depth == 0:
         raise ValueError("depth too small: the covariance check needs depth >= 1")
-    t_xi = creation_operator(space, xi)
-    t_eta = creation_operator(space, eta)
-    lhs = t_xi.matrix.conj().T @ t_eta.matrix
-    rhs = diag_operator(space, inner_product(xi, eta)).matrix
-    inner = space.length_indices(space.depth - 1)
-    block = (lhs - rhs).tocsr()[inner][:, inner]
-    return operator_norm(block)
+    x = creation_operator(space, xi).weights
+    y = creation_operator(space, eta).weights
+    gram_re = np.bincount(space.parent, x.real * y.real + x.imag * y.imag, minlength=space.dim)
+    gram_im = np.bincount(space.parent, x.real * y.imag - x.imag * y.real, minlength=space.dim)
+    rhs = inner_product(xi, eta).entries[space.targets]
+    inner = space.lengths <= space.depth - 1
+    dev = np.empty(np.count_nonzero(inner), dtype=complex)
+    dev.real = gram_re[inner] - rhs.real[inner]
+    dev.imag = gram_im[inner] - rhs.imag[inner]
+    return float(np.sqrt(np.max(np.abs(dev) ** 2)))
 
 
 @dataclass
@@ -250,40 +304,53 @@ class CornerReport:
         )
 
 
-def _max_abs(mat: sp.spmatrix) -> float:
-    mat = mat.tocoo()
-    return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
-
-
 def corner_shift_report(space: FockSpace, vertex: int) -> CornerReport:
-    """Verify the corner-shift behaviour of the loops at one vertex."""
-    space.quiver._check_vertex(vertex)
-    loops = space.quiver.block(vertex, vertex)
+    """Verify the corner-shift behaviour of the loops at one vertex.
+
+    Loop a compressed to the corner is the 0/1 matrix B_a with rows the
+    corner paths, columns the domain (corner paths of length <= depth - 1),
+    and a one at (n + r, parent[r]) for every child n + r in the corner
+    whose last arrow is a and whose parent is in the domain.  With c_a(p)
+    such children at domain path p, read off the arrays:
+
+    * B_a* B_a is diagonal with entries c_a(p), so the isometry deviation is
+      the largest |c_a(p) - 1|;
+    * B_a* B_b (a != b) counts the rows the two ranges share, and a row has
+      one last arrow, so the orthogonality deviation is the largest number
+      of extra loops whose range holds one row;
+    * the range sum R = sum_a B_a B_a* is one all-ones block of size c_a(p)
+      per loop a and domain path p, and R^2 - R holds c_a(p) - 1 there, so
+      the projector deviation is the largest c_a(p) - 1 (0 if none is
+      larger than 1);
+    * the range deficiency is the corner size minus the trace of R, which
+      counts every row once for each loop whose range holds it.
+    """
+    q = space.quiver
+    q._check_vertex(vertex)
+    loops = q.c[vertex][vertex]
     if not loops:
         raise ValueError(f"vertex {vertex} carries no loops")
     if space.depth == 0:
         raise ValueError("depth too small: the corner check needs depth >= 1")
-    corner = np.flatnonzero(space.targets == vertex)
-    domain = np.flatnonzero(
-        (space.targets == vertex) & (space.lengths <= space.depth - 1)
-    )
-    compressed = [
-        space.arrow_creation(a).tocsr()[corner][:, domain] for a in loops
-    ]
-    eye = sp.identity(len(domain), dtype=complex, format="csr")
-    iso_dev = max(_max_abs(b.conj().T @ b - eye) for b in compressed)
-    orth_dev = 0.0
-    for r, b in enumerate(compressed):
-        for b2 in compressed[r + 1 :]:
-            orth_dev = max(orth_dev, _max_abs(b.conj().T @ b2))
-    range_sum = sum(b @ b.conj().T for b in compressed)
-    proj_dev = _max_abs(range_sum @ range_sum - range_sum)
-    deficiency = len(corner) - int(round(range_sum.diagonal().sum().real))
+    in_corner = space.targets == vertex
+    in_domain = in_corner & (space.lengths <= space.depth - 1)
+    kept = in_corner[q.n:] & in_domain[space.parent]
+    # blocks in (target, source) order list the arrows; the loops' block
+    # follows every block of an earlier target and earlier sources at vertex
+    first = sum(map(sum, q.c[:vertex])) + sum(q.c[vertex][:vertex])
+    iso_dev = proj_dev = 0.0
+    holders = np.zeros(len(kept), dtype=np.intp)  # loops whose range holds each row
+    for a in range(first, first + loops):
+        rows = kept & (space.last_arrow == a)
+        holders += rows
+        children = np.bincount(space.parent[rows], minlength=space.dim)[in_domain]
+        iso_dev = max(iso_dev, float(np.max(np.abs(children - 1))))
+        proj_dev = max(proj_dev, float(np.max(children) - 1))
     return CornerReport(
         vertex=vertex,
-        loop_count=len(loops),
+        loop_count=loops,
         isometry_deviation=iso_dev,
-        orthogonality_deviation=orth_dev,
+        orthogonality_deviation=float(np.max(holders, initial=1) - 1),
         projector_deviation=proj_dev,
-        range_deficiency=deficiency,
+        range_deficiency=int(np.count_nonzero(in_corner) - holders.sum()),
     )

@@ -32,6 +32,11 @@ ISO_VERTEX_LIMIT = 64
 #: path is built.
 PATH_LIMIT = 2**20
 
+#: ``enumerate_paths`` and the CLI's ``paths`` refuse graphs whose paths up to
+#: the requested length hold more arrow tokens (the sum of their lengths)
+#: than this, counted before any path is built.
+PATH_TOKEN_LIMIT = 2**24
+
 
 def _as_count(value) -> int:
     if isinstance(value, bool):
@@ -278,9 +283,10 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     order of :meth:`Path.sort_key`.  This ordering fixes the basis of every
     matrix built downstream, so runs are reproducible bit for bit.  The paths
     are read off ``_path_tree``, which defines that order, and graphs with
-    more than ``PATH_LIMIT`` paths are refused.
+    more than ``PATH_LIMIT`` paths, or more than ``PATH_TOKEN_LIMIT`` arrows
+    in them, are refused.
     """
-    parent, last_arrow, _, _ = _path_tree(q, max_len)
+    parent, last_arrow, _, _ = _path_tree(q, max_len, PATH_TOKEN_LIMIT)
     arrows = tuple(q.arrows())
     out = [Path(v) for v in q.vertices()]
     for p, a in zip(parent.tolist(), last_arrow.tolist()):

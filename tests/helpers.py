@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from quiveralg import (
+    CornerReport,
     CorrespondenceElement,
     Path,
     PathPolynomial,
@@ -17,6 +18,7 @@ from quiveralg import (
     TwoDimRep,
     compose,
     enumerate_paths,
+    inner_product,
     rho_eval,
 )
 
@@ -140,13 +142,14 @@ def reference_path_tree(q, max_len):
     )
 
 
-def reference_creation_matrix(space, xi):
-    """The creation matrix built path by path on the reference enumeration:
-    column p gets xi[a] in the row of (a after p) for every arrow a leaving
-    p's target, zero coefficients dropped, paths of length ``depth`` mapped
-    to zero."""
+def reference_creation_matrix(space, xi, paths=None):
+    """The creation matrix built path by path on the reference enumeration
+    (``paths``, when given, is that enumeration): column p gets xi[a] in the
+    row of (a after p) for every arrow a leaving p's target, zero
+    coefficients dropped, paths of length ``depth`` mapped to zero."""
     rows, cols, data = [], [], []
-    paths = reference_enumerate_paths(space.quiver, space.depth)
+    if paths is None:
+        paths = reference_enumerate_paths(space.quiver, space.depth)
     index = basis_index(paths)
     arrows_by_source = [list(space.quiver.arrows_from(v)) for v in space.quiver.vertices()]
     for col, p in enumerate(paths):
@@ -161,6 +164,67 @@ def reference_creation_matrix(space, xi):
     return sp.coo_matrix(
         (np.array(data, dtype=complex), (rows, cols)), shape=(space.dim, space.dim)
     ).tocsr()
+
+
+def reference_shift_norm(mat):
+    """The norm of a sparse matrix with at most one stored entry in every
+    row: its columns are orthogonal, so it is the largest column 2-norm."""
+    csr = mat.tocsr()
+    assert np.diff(csr.indptr).max(initial=0) <= 1
+    sq = np.bincount(csr.indices, weights=np.abs(csr.data) ** 2, minlength=csr.shape[1])
+    return float(np.sqrt(sq.max()))
+
+
+def reference_covariance_deviation(space, xi, eta):
+    """The covariance check on sparse products: T_xi* T_eta minus the
+    diagonal action of <xi, eta>, cut to the paths of length <= depth - 1,
+    and the norm of that (diagonal) block, with the creation matrices built
+    path by path."""
+    paths = reference_enumerate_paths(space.quiver, space.depth)
+    t_xi = reference_creation_matrix(space, xi, paths)
+    t_eta = reference_creation_matrix(space, eta, paths)
+    lhs = t_xi.conj().T @ t_eta
+    targets = [p.target for p in paths]
+    rhs = sp.diags(inner_product(xi, eta).entries[targets], format="csr", dtype=complex)
+    inner = [k for k, p in enumerate(paths) if p.length <= space.depth - 1]
+    return reference_shift_norm((lhs - rhs).tocsr()[inner][:, inner])
+
+
+def _max_abs(mat):
+    mat = mat.tocoo()
+    return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
+
+
+def reference_corner_report(space, vertex):
+    """The corner report on sparse products: every loop's creation matrix,
+    built path by path, cut to the corner paths (rows) and the corner paths
+    of length <= depth - 1 (columns); then B* B - I for each loop, B* B' for
+    each pair, R^2 - R for the range sum R of all B B*, and the corner size
+    minus the trace of R."""
+    q = space.quiver
+    paths = reference_enumerate_paths(q, space.depth)
+    corner = [k for k, p in enumerate(paths) if p.target == vertex]
+    domain = [k for k in corner if paths[k].length <= space.depth - 1]
+    loops = q.block(vertex, vertex)
+    compressed = [
+        reference_creation_matrix(space, CorrespondenceElement.basis(q, a), paths)[corner][:, domain]
+        for a in loops
+    ]
+    eye = sp.identity(len(domain), dtype=complex, format="csr")
+    iso_dev = max(_max_abs(b.conj().T @ b - eye) for b in compressed)
+    orth_dev = 0.0
+    for r, b in enumerate(compressed):
+        for b2 in compressed[r + 1 :]:
+            orth_dev = max(orth_dev, _max_abs(b.conj().T @ b2))
+    range_sum = sum(b @ b.conj().T for b in compressed)
+    return CornerReport(
+        vertex=vertex,
+        loop_count=len(loops),
+        isometry_deviation=iso_dev,
+        orthogonality_deviation=orth_dev,
+        projector_deviation=_max_abs(range_sum @ range_sum - range_sum),
+        range_deficiency=len(corner) - int(round(range_sum.diagonal().sum().real)),
+    )
 
 
 def reference_compressions(s, a, b):

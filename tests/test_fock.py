@@ -28,8 +28,21 @@ from helpers import (
     random_element,
     random_polynomial,
     random_quiver,
+    reference_corner_report,
+    reference_covariance_deviation,
     reference_creation_matrix,
+    reference_enumerate_paths,
+    reference_shift_norm,
 )
+
+
+def assert_same_csr(got, want):
+    """Equal shape, and data, indices and indptr equal in dtype and bytes."""
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.fixture
@@ -112,13 +125,7 @@ class TestCreationOperator:
         for depth in range(4):
             space = FockSpace(q, depth)
             for xi in elements:
-                got = creation_operator(space, xi).matrix
-                want = reference_creation_matrix(space, xi)
-                assert got.shape == want.shape
-                for name in ("data", "indices", "indptr"):
-                    g, w = getattr(got, name), getattr(want, name)
-                    assert g.dtype == w.dtype
-                    assert g.tobytes() == w.tobytes()
+                assert_same_csr(creation_operator(space, xi).matrix, reference_creation_matrix(space, xi))
 
 
 class TestDiagOperator:
@@ -338,3 +345,111 @@ class TestCornerShifts:
         space = FockSpace(q, 2)
         with pytest.raises(ValueError, match="no loops"):
             corner_shift_report(space, 0)
+
+
+def oracle_quiver(rng):
+    """A random quiver on at most 4 vertices with many zero blocks and, at
+    random, a sink (no arrow leaves it) and a vertex that carries loops
+    only."""
+    n = int(rng.integers(1, 5))
+    c = rng.integers(0, 3, size=(n, n)) * (rng.random((n, n)) < 0.5)
+    order = rng.permutation(n)
+    if n >= 2 and rng.random() < 0.5:
+        c[:, order[0]] = 0
+    if n >= 2 and rng.random() < 0.5:
+        w = order[-1]
+        loops = max(int(c[w, w]), 1)
+        c[w, :] = 0
+        c[:, w] = 0
+        c[w, w] = loops
+    return Quiver(c.tolist())
+
+
+class TestArrayChecksMatchSparseOracle:
+    """The checks ``verify`` makes, read off the path tree's arrays, equal
+    the same checks on sparse products built path by path, bit for bit."""
+
+    @pytest.mark.parametrize("depth", range(1, 5))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_quivers(self, seed, depth):
+        rng = np.random.default_rng(1100 + seed)
+        q = oracle_quiver(rng)
+        space = FockSpace(q, depth)
+        paths = reference_enumerate_paths(q, depth)
+        xi, eta = random_element(q, rng), random_element(q, rng)
+        holes = random_element(q, rng)
+        for a in q.arrows():
+            if rng.random() < 0.5:
+                holes.blocks[a.target][a.source][a.index] = 0.0
+        zero = CorrespondenceElement.zeros(q)
+        for el in (xi, eta, holes, zero):
+            op = creation_operator(space, el)
+            want = reference_creation_matrix(space, el, paths)
+            assert operator_norm(op) == reference_shift_norm(want)
+            assert_same_csr(op.matrix, want)
+        for a, b in ((xi, eta), (xi, xi), (holes, eta), (zero, xi)):
+            assert check_isometric_covariance(space, a, b) == reference_covariance_deviation(space, a, b)
+        for v in q.vertices():
+            if q.c[v][v]:
+                assert corner_shift_report(space, v) == reference_corner_report(space, v)
+
+
+def broken_space(q, depth, mutation):
+    """A FockSpace of q whose path tree is broken at a loop child n + r of
+    length ``depth`` (a path with no children, so no index moves), and the
+    vertex of that loop: ``repoint`` gives the child the parent of another
+    child of the same loop, so one parent has two children by that loop and
+    its own parent none; ``drop`` removes it, so its parent has no child by
+    that loop."""
+    space = FockSpace(q, depth)
+    n = q.n
+    loops = [k for k, a in enumerate(q.arrows()) if a.source == a.target]
+    r = int(np.flatnonzero(np.isin(space.last_arrow, loops) & (space.lengths[n:] == depth))[0])
+    vertex = int(space.targets[n + r])
+    if mutation == "repoint":
+        same = np.flatnonzero(space.last_arrow == space.last_arrow[r])
+        parent = space.parent.copy()
+        parent[r] = space.parent[same[same != r][0]]
+        space.parent = parent
+    else:
+        space.parent = np.delete(space.parent, r)
+        space.last_arrow = np.delete(space.last_arrow, r)
+        space.lengths = np.delete(space.lengths, n + r)
+        space.targets = np.delete(space.targets, n + r)
+    return space, vertex
+
+
+@pytest.mark.parametrize("mutation", ["repoint", "drop"])
+@pytest.mark.parametrize("c", [[[2]], [[2, 1], [0, 1]], [[0, 1], [1, 1]]])
+def test_array_checks_fail_on_a_broken_tree(c, mutation):
+    q = Quiver(c)
+    depth = 3
+    rng = np.random.default_rng(31)
+    xi, eta = random_element(q, rng), random_element(q, rng)
+    whole = FockSpace(q, depth)
+    space, v = broken_space(q, depth, mutation)
+    sound, broken = corner_shift_report(whole, v), corner_shift_report(space, v)
+    assert sound.ok and not broken.ok
+    # a parent without a child by the loop, and with repoint one with two
+    # (an all-ones 2x2 block J in the range sum, J^2 - J = J)
+    assert broken.isometry_deviation == 1.0
+    assert broken.projector_deviation == (1.0 if mutation == "repoint" else 0.0)
+    assert broken.orthogonality_deviation == 0.0
+    # drop removes one corner row and one range row
+    assert broken.range_deficiency == sound.range_deficiency
+    assert check_isometric_covariance(whole, xi, eta) <= 1e-12
+    assert check_isometric_covariance(space, xi, eta) > 0.0
+
+
+def test_corner_report_reads_child_targets():
+    # a loop child at vertex 0 whose end vertex reads 1 leaves the corner,
+    # so its parent has no child by that loop there
+    q = Quiver([[2, 1], [0, 1]])
+    space = FockSpace(q, 3)
+    r = int(np.flatnonzero((space.last_arrow == 0) & (space.lengths[q.n:] == 3))[0])
+    targets = space.targets.copy()
+    targets[q.n + r] = 1
+    space.targets = targets
+    report = corner_shift_report(space, 0)
+    assert not report.ok
+    assert report.isometry_deviation == 1.0

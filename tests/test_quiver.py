@@ -15,7 +15,8 @@ from quiveralg import (
     enumerate_paths,
     vertex_path,
 )
-from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, _path_tree
+from quiveralg import cli, quiver
+from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, PATH_TOKEN_LIMIT, _path_tree
 from helpers import (
     random_quiver,
     reference_enumerate_paths,
@@ -247,6 +248,22 @@ class TestPathTree:
         # no cycle: the levels run out after one arrow
         assert _path_tree(Quiver([[0, 1], [0, 0]]), 10**12)[2].tolist() == [0, 0, 1]
         assert time.perf_counter() - t0 < 0.1
+
+    def test_token_budget_refuses_before_any_path(self, monkeypatch):
+        # 6,001 paths pass the path limit, but they hold 18,003,000 arrows
+        assert cli.PATHS_TOKEN_LIMIT == PATH_TOKEN_LIMIT == 2**24
+        monkeypatch.setattr(quiver, "Path", lambda *a: pytest.fail("a Path was built"))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="arrow tokens"):
+            enumerate_paths(Quiver([[1]]), 6000)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_token_budget_is_inclusive(self, monkeypatch):
+        # one loop up to length L holds L(L + 1)/2 arrows: 10 at L = 4
+        monkeypatch.setattr(quiver, "PATH_TOKEN_LIMIT", 10)
+        assert len(enumerate_paths(Quiver([[1]]), 4)) == 5
+        with pytest.raises(ValueError, match="arrow tokens"):
+            enumerate_paths(Quiver([[1]]), 5)
 
 
 class TestCompose:

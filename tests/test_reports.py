@@ -8,7 +8,7 @@ machine, and a change to the code must reproduce them byte for byte.  The
 when the arithmetic is reordered (the ``norms`` fixture on a 3/3/3 block
 graph was printed while its direct column still came from an SVD of the
 explicit assembly): they must match in exit code, keys, integers, booleans
-and strings, and in every float to within ``FLOAT_TOL``.
+and strings, and in every float to within ``compare_report.FLOAT_TOL``.
 """
 
 import json
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compare_report import assert_close
 from quiveralg.cli import EXIT_MISMATCH, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,26 +79,6 @@ VERIFY_REPORTS = {
     ],
 }
 
-FLOAT_TOL = 1e-14
-
-
-def assert_close(got, want, where="report"):
-    """Equal structure, keys, integers, booleans and strings; floats within FLOAT_TOL."""
-    assert type(got) is type(want), where
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            assert_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for k, (g, w) in enumerate(zip(got, want)):
-            assert_close(g, w, f"{where}[{k}]")
-    elif isinstance(want, float):
-        assert abs(got - want) <= FLOAT_TOL, f"{where}: {got!r} vs {want!r}"
-    else:
-        assert got == want, where
-
-
 @pytest.mark.parametrize("name", sorted(VERIFY_REPORTS))
 def test_verify_report_matches_fixture(name, capsys):
     assert main(VERIFY_REPORTS[name]) == EXIT_OK
@@ -115,6 +96,37 @@ def test_verify_takes_no_svd(name, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     test_verify_report_matches_fixture(name, capsys)
+
+
+def test_fresh_process_never_loads_scipy(tmp_path):
+    """``import quiveralg`` and one CLI run of every fixture (all five
+    subcommands) leave scipy unloaded: scipy is imported only where a CSR
+    matrix is built, and the CLI builds none.  Only a fresh interpreter can
+    show this, since the test helpers import scipy."""
+    runs = list(REPORTS.values())
+    runs += [(argv, EXIT_OK) for argv in VERIFY_REPORTS.values()]
+    assert {argv[0] for argv, _ in runs} == {"verify", "norms", "recover", "iso", "paths"}
+    out = str(tmp_path / "report.json")
+    script = (
+        "import json, sys\n"
+        "import quiveralg\n"
+        "from quiveralg import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([argv + ["--output", out] for argv, _ in runs])],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [code for _, code in runs]
+    assert result["scipy"] == []
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
