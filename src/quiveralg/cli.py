@@ -20,11 +20,12 @@ none and take no ``--seed``.  Vertex numbers in files, flags, and reports
 are 1-based.  ``verify`` judges every check against ``--tolerance-exact``:
 the covariance deviation and both sides of each norm check are closed-form.
 
-``paths`` refuses, before it builds any path, graphs whose paths hold more
-than ``PATHS_TOKEN_LIMIT`` arrow tokens in all (``quiver.PATH_TOKEN_LIMIT``,
-which ``enumerate_paths`` applies too), as well as more than
-``quiver.PATH_LIMIT`` paths; ``recover`` refuses graphs past
-``quiver.ISO_VERTEX_LIMIT`` vertices before it scrambles them.
+``paths`` and ``verify`` refuse, before they build any path, graphs whose
+paths hold more than ``quiver.PATH_TOKEN_LIMIT`` arrow tokens in all, or
+more than ``quiver.PATH_LIMIT`` paths; ``recover`` refuses graphs past
+``quiver.ISO_VERTEX_LIMIT`` vertices before it scrambles them, and
+``scramble`` refuses graphs past ``recovery.SCRAMBLE_LIMIT`` unitary entries
+before it draws anything.
 
 ``main`` builds its argument parser on its first call and reuses it for the
 rest of the process (``parse_args`` leaves a parser unchanged).  Reports
@@ -54,7 +55,7 @@ from .correspondence import CorrespondenceElement, element_norm
 from .fock import DEFAULT_DEPTH, FockSpace, check_isometric_covariance, corner_shift_report, creation_operator, operator_norm
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
-from .quiver import PATH_TOKEN_LIMIT, Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
+from .quiver import Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
 # Not called here: perfbench's tracer wraps quiveralg.cli.enumerate_paths and
 # its self-test requires every wrapped name to exist.
 from .quiver import enumerate_paths  # noqa: F401
@@ -72,9 +73,6 @@ VERIFY_RANDOM_NORM_CHECKS = 2
 
 #: largest --k-max that norms accepts (one table row per k)
 NORMS_K_MAX = 100
-
-#: most arrow tokens (sum of the lengths of its paths) a paths report holds
-PATHS_TOKEN_LIMIT = PATH_TOKEN_LIMIT
 
 
 @dataclass
@@ -244,7 +242,7 @@ def _run_paths(cfg: RunConfig) -> tuple[int, dict]:
     q = parse_quiver_file(cfg.graph)
     if cfg.max_len < 0:
         raise ValueError("max-len must be nonnegative")
-    parent, last_arrow, _, _ = _path_tree(q, cfg.max_len, PATHS_TOKEN_LIMIT)
+    parent, last_arrow, _, _ = _path_tree(q, cfg.max_len)
     # a path's text is its last arrow's token before its parent's text
     tokens = [format_path(arrow_path(a)) for a in q.arrows()]
     names = [format_path(vertex_path(v)) for v in q.vertices()]

@@ -66,8 +66,9 @@ class FockSpace:
     are computed from these arrays.  ``basis``, the tuple of those paths, is
     built on first use and cached.  There is no ``index`` attribute: a
     path's position is its place in ``basis``.
-    Graphs with more than ``PATH_LIMIT`` paths up to ``depth`` are refused
-    with ``ValueError`` before anything is allocated.
+    Graphs with more than ``PATH_LIMIT`` paths up to ``depth``, or more than
+    ``PATH_TOKEN_LIMIT`` arrows in them, are refused with ``ValueError``
+    before anything is allocated.
     """
 
     __slots__ = (

@@ -1,11 +1,8 @@
 """Finite linear combinations of paths, multiplied by path composition.
 
 Products of non-composable monomials are zero and vanish from the term map;
-the sum of all vertex monomials is the unit.  A product with a single vertex
-monomial z * e_v is a filter: it keeps the other factor's terms that end at
-v (vertex on the left) or start at v (on the right), scaled by z, in their
-order.  Polynomial degree is capped at ``MAX_DEGREE`` to guard against
-runaway coefficient blowup.
+the sum of all vertex monomials is the unit.  Polynomial degree is capped at
+``MAX_DEGREE`` to guard against runaway coefficient blowup.
 
 Text form (used by the CLI), with 1-based vertex and arrow numbers:
 
@@ -144,45 +141,9 @@ class PathPolynomial:
         z = complex(scalar)
         return PathPolynomial(self.quiver, {p: z * c for p, c in self.terms.items()})
 
-    def _vertex_monomial(self) -> Optional[tuple[int, complex]]:
-        """(vertex, coefficient) when this is a single length-0 monomial."""
-        if len(self.terms) != 1:
-            return None
-        ((path, coeff),) = self.terms.items()
-        return None if path.arrows else (path.base, coeff)
-
-    def _filtered(self, z: complex, keep) -> "PathPolynomial":
-        """z times the terms whose paths pass ``keep``, in term order: the
-        product with a vertex monomial.  The vertex adds no degree, so the
-        degree cap is the one of this factor.  The paths are already this
-        quiver's and are not checked again; products that underflow to zero
-        are still dropped.
-        """
-        out = PathPolynomial.__new__(PathPolynomial)
-        out.quiver = self.quiver
-        out.terms = {}
-        for path, coeff in self.terms.items():
-            if len(path.arrows) > MAX_DEGREE:
-                raise ValueError(
-                    f"degree cap exceeded: product would reach degree "
-                    f"{self.degree} > {MAX_DEGREE}"
-                )
-            if keep(path):
-                w = z * coeff
-                if w != 0:
-                    out.terms[path] = w
-        return out
-
     def __mul__(self, other):
         if isinstance(other, PathPolynomial):
             self._require_same_quiver(other)
-            left, right = self._vertex_monomial(), other._vertex_monomial()
-            if left is not None:
-                v, z = left
-                return other._filtered(z, lambda p: p.target == v)
-            if right is not None:
-                v, z = right
-                return self._filtered(z, lambda p: p.source == v)
             if self.terms and other.terms and self.degree + other.degree > MAX_DEGREE:
                 raise ValueError(
                     f"degree cap exceeded: product would reach degree "

@@ -32,9 +32,9 @@ ISO_VERTEX_LIMIT = 64
 #: path is built.
 PATH_LIMIT = 2**20
 
-#: ``enumerate_paths`` and the CLI's ``paths`` refuse graphs whose paths up to
-#: the requested length hold more arrow tokens (the sum of their lengths)
-#: than this, counted before any path is built.
+#: ``enumerate_paths``, ``FockSpace`` and the CLI's ``paths`` refuse graphs
+#: whose paths up to the requested length hold more arrow tokens (the sum of
+#: their lengths) than this, counted before any path is built.
 PATH_TOKEN_LIMIT = 2**24
 
 
@@ -193,12 +193,10 @@ def compose(p: Path, r: Path) -> Optional[Path]:
     return Path(r.base, r.arrows + p.arrows)
 
 
-def _path_count_check(
-    c: tuple[tuple[int, ...], ...], max_len: int, token_limit: Optional[int] = None
-) -> None:
+def _path_count_check(c: tuple[tuple[int, ...], ...], max_len: int) -> None:
     """Refuse, before anything is allocated, graphs with more than
-    ``PATH_LIMIT`` paths of length <= ``max_len`` and, given ``token_limit``,
-    with more than that many arrow tokens in those paths.
+    ``PATH_LIMIT`` paths of length <= ``max_len`` or with more than
+    ``PATH_TOKEN_LIMIT`` arrow tokens in those paths.
 
     The count sum over k <= max_len of 1^T C^k 1 is taken in exact integers,
     level by level, and stops at the first empty level.  A nonempty level at
@@ -206,8 +204,8 @@ def _path_count_check(
     longer level holds at least one path: the remaining levels are counted
     as one path each, which decides very large ``max_len`` at once.  The
     tokens, the sum of k 1^T C^k 1, need no such bound: a nonempty level k
-    adds at least k of them, so the loop passes any ``token_limit`` within
-    about sqrt(2 token_limit) levels.
+    adds at least k of them, so the loop passes ``PATH_TOKEN_LIMIT`` within
+    about sqrt(2 PATH_TOKEN_LIMIT) levels.
     """
     n = len(c)
     level = [1] * n  # paths of the current length, by end vertex
@@ -225,16 +223,14 @@ def _path_count_check(
                 f"size limit exceeded: refusing more than {PATH_LIMIT} paths "
                 f"(lengths up to {max_len})"
             )
-        if token_limit is not None and tokens > token_limit:
+        if tokens > PATH_TOKEN_LIMIT:
             raise ValueError(
-                f"size limit exceeded: refusing more than {token_limit} arrow "
+                f"size limit exceeded: refusing more than {PATH_TOKEN_LIMIT} arrow "
                 f"tokens in paths (lengths up to {max_len})"
             )
 
 
-def _path_tree(
-    q: Quiver, max_len: int, token_limit: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The paths of length <= ``max_len`` as arrays, in ``enumerate_paths`` order.
 
     Returns ``(parent, last_arrow, lengths, targets)``.  Paths 0..n-1 are the
@@ -245,11 +241,12 @@ def _path_tree(
     ``arrows_from`` order, so the children of all paths shorter than
     ``max_len``, in path order, are the paths from position n on.  Graphs
     with more than ``PATH_LIMIT`` such paths, or with more than
-    ``token_limit`` arrows in them, are refused before any array is built.
+    ``PATH_TOKEN_LIMIT`` arrows in them, are refused before any array is
+    built.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    _path_count_check(q.c, max_len, token_limit)
+    _path_count_check(q.c, max_len)
     position = {a: k for k, a in enumerate(q.arrows())}
     out = [list(q.arrows_from(v)) for v in q.vertices()]
     out_deg = np.array([len(o) for o in out], dtype=np.intp)
@@ -286,7 +283,7 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     more than ``PATH_LIMIT`` paths, or more than ``PATH_TOKEN_LIMIT`` arrows
     in them, are refused.
     """
-    parent, last_arrow, _, _ = _path_tree(q, max_len, PATH_TOKEN_LIMIT)
+    parent, last_arrow, _, _ = _path_tree(q, max_len)
     arrows = tuple(q.arrows())
     out = [Path(v) for v in q.vertices()]
     for p, a in zip(parent.tolist(), last_arrow.tolist()):

@@ -10,11 +10,13 @@ presentation mechanizes that invariance.
 
 Both probes read one table, built when the presentation is constructed:
 label pair (a, b) -> the indices of the generators labelled (a, b) and their
-coefficient rows.  Each generator g lies in one arrow block, so at most 2n
-products with the idempotents find its one label pair, the one with
-p_a * g * p_b != 0.  Every other pair compresses g to zero, so the rows at
-(a, b) are the compressions p_a * g * p_b, and all rows together are the
-nonzero blocks of the (generators x arrows) coefficient matrix C.
+coefficient rows.  Each generator g lies in one arrow block (i, j), and its
+label pair is read off the idempotents: a and b are the labels whose
+idempotents are the vertices i and j.  Then p_a * g * p_b = g, which one
+two-sided product per generator checks, and every other pair compresses g
+to zero.  So the rows at (a, b) are the compressions p_a * g * p_b, and all
+rows together are the nonzero blocks of the (generators x arrows)
+coefficient matrix C.
 
 Two independent probes count each off-diagonal entry:
 
@@ -33,12 +35,13 @@ They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank of the rows at (a, a)
 alone.
 
-Labels are found by multiplying the polynomials, and the counts are ranks.
-Beyond the polynomial values the code reads the hidden quiver in these
-places only: the vertex each idempotent names, and its multiplicity matrix
-``c`` in ``_block_support``, which sizes each coefficient row, and in the
-constructor's span check.  The probes read no ``c``: their vectors come
-from the table, and ``TwoDimRep`` sizes the zero diagonal data itself.
+Labels are read off the idempotents and checked by multiplying the
+polynomials, and the counts are ranks.  Beyond the polynomial values the
+code reads the hidden quiver in these places only: the vertex each
+idempotent names, and its multiplicity matrix ``c`` in ``_block_support``,
+which sizes each coefficient row, and in the constructor's span check.
+The probes read no ``c``: their vectors come from the table, and
+``TwoDimRep`` sizes the zero diagonal data itself.
 ``hidden_truth`` is read only by ``recover``, to refuse a presentation too
 large for the isomorphism search, to check the result against the source
 graph and to report the witness.
@@ -69,6 +72,10 @@ _UNLABELLED: tuple = ((), ())
 #: largest gap allowed between a batched representation row entry and the
 #: same entry from ``rho_eval``
 BATCH_TOL = 1e-12
+
+#: ``scramble`` refuses graphs whose block unitaries hold more entries than
+#: this (the sum of c[i][j]^2), before it draws anything
+SCRAMBLE_LIMIT = 2**18
 
 
 class RecoveryError(RuntimeError):
@@ -108,10 +115,13 @@ class ScrambledPresentation:
             raise ValueError("label count does not match n")
         if self.n != self.quiver.n:
             raise ValueError("label count does not match the vertex count")
-        vertex = [_idempotent_vertex(p) for p in self.idempotents]
+        # the vertex each label's idempotent names
+        vertex = self._vertex = tuple(_idempotent_vertex(p) for p in self.idempotents)
         if len(set(vertex)) != self.n:
             raise ValueError("duplicate idempotent label")
         q = self.quiver
+        if any(g.quiver != q for g in self.generators):
+            raise ValueError("generators live over a different quiver")
         by_block = {(vertex[a], vertex[b]): vecs for (a, b), (_, vecs) in self._by_label.items()}
         for (i, j), vecs in by_block.items():
             want = q.c[i][j]
@@ -134,13 +144,15 @@ class ScrambledPresentation:
     def _by_label(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
         """The generator table: label pair (a, b) -> the indices of the
         generators labelled (a, b), in generator order, and their coefficient
-        rows.  A generator in one block is p_a * g * p_b for the one pair with
-        g * p_b != 0 and p_a * g != 0, and the idempotents cover every vertex."""
+        rows.  A generator in the block (i, j) is labelled by the labels of
+        i and j, and it must equal p_a * g * p_b for that pair."""
+        label = {v: a for a, v in enumerate(self._vertex)}
         rows: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
         for k, g in enumerate(self.generators):
-            vec = _block_support(g)
-            b = next(b for b, pb in enumerate(self.idempotents) if g * pb)
-            a = next(a for a, pa in enumerate(self.idempotents) if pa * g)
+            (i, j), vec = _block_support(g)
+            a, b = label[i], label[j]
+            if self.idempotents[a] * g * self.idempotents[b] != g:
+                raise RecoveryError(f"generator {k} is not fixed by the idempotents of ({a}, {b})")
             rows.setdefault((a, b), []).append((k, vec))
         return {
             pair: (np.array([k for k, _ in kvs]), np.array([vec for _, vec in kvs]))
@@ -174,9 +186,9 @@ def _idempotent_vertex(p: PathPolynomial) -> int:
     return items[0][0].base
 
 
-def _block_support(g: PathPolynomial) -> np.ndarray:
-    """The coefficient vector of a degree-1 generator in the arrow-index basis
-    of the one (target, source) block it lies in."""
+def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], np.ndarray]:
+    """The one (target, source) block a degree-1 generator lies in, and its
+    coefficient vector in the arrow-index basis of that block."""
     if not g.terms or any(p.length != 1 for p in g.terms):
         raise ValueError("generators must be homogeneous of degree 1")
     blocks = {(p.target, p.source) for p in g.terms}
@@ -186,7 +198,9 @@ def _block_support(g: PathPolynomial) -> np.ndarray:
     vec = np.zeros(g.quiver.c[i][j], dtype=complex)
     for p, coeff in g.items():
         vec[p.arrows[0].index] = coeff
-    return vec
+    if not np.isfinite(vec).all():
+        raise ValueError("generator coefficients must be finite")
+    return (i, j), vec
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -203,8 +217,15 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
 
     Deterministic in ``seed``: the vertex permutation, one unitary per
     nonempty arrow block, and the generator order are all drawn from a single
-    generator seeded with it.
+    generator seeded with it.  Graphs whose unitaries would hold more than
+    ``SCRAMBLE_LIMIT`` entries are refused before anything is drawn.
     """
+    entries = sum(d * d for row in q.c for d in row)
+    if entries > SCRAMBLE_LIMIT:
+        raise ValueError(
+            f"size limit exceeded: refusing to scramble {entries} > "
+            f"{SCRAMBLE_LIMIT} unitary entries"
+        )
     rng = np.random.default_rng(seed)
     tau = tuple(int(v) for v in rng.permutation(q.n))
     unitaries: dict[tuple[int, int], np.ndarray] = {}
@@ -241,7 +262,7 @@ def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
 def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
     """One representation per generator labelled (a, b): zero diagonal data
     and gamma its normalized compression, each passed by the family test."""
-    va, vb = _idempotent_vertex(s.idempotents[a]), _idempotent_vertex(s.idempotents[b])
+    va, vb = s._vertex[a], s._vertex[b]
     reps = []
     for vec in s._by_label.get((a, b), _UNLABELLED)[1]:
         try:

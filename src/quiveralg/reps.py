@@ -38,8 +38,12 @@ BOUNDARY_SLACK = 1e-12
 
 
 def _as_vector(x) -> np.ndarray:
-    """A parameter as a flat complex vector (a copy); None is the empty vector."""
-    return np.array(x if x is not None else [], dtype=complex).reshape(-1)
+    """A parameter as a flat complex vector (a copy); None is the empty vector.
+    NaN and infinite entries are refused."""
+    vec = np.array(x if x is not None else [], dtype=complex).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError("parameters must be finite")
+    return vec
 
 
 def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> np.ndarray:

@@ -264,8 +264,7 @@ def reference_rep_rows(s, reps):
 
 
 def reference_product(p, r):
-    """The product of two polynomials by the double loop over their terms,
-    with no shortcut for vertex factors."""
+    """The product of two polynomials by the double loop over their terms."""
     terms = {}
     for u, cu in p.terms.items():
         for v, cv in r.terms.items():

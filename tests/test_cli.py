@@ -10,7 +10,7 @@ import pytest
 
 from quiveralg import GRAPH_SCHEMA_VERSION, FockSpace, Quiver, format_path, parse_quiver_dict, parse_quiver_file, quiver_to_dict, write_quiver_file
 from quiveralg.quiver import Path as QuiverPath
-from quiveralg import cli
+from quiveralg import cli, quiver, recovery
 from quiveralg.cli import NORMS_K_MAX, RunConfig, build_parser, config_from_args, main, run
 from helpers import random_quiver, reference_enumerate_paths
 
@@ -171,6 +171,16 @@ class TestVerify:
         assert time.perf_counter() - t0 < 0.5
         assert "size limit" in capsys.readouterr().err
 
+    def test_depth_past_token_budget_exits_1_at_once(self, tmp_path, capsys):
+        # one loop: 100,001 paths pass the path limit, but they hold 5 * 10^9
+        # arrows, and the Fock space is refused before its levels are built
+        g = graph_file(tmp_path, "loop.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 1}]})
+        t0 = time.perf_counter()
+        assert main(["verify", "--graph", g, "--depth", "100000"]) == 1
+        assert time.perf_counter() - t0 < 0.1
+        err = capsys.readouterr().err
+        assert "size limit exceeded" in err and "arrow tokens" in err
+
 
 class TestNorms:
     def test_table_shape_and_agreement(self, reference):
@@ -225,6 +235,14 @@ class TestNorms:
         )
         with pytest.raises(ValueError, match="entries"):
             run(cfg)
+
+    def test_non_finite_parameter_exits_1(self, reference, capsys):
+        # NaN fails every comparison, so it would pass the ball and
+        # contractivity checks and print NaN norms under an OK status
+        for flag, value in [("--gamma", "nan,0"), ("--gamma", "0,inf"), ("--lambda-i", "nan")]:
+            assert main(["norms", "--graph", reference, "--i", "1", "--j", "2", flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "must be finite" in captured.err
 
 
 class TestRecoverCommand:
@@ -294,6 +312,19 @@ class TestRecoverCommand:
         t0 = time.perf_counter()
         assert main(["recover", "--graph", g]) == 1
         assert time.perf_counter() - t0 < 0.2
+        assert "size limit exceeded" in capsys.readouterr().err
+
+    def test_oversized_blocks_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # one vertex with 513 loops: a 513 x 513 unitary, 263,169 entries
+        g = graph_file(tmp_path, "loops.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 513}]})
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a unitary was drawn")
+
+        monkeypatch.setattr(recovery, "_haar_unitary", no_draw)
+        t0 = time.perf_counter()
+        assert main(["recover", "--graph", g]) == 1
+        assert time.perf_counter() - t0 < 0.1
         assert "size limit exceeded" in capsys.readouterr().err
 
 
@@ -389,7 +420,7 @@ class TestPaths:
 
     def test_token_budget_is_inclusive(self, one_loop, tmp_path, monkeypatch, capsys):
         # one loop up to length L holds L(L + 1)/2 arrows: 10 at L = 4
-        monkeypatch.setattr(cli, "PATHS_TOKEN_LIMIT", 10)
+        monkeypatch.setattr(quiver, "PATH_TOKEN_LIMIT", 10)
         out = tmp_path / "paths.json"
         assert main(["paths", "--graph", one_loop, "--max-len", "4", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["count"] == 5

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -81,6 +83,17 @@ class TestFockSpace:
         # 2^21 - 1 paths: refused before any array is built
         with pytest.raises(ValueError, match="size limit"):
             FockSpace(loop2, 20)
+
+    def test_refuses_more_arrow_tokens_than_the_budget(self, loop1):
+        # one loop up to depth L holds L(L + 1)/2 arrows: 16,776,528 <= 2^24
+        # at L = 5792 and 16,782,321 at L = 5793; the count stops there, so
+        # a depth of 10^5 is refused without building its 10^5 levels
+        assert FockSpace(loop1, 5792).dim == 5793
+        t0 = time.perf_counter()
+        for depth in (5793, 10**5):
+            with pytest.raises(ValueError, match="size limit exceeded: .* arrow tokens"):
+                FockSpace(loop1, depth)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestCreationOperator:

@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from quiveralg import Quiver, enumerate_paths  # noqa: E402
+from quiveralg import quiver  # noqa: E402
 from quiveralg.quiver import _path_tree  # noqa: E402
 
 
@@ -32,7 +33,11 @@ def test_token_budget_is_exact(q, max_len):
     # the arrows of all paths, sum over k of k 1^T C^k 1, are admitted at a
     # budget of exactly that many and refused at one fewer
     tokens = sum(p.length for p in enumerate_paths(q, max_len))
-    _path_tree(q, max_len, token_limit=tokens)
-    if tokens:
-        with pytest.raises(ValueError, match="arrow tokens"):
-            _path_tree(q, max_len, token_limit=tokens - 1)
+    # hypothesis refuses the function-scoped monkeypatch fixture
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quiver, "PATH_TOKEN_LIMIT", tokens)
+        _path_tree(q, max_len)
+        if tokens:
+            mp.setattr(quiver, "PATH_TOKEN_LIMIT", tokens - 1)
+            with pytest.raises(ValueError, match="arrow tokens"):
+                _path_tree(q, max_len)

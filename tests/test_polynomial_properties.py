@@ -66,8 +66,8 @@ def test_associative_on_dyadic_coefficients(triple):
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(factor_triples())
 def test_products_equal_the_double_loop(triple):
-    """Vertex factors take the term filter; every product, vertex factor or
-    not, equals the double loop exactly and keeps its term order."""
+    """Every product, vertex factor or not, equals the double-loop reference
+    exactly and keeps its term order."""
     for p, r in [triple[:2], triple[1:], (triple[0], triple[2])]:
         got, want = p * r, reference_product(p, r)
         assert got == want

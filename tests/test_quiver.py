@@ -15,7 +15,7 @@ from quiveralg import (
     enumerate_paths,
     vertex_path,
 )
-from quiveralg import cli, quiver
+from quiveralg import quiver
 from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, PATH_TOKEN_LIMIT, _path_tree
 from helpers import (
     random_quiver,
@@ -231,9 +231,14 @@ class TestPathTree:
                 assert g.tobytes() == w.tobytes()
             assert enumerate_paths(q, max_len) == reference_enumerate_paths(q, max_len)
 
-    def test_limit_is_inclusive(self):
+    def test_limit_is_inclusive(self, monkeypatch):
         # two loops at one vertex and an isolated vertex: 2^(L+1) paths
         q = Quiver([[2, 0], [0, 0]])
+        # at L = 19 they hold 18 * 2^20 + 2 arrows, past the token budget;
+        # the budget is raised below so that the path limit is the one tested
+        with pytest.raises(ValueError, match="arrow tokens"):
+            _path_tree(q, 19)
+        monkeypatch.setattr(quiver, "PATH_TOKEN_LIMIT", 2**25)
         assert len(_path_tree(q, 19)[2]) == PATH_LIMIT
         with pytest.raises(ValueError, match="size limit"):
             _path_tree(q, 20)
@@ -251,7 +256,7 @@ class TestPathTree:
 
     def test_token_budget_refuses_before_any_path(self, monkeypatch):
         # 6,001 paths pass the path limit, but they hold 18,003,000 arrows
-        assert cli.PATHS_TOKEN_LIMIT == PATH_TOKEN_LIMIT == 2**24
+        assert PATH_TOKEN_LIMIT == 2**24
         monkeypatch.setattr(quiver, "Path", lambda *a: pytest.fail("a Path was built"))
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="arrow tokens"):

@@ -90,6 +90,24 @@ class TestScramble:
                 generators=(a, a),  # rank 1, need 2
             )
 
+    def test_presentation_validation_rejects_non_finite_coefficients(self):
+        q = Quiver([[2]])
+        a, b = (PathPolynomial.arrow(q, Arrow(0, 0, k)) for k in range(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ScrambledPresentation(
+                    n=1,
+                    idempotents=(PathPolynomial.vertex(q, 0),),
+                    generators=(a, b + bad * a),
+                )
+
+    def test_size_limit_is_inclusive(self, monkeypatch):
+        # the unitaries of [[2, 1], [1, 1]] hold 4 + 1 + 1 + 1 = 7 entries
+        monkeypatch.setattr(recovery, "SCRAMBLE_LIMIT", 7)
+        assert len(scramble(Quiver([[2, 1], [1, 1]]), seed=0).generators) == 5
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            scramble(Quiver([[2, 1], [1, 2]]), seed=0)
+
     def test_presentation_validation_rejects_missing_block(self):
         q = Quiver([[1, 1], [0, 0]])
         gens = (PathPolynomial.arrow(q, Arrow(0, 0, 0)),)
@@ -151,17 +169,19 @@ class TestProbes:
 
 
 class TestCompressions:
-    """The generators are labelled once per presentation; the generator
-    table built from those labels must hold exactly the generators with a
-    nonzero p_a * g * p_b, computed pair by pair, and those compressions, in
-    generator order.  ``force_identity`` selects the unscrambled
-    presentation."""
+    """The generators are labelled once per presentation, from the
+    idempotents' vertices; the generator table built from those labels must
+    hold exactly the generators with a nonzero p_a * g * p_b, computed pair
+    by pair, and those compressions, in generator order.
+    ``force_identity`` selects the unscrambled presentation."""
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("force_identity", [False, True])
     def test_equal_to_pairwise_products(self, seed, force_identity):
         rng = np.random.default_rng(500 + seed)
-        q = random_quiver(rng, max_n=6, max_entry=2, min_n=2)
+        # seeds 8 and up draw graphs on 7 to 12 vertices
+        min_n, max_n = (2, 6) if seed < 8 else (7, 12)
+        q = random_quiver(rng, max_n=max_n, max_entry=2, min_n=min_n)
         s = manual_presentation(q, range(q.n)) if force_identity else scramble(q, seed=seed)
         for a in range(q.n):
             for b in range(q.n):
@@ -196,6 +216,22 @@ class TestCompressions:
             for a in range(q.n)
             for b in range(q.n)
         )
+
+    def test_two_products_per_generator(self, monkeypatch):
+        # the labels are read off the idempotents; the only products are the
+        # cross-check p_a * g * p_b == g, one two-sided product per generator
+        q = Quiver([[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 0, 2], [2, 1, 0, 1]])
+        calls = []
+        mul = PathPolynomial.__mul__
+        monkeypatch.setattr(PathPolynomial, "__mul__", lambda x, y: (calls.append(y), mul(x, y))[1])
+        s = scramble(q, seed=4)
+        assert len(calls) == 2 * len(s.generators) == 2 * q.total_arrows()
+
+    def test_failed_cross_check_raises(self, monkeypatch):
+        q = Quiver([[1, 1], [0, 1]])
+        monkeypatch.setattr(PathPolynomial, "__mul__", lambda x, y: PathPolynomial.zero(x.quiver))
+        with pytest.raises(RecoveryError, match="not fixed by the idempotents"):
+            scramble(q, seed=2)
 
     def test_zero_generator_is_refused_at_construction(self):
         # every generator is labelled when the presentation is built, so one

@@ -40,6 +40,12 @@ class TestCharacter:
         Character(loop2, 0, [1.0, 0.0])  # boundary allowed
         with pytest.raises(ValueError, match="closed unit ball"):
             Character(loop2, 0, [1.5, 0.0])
+        # NaN fails the norm comparison, so it is refused on its own
+        for bad in ([np.nan, 0.0], [0.0, complex(0, np.inf)]):
+            with pytest.raises(ValueError, match="finite"):
+                Character(loop2, 0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            Character(Quiver([[1]]), 0, [np.nan])
 
     def test_zero_loop_vertex_forces_empty_lam(self):
         q = Quiver([[0, 1], [0, 0]])
@@ -142,6 +148,9 @@ class TestMembership:
     def test_violating_pair_is_not(self):
         q = two_block_quiver(1, 1, 0)
         assert not membership_G(q, 0, 1, [0.8], [], [0.8])
+        # NaN passes the contractivity comparison, so it is refused on its own
+        assert not membership_G(q, 0, 1, [0.0], [], [np.nan])
+        assert not membership_G(q, 0, 1, [np.inf], [], [0.0])
 
     def test_zero_gamma_always_member(self):
         q = two_block_quiver(2, 1, 1)
