@@ -135,7 +135,12 @@ def element_from_wire(q: Quiver, records) -> CorrespondenceElement:
         if (i, j) in seen:
             raise ValueError(f"duplicate block record for to={i + 1}, from={j + 1}")
         seen.add((i, j))
-        vec = np.array([complex(re, im) for re, im in rec["vector"]])
+        try:
+            vec = np.array([complex(re, im) for re, im in rec["vector"]], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"block record {k}: 'vector' must hold [re, im] number pairs") from exc
+        if not np.isfinite(vec).all():
+            raise ValueError(f"block record {k}: vector entries must be finite")
         if vec.shape[0] != q.c[i][j]:
             raise ValueError(
                 f"block record {k}: expected dimension {q.c[i][j]}, got {vec.shape[0]}"

@@ -20,6 +20,7 @@ length-2 path walked first along b then along a prints as "a*b".
 
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Mapping, Optional
 
@@ -283,6 +284,8 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
                 pos += 1
                 continue
             break
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficients must be finite, got {coeff}")
         if dead:
             return PathPolynomial.zero(q)
         if path is None:
@@ -299,6 +302,8 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
         result = result + parse_term().scaled(sign)
         kind, value = peek()
         if kind is None:
+            if not all(map(cmath.isfinite, result.terms.values())):
+                raise ValueError("coefficients must be finite; the sum overflows")
             return result
         if kind == "op" and value in "+-":
             sign = -1.0 if value == "-" else 1.0

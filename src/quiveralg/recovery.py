@@ -14,9 +14,7 @@ coefficient rows.  Each generator g lies in one arrow block (i, j), and its
 label pair is read off the idempotents: a and b are the labels whose
 idempotents are the vertices i and j.  Then p_a * g * p_b = g, which one
 two-sided product per generator checks, and every other pair compresses g
-to zero.  So the rows at (a, b) are the compressions p_a * g * p_b, and all
-rows together are the nonzero blocks of the (generators x arrows)
-coefficient matrix C.
+to zero, so the rows at (a, b) are the compressions p_a * g * p_b.
 
 Two independent probes count each off-diagonal entry:
 
@@ -24,24 +22,20 @@ Two independent probes count each off-diagonal entry:
 * the representation probe builds, from each row at (a, b), a
   two-dimensional representation with zero diagonal data and the normalized
   row as gamma, which the family test of ``TwoDimRep`` must accept, and
-  takes the rank of their upper-right entries on all generators.  Those
-  rows are one product per label pair, A @ C.T: row r of A holds the
-  upper-right entries of the arrow matrices of representation r over the
-  arrow basis, and C is nonzero there only in the table's rows at (a, b).
-  One entry per pair is recomputed by ``rho_eval``; a gap above
-  ``BATCH_TOL`` raises RecoveryError.
+  takes the rank of their upper-right entries by ``rho_eval`` on the
+  generators labelled (a, b).  With zero diagonal data at the vertices
+  (i, j) a representation sees only the arrows j -> i, so it vanishes on
+  every other generator.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank of the rows at (a, a)
 alone.
 
-Labels are read off the idempotents and checked by multiplying the
-polynomials, and the counts are ranks.  Beyond the polynomial values the
-code reads the hidden quiver in these places only: the vertex each
-idempotent names, and its multiplicity matrix ``c`` in ``_block_support``,
-which sizes each coefficient row, and in the constructor's span check.
-The probes read no ``c``: their vectors come from the table, and
-``TwoDimRep`` sizes the zero diagonal data itself.
+Beyond the polynomial values the code reads the hidden quiver in these
+places only: the vertex each idempotent names, and its multiplicity matrix
+``c`` in ``_block_support``, which sizes each coefficient row, and in the
+constructor's span check.  The probes read no ``c``: their vectors come
+from the table, and ``TwoDimRep`` sizes the zero diagonal data itself.
 ``hidden_truth`` is read only by ``recover``, to refuse a presentation too
 large for the isomorphism search, to check the result against the source
 graph and to report the witness.
@@ -56,8 +50,8 @@ from typing import Optional
 import numpy as np
 
 from .polynomials import PathPolynomial
-from .quiver import Arrow, Quiver, _check_iso_size, are_isomorphic, arrow_path
-from .reps import TwoDimRep, _arrow_matrix, rho_eval
+from .quiver import Quiver, _check_iso_size, are_isomorphic, arrow_path
+from .reps import TwoDimRep, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
 # its self-tests expect every wrapped name to exist
@@ -68,10 +62,6 @@ RANK_TOL = 1e-8
 
 #: the table entry of a label pair that no generator carries
 _UNLABELLED: tuple = ((), ())
-
-#: largest gap allowed between a batched representation row entry and the
-#: same entry from ``rho_eval``
-BATCH_TOL = 1e-12
 
 #: ``scramble`` refuses graphs whose block unitaries hold more entries than
 #: this (the sum of c[i][j]^2), before it draws anything
@@ -275,52 +265,24 @@ def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
 
 
 def _rep_rows(s: ScrambledPresentation, a: int, b: int, reps: list[TwoDimRep]) -> np.ndarray:
-    """The upper-right entries of the representations ``_pair_reps(s, a, b)``,
-    which share one vertex pair (i, j), on every generator: one product
-    A @ C.T.
-
-    Row r of A holds the [0, 1] entries of the arrow matrices of reps[r]
-    over the arrow basis, and C is the coefficient matrix of all generators.
-    A vanishes off the arrows j -> i, and there C is nonzero only in the rows
-    of the generators labelled (a, b), so the product is taken over their
-    rows of the table; every other generator gets 0.
-    """
-    i, j = reps[0].i, reps[0].j
-    arrows = [Arrow(j, i, x) for x in range(len(reps[0].gamma))]
-    upper = np.array(
-        [[_arrow_matrix(i, j, r.lam_i, r.lam_j, r.gamma, x)[0, 1] for x in arrows] for r in reps]
-    )
-    gens, vecs = s._by_label[(a, b)]
-    rows = np.zeros((len(reps), len(s.generators)), dtype=complex)
-    rows[:, gens] = upper @ vecs.T
-    return rows
+    """The upper-right entries ``rho_eval(r, g)[0, 1]`` of the representations
+    ``_pair_reps(s, a, b)`` on the generators labelled (a, b), one row per
+    representation.  They vanish on every other generator, which lies on
+    other arrows than j -> i."""
+    gens = s._by_label.get((a, b), _UNLABELLED)[0]
+    return np.array([[rho_eval(r, s.generators[k])[0, 1] for k in gens] for r in reps])
 
 
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
-    """Dimension of the off-diagonal parameter space at the label pair (a, b),
-    computed by both probes; raises ProbeMismatchError if they disagree.
-
-    The representation rows come from one batched product (``_rep_rows``);
-    its largest entry in the first row is recomputed by ``rho_eval``, and a
-    gap above ``BATCH_TOL`` raises RecoveryError.
-    """
+    """Dimension of the off-diagonal parameter space at the label pair (a, b):
+    the span probe ranks the table's rows at (a, b), the representation probe
+    the rows of ``_rep_rows``; raises ProbeMismatchError if they disagree."""
     _check_label(s, a)
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
     span_dim = _rank(s._by_label.get((a, b), _UNLABELLED)[1])
-    reps = _pair_reps(s, a, b)
-    rows = []
-    if reps:
-        rows = _rep_rows(s, a, b, reps)
-        k = int(np.argmax(np.abs(rows[0])))
-        gap = abs(rho_eval(reps[0], s.generators[k])[0, 1] - rows[0, k])
-        if gap > BATCH_TOL:
-            raise RecoveryError(
-                f"batched representation rows disagree with rho_eval at pair "
-                f"({a}, {b}), generator {k}: gap {gap:.3g}"
-            )
-    rep_dim = _rank(rows)
+    rep_dim = _rank(_rep_rows(s, a, b, _pair_reps(s, a, b)))
     if span_dim != rep_dim:
         raise ProbeMismatchError(
             f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"

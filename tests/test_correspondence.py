@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,19 @@ class TestWireFormat:
         q = Quiver([[2]])
         with pytest.raises(ValueError, match="dimension"):
             element_from_wire(q, [{"to": 1, "from": 1, "vector": [[1.0, 0.0]]}])
+
+    @pytest.mark.parametrize("text", ["[[NaN, 0]]", "[[0, Infinity]]", "[[-Infinity, 1]]"])
+    def test_from_wire_rejects_non_finite_entries(self, text):
+        records = [{"to": 1, "from": 1, "vector": json.loads(text)}]
+        with pytest.raises(ValueError, match="finite"):
+            element_from_wire(Quiver([[1]]), records)
+
+    @pytest.mark.parametrize(
+        "vector", [[["a", 0]], [[None, 0]], [[1.0]], [[1, 2, 3]], [1.0], 5, [[10**400, 0]]]
+    )
+    def test_from_wire_rejects_non_numeric_entries(self, vector):
+        with pytest.raises(ValueError, match="number pairs"):
+            element_from_wire(Quiver([[1]]), [{"to": 1, "from": 1, "vector": vector}])
 
     def test_from_wire_rejects_duplicates(self):
         q = Quiver([[1]])

@@ -184,6 +184,21 @@ class TestTextForm:
         with pytest.raises(ValueError):
             parse_polynomial(q, "v1 v2")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(nan)*1<1:1",
+            "1e999*v1",
+            "(inf)*v2",
+            "(nanj)*1<2:1*1<2:1",  # a zero product still refuses its NaN
+            "1e200*1e200*v1",
+            "1e308*v1 + 1e308*v1",
+        ],
+    )
+    def test_parse_rejects_non_finite_coefficients(self, q, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_polynomial(q, text)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip(self, seed):
         rng = np.random.default_rng(60 + seed)

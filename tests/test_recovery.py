@@ -24,7 +24,13 @@ from quiveralg import (
 from quiveralg import recovery
 from quiveralg.cli import main
 from quiveralg.quiver import ISO_VERTEX_LIMIT
-from quiveralg.recovery import RANK_TOL, RecoveryError, _pair_reps, _rep_rows
+from quiveralg.recovery import (
+    RANK_TOL,
+    ProbeMismatchError,
+    RecoveryError,
+    _pair_reps,
+    _rep_rows,
+)
 from helpers import random_quiver, reference_compressions, reference_rep_rows
 
 
@@ -247,8 +253,9 @@ class TestCompressions:
 
 
 class TestBatchedRows:
-    """The pair probe's representation rows come from one product per label
-    pair; ``rho_eval`` on every (representation, generator) is the oracle.
+    """The pair probe's representation rows are ``rho_eval`` on the
+    generators labelled with the pair, one row per representation;
+    ``rho_eval`` on every (representation, generator) is the oracle.
     ``force_identity`` selects the unscrambled presentation."""
 
     @pytest.mark.parametrize("seed", range(8))
@@ -264,36 +271,54 @@ class TestBatchedRows:
                 if not reps:
                     continue
                 pairs += 1
+                gens = s._by_label[(a, b)][0]
+                others = np.setdiff1d(np.arange(len(s.generators)), gens)
                 rows = _rep_rows(s, a, b, reps)
                 ref = reference_rep_rows(s, reps)
-                assert rows.shape == ref.shape == (len(reps), len(s.generators))
-                assert np.max(np.abs(rows - ref)) <= 1e-15
+                assert rows.shape == (len(reps), len(gens)) == (len(reps), len(reps))
+                assert np.array_equal(rows, ref[:, gens])
+                # the dropped columns: every other generator evaluates to 0
+                assert not np.any(ref[:, others])
         assert pairs == sum(
             1 for i in range(q.n) for j in range(q.n) if i != j and q.c[i][j]
         )
 
     @pytest.mark.parametrize("c", [[[1, 2, 0], [0, 1, 3], [1, 0, 0]], [[2]], [[1, 0], [0, 2]]])
     def test_rho_eval_once_per_nonempty_pair(self, c, monkeypatch):
+        """Each representation of a nonempty off-diagonal pair with k
+        generators is evaluated once on each of them: k^2 calls at the pair,
+        and none on another pair's generator."""
         q = Quiver(c)
         s = scramble(q, seed=6)
+        tau = s.hidden_truth.tau
+        label = {k: pair for pair, (gens, _) in s._by_label.items() for k in gens}
+        index = {id(g): k for k, g in enumerate(s.generators)}
         calls = collections.Counter()
 
         def counting(r, p):
+            a, b = label[index[id(p)]]
+            assert (tau[a], tau[b]) == (r.i, r.j)
             calls[(r.i, r.j)] += 1
             return rho_eval(r, p)
 
         monkeypatch.setattr(recovery, "rho_eval", counting)
         recover(s)
-        nonempty = {(i, j) for i in range(q.n) for j in range(q.n) if i != j and q.c[i][j]}
-        assert set(calls) == nonempty
-        assert all(count == 1 for count in calls.values())
+        assert calls == {
+            (i, j): q.c[i][j] ** 2 for i in range(q.n) for j in range(q.n) if i != j and q.c[i][j]
+        }
 
-    def test_cross_check_gap_raises(self, monkeypatch):
+    def test_zeroed_rho_eval_raises_probe_mismatch(self, monkeypatch):
+        """With the upper-right entries zeroed the representation probe
+        counts 0 where the span probe counts the arrows."""
         s = scramble(Quiver([[0, 2], [1, 0]]), seed=3)
-        monkeypatch.setattr(
-            recovery, "rho_eval", lambda r, p: rho_eval(r, p) + 1e-11 * np.eye(2, k=1)
-        )
-        with pytest.raises(RecoveryError, match="disagree with rho_eval"):
+
+        def zeroed(r, p):
+            m = rho_eval(r, p)
+            m[0, 1] = 0
+            return m
+
+        monkeypatch.setattr(recovery, "rho_eval", zeroed)
+        with pytest.raises(ProbeMismatchError, match="rep 0"):
             recover(s)
 
 
@@ -377,6 +402,29 @@ def test_thirty_vertices_within_budget():
     elapsed = time.perf_counter() - t0
     assert report.witness is not None
     assert elapsed < 1.0
+
+
+def test_rank_inputs_no_wider_than_their_pair(monkeypatch):
+    """During ``recover`` on 30 vertices every rank is taken over rows that
+    are the generators of one label pair (or one representation per
+    generator), and no input has more columns than those generators."""
+    rng = np.random.default_rng(1)
+    q = Quiver(rng.integers(0, 3, size=(30, 30)).tolist())
+    s = scramble(q, seed=1)
+    shapes = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def recording(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return matrix_rank(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", recording)
+    recover(s)
+    # one rank per nonempty loop block, two (span and representation) per
+    # nonempty off-diagonal block
+    nonempty = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
+    assert len(shapes) == len(nonempty) + sum(1 for i, j in nonempty if i != j)
+    assert all(cols <= rows for rows, cols in shapes)
 
 
 def test_oversized_recovery_refused_before_probing(tmp_path, monkeypatch):
