@@ -22,10 +22,9 @@ Two independent probes count each off-diagonal entry:
 * the representation probe builds, from each row at (a, b), a
   two-dimensional representation with zero diagonal data and the normalized
   row as gamma, which the family test of ``TwoDimRep`` must accept, and
-  takes the rank of their upper-right entries by ``rho_eval`` on the
-  generators labelled (a, b).  With zero diagonal data at the vertices
-  (i, j) a representation sees only the arrows j -> i, so it vanishes on
-  every other generator.
+  takes the rank of their upper-right entries on the generators labelled
+  (a, b).  With zero diagonal data at the vertices (i, j) a representation
+  sees only the arrows j -> i, so it vanishes on every other generator.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank of the rows at (a, a)
@@ -265,12 +264,16 @@ def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
 
 
 def _rep_rows(s: ScrambledPresentation, a: int, b: int, reps: list[TwoDimRep]) -> np.ndarray:
-    """The upper-right entries ``rho_eval(r, g)[0, 1]`` of the representations
-    ``_pair_reps(s, a, b)`` on the generators labelled (a, b), one row per
-    representation.  They vanish on every other generator, which lies on
-    other arrows than j -> i."""
-    gens = s._by_label.get((a, b), _UNLABELLED)[0]
-    return np.array([[rho_eval(r, s.generators[k])[0, 1] for k in gens] for r in reps])
+    """The upper-right entries of the representations ``_pair_reps(s, a, b)``
+    on the generators labelled (a, b), one row per representation (they
+    vanish on every other generator).  ``rho_eval`` is linear, so it runs
+    once per representation and arrow j -> i, k * d calls of one term each;
+    the span check makes every arrow of the block occur in a generator."""
+    gens, vecs = s._by_label.get((a, b), _UNLABELLED)
+    arrows = {p.arrows[0] for k in gens for p in s.generators[k].terms}
+    monomials = [PathPolynomial.arrow(s.quiver, x) for x in sorted(arrows, key=lambda x: x.index)]
+    upper = [[rho_eval(r, m)[0, 1] for m in monomials] for r in reps]
+    return np.array(upper) @ vecs.T if reps else np.zeros((0, 0))
 
 
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
