@@ -17,8 +17,9 @@ Subcommands:
 ``--seed`` (default 0) through one numpy generator, so identical
 configurations produce byte-identical reports; the other subcommands draw
 none and take no ``--seed``.  Vertex numbers in files, flags, and reports
-are 1-based.  ``verify`` judges every check against ``--tolerance-exact``:
-the covariance deviation and both sides of each norm check are closed-form.
+are 1-based.  ``verify`` judges every check against ``--tolerance-exact``, a
+finite nonnegative number: the covariance deviation and both sides of each
+norm check are closed-form.
 
 ``paths`` and ``verify`` refuse, before they build any path, graphs whose
 paths hold more than ``quiver.PATH_TOKEN_LIMIT`` arrow tokens in all, or
@@ -43,6 +44,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -98,6 +100,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.subcommand == "verify" and self.depth < 1:
             raise ValueError("verify needs depth >= 1")
+        if not 0 <= self.tolerance_exact < math.inf:
+            raise ValueError(
+                f"--tolerance-exact must be finite and nonnegative, got {self.tolerance_exact}"
+            )
 
 
 def _parse_complex_vector(text: Optional[str], dim: int, name: str) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Block-vector bimodule elements over the diagonal matrix algebra.
+"""The graph correspondence: functions on the arrows, a bimodule over the
+diagonal matrix algebra.
 
-An element assigns to each vertex pair (i, j) a vector in a c[i][j]-dimensional
-complex space (the span of the arrows from j to i); empty blocks are
-zero-dimensional vectors, never None.  The diagonal algebra acts on the left
-through row indices, on the right through column indices, and the inner
-product is diagonal-algebra valued:
+An element assigns one complex coefficient to every arrow and is stored as
+one vector in ``quiver.arrows()`` order, so the arrows from j to i (block
+(i, j), of dimension c[i][j]) form one contiguous slice, empty when
+c[i][j] = 0.  The diagonal algebra acts on the left through an arrow's
+target and on the right through its source, and the inner product is
+diagonal-algebra valued:
 
-    inner_product(xi, eta)[j] = sum_i <xi[i, j], eta[i, j]>
+    inner_product(xi, eta)[v] = sum over the arrows e leaving v of conj(xi(e)) eta(e)
 
 with the scalar inner product conjugate-linear in the FIRST slot and linear
 in the second.  Every downstream pairing in this package follows the same
@@ -68,98 +70,88 @@ class DiagonalElement:
 
 
 class CorrespondenceElement:
-    """An n x n array of block vectors, block (i, j) of dimension c[i][j]."""
+    """A function on the arrows: ``vector[k]`` is the coefficient of arrow k
+    of ``quiver.arrows()``."""
 
-    __slots__ = ("quiver", "blocks")
+    __slots__ = ("quiver", "vector")
 
-    def __init__(self, quiver: Quiver, blocks) -> None:
+    def __init__(self, quiver: Quiver, vector) -> None:
+        vec = np.array(vector, dtype=complex).reshape(-1)
+        if vec.shape[0] != quiver.total_arrows():
+            raise ValueError(
+                f"an element must have dimension {quiver.total_arrows()} (one "
+                f"coefficient per arrow), got {vec.shape[0]}"
+            )
         self.quiver = quiver
-        store: list[list[np.ndarray]] = []
-        for i in range(quiver.n):
-            row = []
-            for j in range(quiver.n):
-                vec = np.array(blocks[i][j], dtype=complex).reshape(-1)
-                if vec.shape[0] != quiver.c[i][j]:
-                    raise ValueError(
-                        f"block ({i}, {j}) must have dimension {quiver.c[i][j]}, "
-                        f"got {vec.shape[0]}"
-                    )
-                row.append(vec)
-            store.append(row)
-        self.blocks = store
+        self.vector = vec
 
     @classmethod
     def zeros(cls, quiver: Quiver) -> "CorrespondenceElement":
-        return cls(
-            quiver,
-            [[np.zeros(quiver.c[i][j]) for j in range(quiver.n)] for i in range(quiver.n)],
-        )
+        return cls(quiver, np.zeros(quiver.total_arrows()))
 
     @classmethod
     def basis(cls, quiver: Quiver, arrow: Arrow) -> "CorrespondenceElement":
         """The basis element supported on a single arrow."""
-        if not quiver.has_arrow(arrow):
-            raise ValueError(f"{arrow!r} is not an arrow of this quiver")
         out = cls.zeros(quiver)
-        out.blocks[arrow.target][arrow.source][arrow.index] = 1.0
+        out.vector[_position(quiver, arrow)] = 1.0
         return out
 
     @classmethod
     def random(cls, quiver: Quiver, rng: np.random.Generator):
-        """Standard complex Gaussian entries in every block."""
+        """Standard complex Gaussian coefficients, drawn block by block in
+        (target, source) order, real parts before imaginary parts."""
         out = cls.zeros(quiver)
-        for i in range(quiver.n):
-            for j in range(quiver.n):
+        for i in quiver.vertices():
+            for j in quiver.vertices():
                 d = quiver.c[i][j]
                 if d:
-                    out.blocks[i][j] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    start = quiver.block_start(i, j)
+                    out.vector[start:start + d] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         return out
 
     def block(self, target: int, source: int) -> np.ndarray:
-        return self.blocks[target][source]
+        """The coefficients of the arrows from ``source`` to ``target``, by index."""
+        start = self.quiver.block_start(target, source)
+        return self.vector[start:start + self.quiver.c[target][source]]
 
     def component(self, a: Arrow) -> complex:
         """The coefficient of the basis arrow ``a``."""
-        return complex(self.blocks[a.target][a.source][a.index])
+        return complex(self.vector[_position(self.quiver, a)])
 
     def with_block(self, target: int, source: int, vec) -> "CorrespondenceElement":
-        """A copy with one block replaced."""
-        blocks = [[b.copy() for b in row] for row in self.blocks]
-        blocks[target][source] = np.array(vec, dtype=complex).reshape(-1)
-        return CorrespondenceElement(self.quiver, blocks)
-
-    def _zip(self, other: "CorrespondenceElement", op) -> "CorrespondenceElement":
-        _same_quiver(self, other)
-        return CorrespondenceElement(
-            self.quiver,
-            [
-                [op(self.blocks[i][j], other.blocks[i][j]) for j in range(self.quiver.n)]
-                for i in range(self.quiver.n)
-            ],
-        )
+        """A copy with one block replaced; a replacement of another length
+        is refused by the dimension check."""
+        start = self.quiver.block_start(target, source)
+        end = start + self.quiver.c[target][source]
+        vector = np.concatenate([self.vector[:start], np.ravel(vec), self.vector[end:]])
+        return CorrespondenceElement(self.quiver, vector)
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        _same_quiver(self, other)
+        return CorrespondenceElement(self.quiver, self.vector + other.vector)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        _same_quiver(self, other)
+        return CorrespondenceElement(self.quiver, self.vector - other.vector)
 
     def __neg__(self):
         return (-1.0) * self
 
     def __mul__(self, scalar):
-        z = complex(scalar)
-        return CorrespondenceElement(
-            self.quiver, [[z * b for b in row] for row in self.blocks]
-        )
+        return CorrespondenceElement(self.quiver, complex(scalar) * self.vector)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        nonzero = sum(
-            1 for row in self.blocks for b in row if b.size and np.any(b != 0)
-        )
-        return f"<CorrespondenceElement over n={self.quiver.n}, {nonzero} nonzero blocks>"
+        nonzero = np.count_nonzero(self.vector)
+        return f"<CorrespondenceElement over n={self.quiver.n}, {nonzero} nonzero coefficients>"
+
+
+def _position(quiver: Quiver, a: Arrow) -> int:
+    """The place of arrow ``a`` in ``quiver.arrows()``."""
+    if not quiver.has_arrow(a):
+        raise ValueError(f"{a!r} is not an arrow of this quiver")
+    return quiver.block_start(a.target, a.source) + a.index
 
 
 def _same_quiver(xi: CorrespondenceElement, eta: CorrespondenceElement) -> None:
@@ -168,42 +160,32 @@ def _same_quiver(xi: CorrespondenceElement, eta: CorrespondenceElement) -> None:
 
 
 def inner_product(xi: CorrespondenceElement, eta: CorrespondenceElement) -> DiagonalElement:
-    """Diagonal-valued inner product; conjugate-linear in ``xi``."""
+    """Diagonal-valued inner product; conjugate-linear in ``xi``.  Entry v
+    pairs the coefficients of the arrows that leave v."""
     _same_quiver(xi, eta)
-    n = xi.quiver.n
-    d = np.zeros(n, dtype=complex)
-    for j in range(n):
-        d[j] = sum(np.vdot(xi.blocks[i][j], eta.blocks[i][j]) for i in range(n))
-    return DiagonalElement(d)
+    sources, _ = xi.quiver.arrow_ends()
+    return DiagonalElement(
+        [np.vdot(xi.vector[sources == v], eta.vector[sources == v]) for v in xi.quiver.vertices()]
+    )
 
 
 def left_action(d: DiagonalElement, xi: CorrespondenceElement) -> CorrespondenceElement:
-    """Scale block (i, j) by d_i."""
+    """Scale the coefficient of each arrow by d at its target."""
     if d.n != xi.quiver.n:
         raise ValueError("diagonal size does not match the quiver")
-    return CorrespondenceElement(
-        xi.quiver,
-        [
-            [d.entries[i] * xi.blocks[i][j] for j in range(xi.quiver.n)]
-            for i in range(xi.quiver.n)
-        ],
-    )
+    _, targets = xi.quiver.arrow_ends()
+    return CorrespondenceElement(xi.quiver, d.entries[targets] * xi.vector)
 
 
 def right_action(xi: CorrespondenceElement, d: DiagonalElement) -> CorrespondenceElement:
-    """Scale block (i, j) by d_j."""
+    """Scale the coefficient of each arrow by d at its source."""
     if d.n != xi.quiver.n:
         raise ValueError("diagonal size does not match the quiver")
-    return CorrespondenceElement(
-        xi.quiver,
-        [
-            [xi.blocks[i][j] * d.entries[j] for j in range(xi.quiver.n)]
-            for i in range(xi.quiver.n)
-        ],
-    )
+    sources, _ = xi.quiver.arrow_ends()
+    return CorrespondenceElement(xi.quiver, xi.vector * d.entries[sources])
 
 
 def element_norm(xi: CorrespondenceElement) -> float:
-    """Module norm: the largest column norm, max_j sqrt(sum_i ||xi_ij||^2)."""
+    """Module norm: max over vertices v of sqrt(sum of |xi(e)|^2 over the arrows e leaving v)."""
     cols = inner_product(xi, xi).entries.real
     return float(np.sqrt(np.max(cols)))

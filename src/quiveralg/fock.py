@@ -157,12 +157,8 @@ def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> FockOperat
     """The truncated shift sending path p to sum_a xi[a] * (a after p)."""
     if xi.quiver != space.quiver:
         raise ValueError("element lives over a different quiver")
-    q = space.quiver
-    # blocks in (target, source) order list the coefficients in arrows() order
-    coeffs = np.concatenate(
-        [xi.blocks[t][s] for t in q.vertices() for s in q.vertices()]
-    ).astype(complex, copy=False)
-    return FockOperator(space, weights=coeffs[space.last_arrow])
+    # last_arrow and xi.vector both index the arrows in arrows() order
+    return FockOperator(space, weights=xi.vector[space.last_arrow])
 
 
 def diag_operator(space: FockSpace, d: DiagonalElement) -> FockOperator:
@@ -336,9 +332,7 @@ def corner_shift_report(space: FockSpace, vertex: int) -> CornerReport:
     in_corner = space.targets == vertex
     in_domain = in_corner & (space.lengths <= space.depth - 1)
     kept = in_corner[q.n:] & in_domain[space.parent]
-    # blocks in (target, source) order list the arrows; the loops' block
-    # follows every block of an earlier target and earlier sources at vertex
-    first = sum(map(sum, q.c[:vertex])) + sum(q.c[vertex][:vertex])
+    first = q.block_start(vertex, vertex)  # the loops' positions in arrows() start here
     iso_dev = proj_dev = 0.0
     holders = np.zeros(len(kept), dtype=np.intp)  # loops whose range holds each row
     for a in range(first, first + loops):

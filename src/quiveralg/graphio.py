@@ -1,4 +1,4 @@
-"""Serialization: the graph file format and the block-vector wire format.
+"""Serialization: the graph file format and the element wire format.
 
 Graph files are JSON documents with 1-based vertex numbers:
 
@@ -8,11 +8,12 @@ Graph files are JSON documents with 1-based vertex numbers:
 ``from`` to ``to``; pairs without a record have count 0.  Duplicate
 (to, from) records and infinite counts are rejected.
 
-A block-vector element travels as a list of records
+A correspondence element travels as a list of records
 
     {"to": i, "from": j, "vector": [[re, im], ...]}
 
-with one record per nonempty block, again 1-based.
+with one record per nonempty block, again 1-based: the coefficients of the
+arrows from j to i, by arrow index.
 """
 
 from __future__ import annotations
@@ -103,24 +104,15 @@ def write_quiver_file(q: Quiver, path) -> None:
 
 def element_to_wire(xi: CorrespondenceElement) -> list[dict]:
     """One record per nonempty block, 1-based, complex entries as [re, im]."""
-    out = []
-    for i in range(xi.quiver.n):
-        for j in range(xi.quiver.n):
-            vec = xi.blocks[i][j]
-            if vec.size == 0:
-                continue
-            out.append(
-                {
-                    "to": i + 1,
-                    "from": j + 1,
-                    "vector": [[float(z.real), float(z.imag)] for z in vec],
-                }
-            )
-    return out
+    sources, targets = xi.quiver.arrow_ends()
+    blocks: dict[tuple[int, int], list] = {}  # filled in arrows() order
+    for i, j, z in zip(targets.tolist(), sources.tolist(), xi.vector.tolist()):
+        blocks.setdefault((i, j), []).append([z.real, z.imag])
+    return [{"to": i + 1, "from": j + 1, "vector": vec} for (i, j), vec in blocks.items()]
 
 
 def element_from_wire(q: Quiver, records) -> CorrespondenceElement:
-    xi = CorrespondenceElement.zeros(q)
+    vector = np.zeros(q.total_arrows(), dtype=complex)
     seen: set[tuple[int, int]] = set()
     for k, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"to", "from", "vector"}:
@@ -136,7 +128,10 @@ def element_from_wire(q: Quiver, records) -> CorrespondenceElement:
             raise ValueError(f"duplicate block record for to={i + 1}, from={j + 1}")
         seen.add((i, j))
         try:
-            vec = np.array([complex(re, im) for re, im in rec["vector"]], dtype=complex)
+            pairs = [(re, im) for re, im in rec["vector"]]
+            if any(isinstance(x, bool) for pair in pairs for x in pair):
+                raise TypeError("JSON booleans are not numbers")
+            vec = np.array([complex(re, im) for re, im in pairs], dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"block record {k}: 'vector' must hold [re, im] number pairs") from exc
         if not np.isfinite(vec).all():
@@ -145,5 +140,6 @@ def element_from_wire(q: Quiver, records) -> CorrespondenceElement:
             raise ValueError(
                 f"block record {k}: expected dimension {q.c[i][j]}, got {vec.shape[0]}"
             )
-        xi = xi.with_block(i, j, vec)
-    return xi
+        start = q.block_start(i, j)
+        vector[start:start + len(vec)] = vec
+    return CorrespondenceElement(q, vector)

@@ -82,11 +82,7 @@ class PathPolynomial:
     @classmethod
     def from_correspondence(cls, xi: CorrespondenceElement) -> "PathPolynomial":
         """The degree-1 polynomial whose arrow coefficients are the components of xi."""
-        terms = {}
-        for a in xi.quiver.arrows():
-            z = xi.component(a)
-            if z != 0:
-                terms[arrow_path(a)] = z
+        terms = {arrow_path(a): z for a, z in zip(xi.quiver.arrows(), xi.vector.tolist())}
         return cls(xi.quiver, terms)
 
     # -- structure ---------------------------------------------------------
@@ -156,7 +152,11 @@ class PathPolynomial:
                     w = compose(u, v)
                     if w is not None:
                         terms[w] = terms.get(w, 0j) + cu * cv
-            return PathPolynomial(self.quiver, terms)
+            # a composition of two of this quiver's paths is one of its
+            # paths, so the terms skip the constructor's path check
+            product = PathPolynomial(self.quiver)
+            product.terms = {w: z for w, z in terms.items() if z != 0}
+            return product
         return self.scaled(other)
 
     def __rmul__(self, scalar):

@@ -113,6 +113,19 @@ class Quiver:
                 for index in range(self.c[target][source]):
                     yield Arrow(source, target, index)
 
+    def block_start(self, target: int, source: int) -> int:
+        """Position in ``arrows()`` of the first arrow from ``source`` to
+        ``target``; the rest of that block follows it in index order."""
+        self._check_vertex(target)
+        self._check_vertex(source)
+        return sum(map(sum, self.c[:target])) + sum(self.c[target][:source])
+
+    def arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (sources, targets) of all arrows as int arrays, in ``arrows()`` order."""
+        blocks = np.repeat(np.arange(self.n * self.n), self.matrix().reshape(-1))
+        targets, sources = np.divmod(blocks, self.n)
+        return sources, targets
+
     def block(self, target: int, source: int) -> list[Arrow]:
         """The arrows from ``source`` to ``target``, ordered by index."""
         return [Arrow(source, target, m) for m in range(self.count(target, source))]
@@ -238,7 +251,8 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     position ``last_arrow[r]`` of ``tuple(q.arrows())``.  ``lengths`` and
     ``targets`` hold every path's length and end vertex.  Each level lists
     the children of the level before it parent by parent, each parent's in
-    ``arrows_from`` order, so the children of all paths shorter than
+    ``arrows_from`` order (a stable sort of ``arrows()`` by source), so the
+    children of all paths shorter than
     ``max_len``, in path order, are the paths from position n on.  Graphs
     with more than ``PATH_LIMIT`` such paths, or with more than
     ``PATH_TOKEN_LIMIT`` arrows in them, are refused before any array is
@@ -247,12 +261,11 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     _path_count_check(q.c, max_len)
-    position = {a: k for k, a in enumerate(q.arrows())}
-    out = [list(q.arrows_from(v)) for v in q.vertices()]
-    out_deg = np.array([len(o) for o in out], dtype=np.intp)
+    sources, targets = q.arrow_ends()
+    out_arrow = np.argsort(sources, kind="stable")
+    out_target = targets[out_arrow]
+    out_deg = np.bincount(sources, minlength=q.n)
     out_start = np.cumsum(out_deg) - out_deg
-    out_arrow = np.array([position[a] for o in out for a in o], dtype=np.intp)
-    out_target = np.array([a.target for o in out for a in o], dtype=np.intp)
 
     ends = np.arange(q.n, dtype=np.intp)  # end vertices of the current level
     start = 0  # position of its first path

@@ -103,6 +103,48 @@ def random_rep(rng, d_i=2, d_g=2, d_j=2, boundary=False):
     return TwoDimRep(q, 0, 1, lam_i, lam_j, gamma)
 
 
+def reference_blocks(xi):
+    """The element as an n x n nested list of block vectors, read arrow by
+    arrow off ``arrows()``: block (i, j) holds the coefficients of the
+    arrows from j to i, by index."""
+    q = xi.quiver
+    blocks = [[[] for _ in q.vertices()] for _ in q.vertices()]
+    for a, z in zip(q.arrows(), xi.vector, strict=True):
+        assert a.index == len(blocks[a.target][a.source])
+        blocks[a.target][a.source].append(z)
+    return [[np.array(b, dtype=complex) for b in row] for row in blocks]
+
+
+def reference_random_blocks(q, rng):
+    """Standard complex Gaussian blocks, drawn block by block in (target,
+    source) order, real part then imaginary part."""
+    return [
+        [
+            rng.standard_normal(d) + 1j * rng.standard_normal(d) if d else np.zeros(0, dtype=complex)
+            for d in row
+        ]
+        for row in q.c
+    ]
+
+
+def reference_inner_product(xi_blocks, eta_blocks):
+    """Entry j: the sum over i of the vdot of blocks (i, j)."""
+    n = len(xi_blocks)
+    return np.array(
+        [sum(np.vdot(xi_blocks[i][j], eta_blocks[i][j]) for i in range(n)) for j in range(n)]
+    )
+
+
+def reference_left_action(d, blocks):
+    """Block (i, j) scaled by d_i."""
+    return [[d[i] * b for b in row] for i, row in enumerate(blocks)]
+
+
+def reference_right_action(blocks, d):
+    """Block (i, j) scaled by d_j."""
+    return [[b * d[j] for j, b in enumerate(row)] for row in blocks]
+
+
 def reference_enumerate_paths(q, max_len):
     """All paths of length <= max_len, level by level: every path of a level
     extended by every arrow leaving its target, in ``arrows_from`` order."""
@@ -156,7 +198,7 @@ def reference_creation_matrix(space, xi, paths=None):
         if p.length == space.depth:
             continue
         for a in arrows_by_source[p.target]:
-            z = xi.blocks[a.target][a.source][a.index]
+            z = xi.component(a)
             if z != 0:
                 rows.append(index[Path(p.base, p.arrows + (a,))])
                 cols.append(col)

@@ -137,10 +137,22 @@ class TestVerify:
         code, report = run(RunConfig("verify", graph=reference, depth=4))
         assert code == 0
 
-    def test_impossible_tolerance_fails_numerically(self, two_loop):
-        cfg = RunConfig("verify", graph=two_loop, depth=3, tolerance_exact=-1.0)
-        code, _ = run(cfg)
+    def test_impossible_tolerance_fails_numerically(self, two_loop, monkeypatch):
+        # tolerance 0 (the least one accepted): the smallest positive
+        # covariance deviation fails the run
+        monkeypatch.setattr(cli, "check_isometric_covariance", lambda *args: 5e-324)
+        cfg = RunConfig("verify", graph=two_loop, depth=3, tolerance_exact=0.0)
+        code, report = run(cfg)
+        assert report["max_covariance_deviation"] == 5e-324
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_1(self, two_loop, value, monkeypatch, capsys):
+        # refused before the graph is read
+        monkeypatch.setattr(cli, "parse_quiver_file", None)
+        code = main(["verify", "--graph", two_loop, "--depth", "3", "--tolerance-exact", value])
+        assert code == 1
+        assert "--tolerance-exact must be finite and nonnegative" in capsys.readouterr().err
 
     def test_depth_zero_rejected(self, two_loop):
         with pytest.raises(ValueError, match="depth"):

@@ -27,7 +27,7 @@ def q22():
 class TestConstruction:
     def test_block_shapes_enforced(self, q22):
         with pytest.raises(ValueError, match="dimension"):
-            CorrespondenceElement(q22, [[np.ones(3), np.ones(1)], [np.zeros(0), np.ones(1)]])
+            CorrespondenceElement(q22, np.ones(5))
 
     def test_empty_blocks_are_zero_dimensional(self, q22):
         xi = CorrespondenceElement.zeros(q22)
@@ -42,6 +42,13 @@ class TestConstruction:
     def test_basis_rejects_foreign_arrow(self, q22):
         with pytest.raises(ValueError):
             CorrespondenceElement.basis(q22, Arrow(0, 1, 0))
+
+    @pytest.mark.parametrize("a", [Arrow(0, 1, 0), Arrow(0, 0, 2), Arrow(0, 0, -1)])
+    def test_component_rejects_foreign_arrow(self, q22, a):
+        # an index past the block would read the next block's coefficient
+        xi = CorrespondenceElement.zeros(q22).with_block(0, 0, [1, 2])
+        with pytest.raises(ValueError, match="not an arrow"):
+            xi.component(a)
 
 
 class TestInnerProduct:
@@ -233,7 +240,9 @@ class TestWireFormat:
             element_from_wire(Quiver([[1]]), records)
 
     @pytest.mark.parametrize(
-        "vector", [[["a", 0]], [[None, 0]], [[1.0]], [[1, 2, 3]], [1.0], 5, [[10**400, 0]]]
+        "vector",
+        [[["a", 0]], [[None, 0]], [[1.0]], [[1, 2, 3]], [1.0], 5, [[10**400, 0]],
+         [[True, False]], [[0.5, False]]],
     )
     def test_from_wire_rejects_non_numeric_entries(self, vector):
         with pytest.raises(ValueError, match="number pairs"):

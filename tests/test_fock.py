@@ -131,9 +131,7 @@ class TestCreationOperator:
         elements = [CorrespondenceElement.basis(q, a) for a in q.arrows()]
         elements += [random_element(q, rng) for _ in range(2)]
         holes = random_element(q, rng)
-        for k, a in enumerate(q.arrows()):
-            if k % 2 == 0:
-                holes.blocks[a.target][a.source][a.index] = 0.0
+        holes.vector[::2] = 0.0
         elements += [holes, CorrespondenceElement.zeros(q)]
         for depth in range(4):
             space = FockSpace(q, depth)
@@ -391,9 +389,9 @@ class TestArrayChecksMatchSparseOracle:
         paths = reference_enumerate_paths(q, depth)
         xi, eta = random_element(q, rng), random_element(q, rng)
         holes = random_element(q, rng)
-        for a in q.arrows():
+        for k in range(len(holes.vector)):
             if rng.random() < 0.5:
-                holes.blocks[a.target][a.source][a.index] = 0.0
+                holes.vector[k] = 0.0
         zero = CorrespondenceElement.zeros(q)
         for el in (xi, eta, holes, zero):
             op = creation_operator(space, el)

@@ -18,7 +18,7 @@ from quiveralg import (
     parse_polynomial,
     vertex_path,
 )
-from helpers import random_element, random_polynomial, random_quiver
+from helpers import random_element, random_polynomial, random_quiver, reference_product
 
 
 @pytest.fixture
@@ -110,6 +110,22 @@ class TestMultiplication:
         for x, y in [(e, past), (past, e)]:
             with pytest.raises(ValueError, match="degree cap exceeded: .* degree 17 > 16"):
                 x * y
+
+    def test_product_checks_no_path(self, q, monkeypatch):
+        # a composition of two of the quiver's paths is one of its paths
+        rng = np.random.default_rng(5)
+        p, r = random_polynomial(q, rng), random_polynomial(q, rng)
+        want = reference_product(p, r)
+        assert want
+        checked = []
+        check = PathPolynomial._check_path
+        monkeypatch.setattr(
+            PathPolynomial, "_check_path",
+            staticmethod(lambda quiver, path: checked.append(path) or check(quiver, path)),
+        )
+        got = p * r
+        assert checked == []
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 class TestFromCorrespondence:
