@@ -4,9 +4,10 @@ diagonal matrix algebra.
 An element assigns one complex coefficient to every arrow and is stored as
 one vector in ``quiver.arrows()`` order, so the arrows from j to i (block
 (i, j), of dimension c[i][j]) form one contiguous slice, empty when
-c[i][j] = 0.  The diagonal algebra acts on the left through an arrow's
+c[i][j] = 0.  An element of the diagonal algebra, diag(d_0, ..., d_{n-1}),
+is a plain vector of its n entries.  It acts on the left through an arrow's
 target and on the right through its source, and the inner product is
-diagonal-algebra valued:
+diagonal-algebra valued, a complex vector of length n:
 
     inner_product(xi, eta)[v] = sum over the arrows e leaving v of conj(xi(e)) eta(e)
 
@@ -20,53 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .quiver import Arrow, Quiver
-
-
-class DiagonalElement:
-    """A diagonal matrix diag(d_0, ..., d_{n-1}) stored as a complex vector."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries) -> None:
-        e = np.array(entries, dtype=complex)
-        if e.ndim != 1:
-            raise ValueError("diagonal entries must form a flat vector")
-        self.entries = e
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "DiagonalElement":
-        return cls(np.ones(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "DiagonalElement":
-        return cls(np.zeros(n))
-
-    @classmethod
-    def unit(cls, n: int, vertex: int) -> "DiagonalElement":
-        """The minimal idempotent e_vertex."""
-        e = np.zeros(n, dtype=complex)
-        e[vertex] = 1.0
-        return cls(e)
-
-    def conjugate(self) -> "DiagonalElement":
-        return DiagonalElement(np.conj(self.entries))
-
-    def __add__(self, other: "DiagonalElement") -> "DiagonalElement":
-        return DiagonalElement(self.entries + other.entries)
-
-    def __mul__(self, other):
-        if isinstance(other, DiagonalElement):
-            return DiagonalElement(self.entries * other.entries)
-        return DiagonalElement(self.entries * complex(other))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"DiagonalElement({self.entries.tolist()!r})"
 
 
 class CorrespondenceElement:
@@ -159,33 +113,39 @@ def _same_quiver(xi: CorrespondenceElement, eta: CorrespondenceElement) -> None:
         raise ValueError("elements live over different quivers")
 
 
-def inner_product(xi: CorrespondenceElement, eta: CorrespondenceElement) -> DiagonalElement:
-    """Diagonal-valued inner product; conjugate-linear in ``xi``.  Entry v
-    pairs the coefficients of the arrows that leave v."""
+def _diagonal(d, quiver: Quiver) -> np.ndarray:
+    """A diagonal element as a complex vector, one entry per vertex."""
+    vec = np.asarray(d, dtype=complex)
+    if vec.shape != (quiver.n,):
+        raise ValueError("diagonal size does not match the quiver")
+    return vec
+
+
+def inner_product(xi: CorrespondenceElement, eta: CorrespondenceElement) -> np.ndarray:
+    """Diagonal-valued inner product as a complex vector of length n;
+    conjugate-linear in ``xi``.  Entry v pairs the coefficients of the
+    arrows that leave v."""
     _same_quiver(xi, eta)
     sources, _ = xi.quiver.arrow_ends()
-    return DiagonalElement(
-        [np.vdot(xi.vector[sources == v], eta.vector[sources == v]) for v in xi.quiver.vertices()]
+    return np.array(
+        [np.vdot(xi.vector[sources == v], eta.vector[sources == v]) for v in xi.quiver.vertices()],
+        dtype=complex,
     )
 
 
-def left_action(d: DiagonalElement, xi: CorrespondenceElement) -> CorrespondenceElement:
-    """Scale the coefficient of each arrow by d at its target."""
-    if d.n != xi.quiver.n:
-        raise ValueError("diagonal size does not match the quiver")
+def left_action(d, xi: CorrespondenceElement) -> CorrespondenceElement:
+    """Scale the coefficient of each arrow by d (a length-n vector) at its target."""
     _, targets = xi.quiver.arrow_ends()
-    return CorrespondenceElement(xi.quiver, d.entries[targets] * xi.vector)
+    return CorrespondenceElement(xi.quiver, _diagonal(d, xi.quiver)[targets] * xi.vector)
 
 
-def right_action(xi: CorrespondenceElement, d: DiagonalElement) -> CorrespondenceElement:
-    """Scale the coefficient of each arrow by d at its source."""
-    if d.n != xi.quiver.n:
-        raise ValueError("diagonal size does not match the quiver")
+def right_action(xi: CorrespondenceElement, d) -> CorrespondenceElement:
+    """Scale the coefficient of each arrow by d (a length-n vector) at its source."""
     sources, _ = xi.quiver.arrow_ends()
-    return CorrespondenceElement(xi.quiver, xi.vector * d.entries[sources])
+    return CorrespondenceElement(xi.quiver, xi.vector * _diagonal(d, xi.quiver)[sources])
 
 
 def element_norm(xi: CorrespondenceElement) -> float:
     """Module norm: max over vertices v of sqrt(sum of |xi(e)|^2 over the arrows e leaving v)."""
-    cols = inner_product(xi, xi).entries.real
+    cols = inner_product(xi, xi).real
     return float(np.sqrt(np.max(cols)))

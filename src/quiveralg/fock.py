@@ -18,8 +18,8 @@ path of length >= 1, and the checks ``verify`` makes (the covariance
 deviation, the corner report, the creation-operator norm) are read off
 those weights and the path tree's arrays with ``bincount``; no sparse
 matrix is built for them.  ``scipy.sparse`` is imported only where a CSR
-matrix is asked for: ``FockOperator.matrix``, ``diag_operator``,
-``evaluate_polynomial`` and ``FockSpace.arrow_creation``.
+matrix is asked for: ``FockOperator.matrix``, ``diag_operator`` and
+``evaluate_polynomial``, the last two of which return a CSR matrix.
 
 ``operator_norm`` has two routes, both exact:
 
@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .correspondence import CorrespondenceElement, DiagonalElement, inner_product
+from .correspondence import CorrespondenceElement, _diagonal, inner_product
 from .polynomials import PathPolynomial
 from .quiver import Arrow, Path, Quiver, _path_tree, enumerate_paths
 
@@ -71,10 +71,7 @@ class FockSpace:
     before anything is allocated.
     """
 
-    __slots__ = (
-        "quiver", "depth", "lengths", "targets", "parent", "last_arrow", "_basis",
-        "_arrow_ops",
-    )
+    __slots__ = ("quiver", "depth", "lengths", "targets", "parent", "last_arrow", "_basis")
 
     def __init__(self, quiver: Quiver, depth: int = DEFAULT_DEPTH) -> None:
         if depth < 0:
@@ -83,7 +80,6 @@ class FockSpace:
         self.depth = depth
         self.parent, self.last_arrow, self.lengths, self.targets = _path_tree(quiver, depth)
         self._basis: Optional[tuple[Path, ...]] = None
-        self._arrow_ops: dict[Arrow, sp.csr_matrix] = {}
 
     @property
     def dim(self) -> int:
@@ -100,44 +96,27 @@ class FockSpace:
         """Positions of the basis paths of length <= max_len."""
         return np.flatnonzero(self.lengths <= max_len)
 
-    def arrow_creation(self, a: Arrow) -> sp.csr_matrix:
-        """Cached creation matrix of a single basis arrow."""
-        cached = self._arrow_ops.get(a)
-        if cached is None:
-            cached = creation_operator(self, CorrespondenceElement.basis(self.quiver, a)).matrix
-            self._arrow_ops[a] = cached
-        return cached
-
     def __repr__(self) -> str:
         return f"FockSpace(n={self.quiver.n}, depth={self.depth}, dim={self.dim})"
 
 
 class FockOperator:
-    """An operator on a FockSpace in the path basis.
+    """A creation operator on a FockSpace, held as its weighted-shift weights.
 
-    A creation operator is a weighted shift and is held as its weights:
     ``weights[r]`` is its entry in row n + r, column ``space.parent[r]``
     (n vertices).  Its ``matrix``, in CSR form with the zero weights
-    dropped, is built on first use.  Any other operator is held as a sparse
-    ``matrix``, and its ``weights`` are None.
+    dropped, is built on first use.
     """
 
     __slots__ = ("space", "weights", "_matrix")
 
-    def __init__(
-        self,
-        space: FockSpace,
-        matrix: Optional[sp.spmatrix] = None,
-        weights: Optional[np.ndarray] = None,
-    ) -> None:
-        if (matrix is None) == (weights is None):
-            raise TypeError("a FockOperator takes exactly one of matrix and weights")
+    def __init__(self, space: FockSpace, weights: np.ndarray) -> None:
         self.space = space
         self.weights = weights
-        self._matrix = matrix
+        self._matrix: Optional[sp.csr_matrix] = None
 
     @property
-    def matrix(self) -> sp.spmatrix:
+    def matrix(self) -> sp.csr_matrix:
         if self._matrix is None:
             import scipy.sparse as sp
 
@@ -158,41 +137,41 @@ def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> FockOperat
     if xi.quiver != space.quiver:
         raise ValueError("element lives over a different quiver")
     # last_arrow and xi.vector both index the arrows in arrows() order
-    return FockOperator(space, weights=xi.vector[space.last_arrow])
+    return FockOperator(space, xi.vector[space.last_arrow])
 
 
-def diag_operator(space: FockSpace, d: DiagonalElement) -> FockOperator:
-    """The diagonal action: entry d_{target(p)} at every basis path p."""
+def diag_operator(space: FockSpace, d) -> sp.csr_matrix:
+    """The diagonal action of d (a length-n vector) as a CSR matrix: entry
+    d_{target(p)} at every basis path p."""
     import scipy.sparse as sp
 
-    if d.n != space.quiver.n:
-        raise ValueError("diagonal size does not match the quiver")
-    vals = d.entries[space.targets]
-    return FockOperator(space, sp.diags(vals, format="csr", dtype=complex))
+    vals = _diagonal(d, space.quiver)[space.targets]
+    return sp.diags(vals, format="csr", dtype=complex)
 
 
-def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> FockOperator:
-    """Represent a path polynomial: vertex monomials become the corner
-    projections, arrows their creation operators, longer monomials the
-    corresponding operator products, all extended linearly."""
+def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> sp.csr_matrix:
+    """Represent a path polynomial as a CSR matrix: vertex monomials become
+    the corner projections, arrows their creation operators, longer
+    monomials the corresponding operator products, all extended linearly."""
     import scipy.sparse as sp
 
     if p.quiver != space.quiver:
         raise ValueError("polynomial lives over a different quiver")
+
+    @cache
+    def arrow_op(a: Arrow) -> sp.csr_matrix:
+        return creation_operator(space, CorrespondenceElement.basis(space.quiver, a)).matrix
+
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for path, coeff in p.items():
         if path.length == 0:
-            mono = diag_operator(
-                space, DiagonalElement.unit(space.quiver.n, path.base)
-            ).matrix
+            mono = diag_operator(space, np.eye(space.quiver.n)[path.base])
         else:
             mono = reduce(
-                lambda acc, a: space.arrow_creation(a) @ acc,
-                path.arrows[1:],
-                space.arrow_creation(path.arrows[0]),
+                lambda acc, a: arrow_op(a) @ acc, path.arrows[1:], arrow_op(path.arrows[0])
             )
         total = total + coeff * mono
-    return FockOperator(space, total.tocsr())
+    return total.tocsr()
 
 
 def _weighted_shift_norm(mat, sparse: bool) -> Optional[float]:
@@ -217,20 +196,18 @@ def operator_norm(op) -> float:
 
     1. At most one stored entry in every row (a weighted shift, such as a
        creation operator or a diagonal block): the largest column 2-norm,
-       in O(nnz); for a creation operator, straight from its weights.
+       in O(nnz); for a FockOperator, straight from its weights.
     2. Any other matrix: a dense SVD when both sides are below
        ``DENSE_SVD_LIMIT``; otherwise ``ValueError`` ("size limit
        exceeded"), raised before anything is densified.
 
     Accepts a FockOperator, a numpy array, or a scipy sparse matrix.
     """
-    mat = op
     if isinstance(op, FockOperator):
-        if op.weights is not None:
-            # column parent[r] holds weights[r]
-            sq = np.bincount(op.space.parent, np.abs(op.weights) ** 2, minlength=op.space.dim)
-            return float(np.sqrt(sq.max()))
-        mat = op.matrix
+        # column parent[r] holds weights[r]
+        sq = np.bincount(op.space.parent, np.abs(op.weights) ** 2, minlength=op.space.dim)
+        return float(np.sqrt(sq.max()))
+    mat = op
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return 0.0
     # a sparse matrix exists only once scipy.sparse has been imported
@@ -266,7 +243,7 @@ def check_isometric_covariance(
     y = creation_operator(space, eta).weights
     gram_re = np.bincount(space.parent, x.real * y.real + x.imag * y.imag, minlength=space.dim)
     gram_im = np.bincount(space.parent, x.real * y.imag - x.imag * y.real, minlength=space.dim)
-    rhs = inner_product(xi, eta).entries[space.targets]
+    rhs = inner_product(xi, eta)[space.targets]
     inner = space.lengths <= space.depth - 1
     dev = np.empty(np.count_nonzero(inner), dtype=complex)
     dev.real = gram_re[inner] - rhs.real[inner]

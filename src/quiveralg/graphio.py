@@ -6,7 +6,9 @@ Graph files are JSON documents with 1-based vertex numbers:
 
 ``n`` is the vertex count; each edge record gives the number of arrows from
 ``from`` to ``to``; pairs without a record have count 0.  Duplicate
-(to, from) records and infinite counts are rejected.
+(to, from) records and infinite counts are rejected, and so is any ``n``
+whose n x n multiplicity matrix would exceed ``quiver.PATH_LIMIT`` entries
+(n > 1024), before that matrix is built.
 
 A correspondence element travels as a list of records
 
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .correspondence import CorrespondenceElement
-from .quiver import Quiver
+from .quiver import PATH_LIMIT, Quiver
 
 #: version of the graph file schema (printed by the CLI --version flag)
 GRAPH_SCHEMA_VERSION = "1"
@@ -44,6 +46,11 @@ def parse_quiver_dict(doc) -> Quiver:
     n = doc.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise _schema_error(f"'n' must be a positive integer, got {n!r}")
+    if n * n > PATH_LIMIT:
+        raise ValueError(
+            f"size limit exceeded: {n} vertices need a {n}x{n} multiplicity matrix, "
+            f"more than {PATH_LIMIT} entries"
+        )
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise _schema_error("'edges' must be a list")

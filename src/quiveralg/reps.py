@@ -277,15 +277,19 @@ def t_tilde_k_norm_direct(r: TwoDimRep, k: int) -> float:
         G_{k+1}[w] = sum over arrows a: v -> w of M_a G_k[v] M_a*,
 
     with M_a the 2 x 2 matrix of the representation on the arrow a.  The
-    norm is the square root of the largest eigenvalue of sum_w G_k[w].  No
-    column is built, so the cost is O(k * arrows); the route uses the arrow
-    matrices only, never the closed form in q1, q2 and t.
+    norm is the square root of the largest eigenvalue of sum_w G_k[w].
+    M_a is zero outside the blocks (i, i), (i, j) and (j, j), so only those
+    arrows are read, in ``arrows()`` order.  No column is built, so the
+    cost is O(k * (c_ii + c_ij + c_jj)) and does not grow with the rest of
+    the quiver; the route uses the arrow matrices only, never the closed
+    form in q1, q2 and t.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     arrows = [
         (a.source, a.target, _arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a))
-        for a in r.quiver.arrows()
+        for target, source in sorted([(r.i, r.i), (r.i, r.j), (r.j, r.j)])
+        for a in r.quiver.block(target, source)
     ]
     gram: dict[int, np.ndarray] = {}
     for v, w, m in arrows:

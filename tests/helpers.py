@@ -227,7 +227,7 @@ def reference_covariance_deviation(space, xi, eta):
     t_eta = reference_creation_matrix(space, eta, paths)
     lhs = t_xi.conj().T @ t_eta
     targets = [p.target for p in paths]
-    rhs = sp.diags(inner_product(xi, eta).entries[targets], format="csr", dtype=complex)
+    rhs = sp.diags(inner_product(xi, eta)[targets], format="csr", dtype=complex)
     inner = [k for k, p in enumerate(paths) if p.length <= space.depth - 1]
     return reference_shift_norm((lhs - rhs).tocsr()[inner][:, inner])
 

@@ -122,6 +122,25 @@ class TestGraphFileParsing:
         with pytest.raises(ValueError, match="malformed"):
             parse_quiver_file(path)
 
+    def test_oversized_n_refused_before_the_matrix(self, monkeypatch):
+        # 1025 x 1025 > PATH_LIMIT entries: refused before c is built, so
+        # the Quiver constructor is never reached
+        def refuse(self, c):
+            raise AssertionError("Quiver built for an oversized graph")
+
+        monkeypatch.setattr(Quiver, "__init__", refuse)
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            parse_quiver_dict({"n": 1025})
+
+    def test_largest_n_accepted(self):
+        assert parse_quiver_dict({"n": 1024}).n == 1024
+
+    def test_oversized_n_exits_1(self, tmp_path, capsys):
+        g = graph_file(tmp_path, "big.json", {"n": 1025})
+        assert main(["paths", "--graph", g, "--max-len", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "size limit exceeded" in captured.err
+
 
 class TestVerify:
     def test_passes_on_two_loops(self, two_loop):
@@ -227,6 +246,32 @@ class TestNorms:
         assert code == 0
         assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 7))
         assert elapsed < 0.05
+
+    def test_unrelated_loops_leave_report_and_time_unchanged(self, tmp_path):
+        # the representation at (1, 2) is zero on the 10^5 loops at vertex 3,
+        # so the report is byte for byte the one without them, and the Gram
+        # recursion does not read them
+        g = Path(__file__).parent / "fixtures" / "graphs" / "three_blocks.json"
+        doc = json.loads(g.read_text())
+        doc["n"] = 3
+        doc["edges"].append({"from": 3, "to": 3, "count": 10**5})
+        loops = graph_file(tmp_path, "loops.json", doc)
+
+        def report(graph):
+            out = tmp_path / "norms.json"
+            assert main(
+                ["norms", "--graph", graph, "--i", "1", "--j", "2", "--lambda-i", "0.3,0.2j,-0.1",
+                 "--lambda-j", "0.25,-0.15j,0.1", "--gamma", "0.4,0.3j,-0.2", "--k-max", "6",
+                 "--output", str(out)]
+            ) == 0
+            return out.read_bytes()
+
+        plain = report(str(g))
+        t0 = time.perf_counter()
+        with_loops = report(loops)
+        elapsed = time.perf_counter() - t0
+        assert with_loops == plain
+        assert elapsed < 1.0
 
     def test_k_max_out_of_range_rejected(self, reference):
         for k_max in (0, -3, NORMS_K_MAX + 1):

@@ -6,8 +6,9 @@ import pytest
 from quiveralg import (
     Arrow,
     CorrespondenceElement,
-    DiagonalElement,
+    FockSpace,
     Quiver,
+    diag_operator,
     element_from_wire,
     element_norm,
     element_to_wire,
@@ -56,13 +57,13 @@ class TestInnerProduct:
         q = Quiver([[2, 0], [0, 0]])
         xi = CorrespondenceElement.zeros(q).with_block(0, 0, [3 / 5, 4 / 5])
         d = inner_product(xi, xi)
-        assert np.allclose(d.entries, [1.0, 0.0])
+        assert np.allclose(d, [1.0, 0.0])
 
     def test_orthogonality(self):
         q = Quiver([[2]])
         xi = CorrespondenceElement.zeros(q).with_block(0, 0, [1, 0])
         eta = CorrespondenceElement.zeros(q).with_block(0, 0, [0, 1])
-        assert np.allclose(inner_product(xi, eta).entries, 0.0)
+        assert np.allclose(inner_product(xi, eta), 0.0)
 
     def test_two_block_witness_is_diagonal_of_ones(self, q22):
         # xi_ii and xi_ij normalized: the product has entry 1 at both columns
@@ -75,15 +76,15 @@ class TestInnerProduct:
             .with_block(0, 1, gam / np.linalg.norm(gam))
         )
         d = inner_product(xi, xi)
-        assert np.allclose(d.entries, [1.0, 1.0], atol=1e-12)
+        assert np.allclose(d, [1.0, 1.0], atol=1e-12)
         assert element_norm(xi) == pytest.approx(1.0, abs=1e-12)
 
     def test_conjugate_linear_in_first_slot(self):
         q = Quiver([[1]])
         xi = CorrespondenceElement.zeros(q).with_block(0, 0, [2j])
         eta = CorrespondenceElement.zeros(q).with_block(0, 0, [3.0])
-        assert inner_product(xi, eta).entries[0] == pytest.approx(-6j)
-        assert inner_product(eta, xi).entries[0] == pytest.approx(6j)
+        assert inner_product(xi, eta)[0] == pytest.approx(-6j)
+        assert inner_product(eta, xi)[0] == pytest.approx(6j)
 
     def test_shape_mismatch(self, q22):
         other = CorrespondenceElement.zeros(Quiver([[2]]))
@@ -96,21 +97,21 @@ class TestInnerProduct:
         q = random_quiver(rng, max_n=3, max_entry=3)
         xi = random_element(q, rng)
         d = inner_product(xi, xi)
-        assert np.all(d.entries.real >= 0)
-        assert np.allclose(d.entries.imag, 0.0)
+        assert np.all(d.real >= 0)
+        assert np.allclose(d.imag, 0.0)
         zero = CorrespondenceElement.zeros(q)
-        assert np.all(inner_product(zero, zero).entries == 0)
+        assert np.all(inner_product(zero, zero) == 0)
         if any(q.c[i][j] for i in range(q.n) for j in range(q.n)):
-            assert np.any(inner_product(xi, xi).entries.real > 0)
+            assert np.any(inner_product(xi, xi).real > 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cauchy_schwarz_per_column(self, seed):
         rng = np.random.default_rng(100 + seed)
         q = random_quiver(rng, max_n=3, max_entry=3)
         xi, eta = random_element(q, rng), random_element(q, rng)
-        pairing = inner_product(xi, eta).entries
-        nx = np.sqrt(inner_product(xi, xi).entries.real)
-        ne = np.sqrt(inner_product(eta, eta).entries.real)
+        pairing = inner_product(xi, eta)
+        nx = np.sqrt(inner_product(xi, xi).real)
+        ne = np.sqrt(inner_product(eta, eta).real)
         assert np.all(np.abs(pairing) <= nx * ne + 1e-12)
 
 
@@ -118,7 +119,7 @@ class TestActions:
     def test_left_identity(self, q22):
         rng = np.random.default_rng(1)
         xi = random_element(q22, rng)
-        out = left_action(DiagonalElement.identity(2), xi)
+        out = left_action(np.ones(2), xi)
         for i in range(2):
             for j in range(2):
                 assert np.array_equal(out.block(i, j), xi.block(i, j))
@@ -126,7 +127,7 @@ class TestActions:
     def test_left_idempotent_selects_rows(self, q22):
         rng = np.random.default_rng(2)
         xi = random_element(q22, rng)
-        out = left_action(DiagonalElement.unit(2, 1), xi)
+        out = left_action(np.eye(2)[1], xi)
         assert np.all(out.block(0, 0) == 0)
         assert np.all(out.block(0, 1) == 0)
         assert np.array_equal(out.block(1, 1), xi.block(1, 1))
@@ -134,19 +135,19 @@ class TestActions:
     def test_left_row_scaling(self):
         q = Quiver([[0, 1], [0, 0]])
         xi = CorrespondenceElement.zeros(q).with_block(0, 1, [1.0])
-        out = left_action(DiagonalElement([2.0, 3.0]), xi)
+        out = left_action(np.array([2.0, 3.0]), xi)
         assert out.block(0, 1)[0] == 2.0
 
     def test_right_identity(self, q22):
         rng = np.random.default_rng(3)
         xi = random_element(q22, rng)
-        out = right_action(xi, DiagonalElement.identity(2))
+        out = right_action(xi, np.ones(2))
         assert np.array_equal(out.block(0, 1), xi.block(0, 1))
 
     def test_right_idempotent_selects_columns(self, q22):
         rng = np.random.default_rng(4)
         xi = random_element(q22, rng)
-        out = right_action(xi, DiagonalElement.unit(2, 1))
+        out = right_action(xi, np.eye(2)[1])
         assert np.all(out.block(0, 0) == 0)
         assert np.array_equal(out.block(0, 1), xi.block(0, 1))
         assert np.array_equal(out.block(1, 1), xi.block(1, 1))
@@ -154,7 +155,7 @@ class TestActions:
     def test_right_column_scaling(self):
         q = Quiver([[0, 1], [0, 0]])
         xi = CorrespondenceElement.zeros(q).with_block(0, 1, [1.0])
-        out = right_action(xi, DiagonalElement([2.0, 3.0]))
+        out = right_action(xi, np.array([2.0, 3.0]))
         assert out.block(0, 1)[0] == 3.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -163,13 +164,28 @@ class TestActions:
         rng = np.random.default_rng(200 + seed)
         q = random_quiver(rng, max_n=3, max_entry=3)
         xi, eta = random_element(q, rng), random_element(q, rng)
-        d = DiagonalElement(rng.standard_normal(q.n) + 1j * rng.standard_normal(q.n))
-        lhs = inner_product(xi, right_action(eta, d)).entries
-        rhs = (inner_product(xi, eta) * d).entries
+        d = rng.standard_normal(q.n) + 1j * rng.standard_normal(q.n)
+        lhs = inner_product(xi, right_action(eta, d))
+        rhs = inner_product(xi, eta) * d
         assert np.allclose(lhs, rhs, atol=1e-12)
-        lhs2 = inner_product(xi, left_action(d, eta)).entries
-        rhs2 = inner_product(left_action(d.conjugate(), xi), eta).entries
+        lhs2 = inner_product(xi, left_action(d, eta))
+        rhs2 = inner_product(left_action(np.conj(d), xi), eta)
         assert np.allclose(lhs2, rhs2, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.ones((1, 2))], ids=["length_3", "2d"])
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda q, d: left_action(d, CorrespondenceElement.zeros(q)),
+        lambda q, d: right_action(CorrespondenceElement.zeros(q), d),
+        lambda q, d: diag_operator(FockSpace(q, 1), d),
+    ],
+    ids=["left_action", "right_action", "diag_operator"],
+)
+def test_diagonal_of_wrong_shape_refused(q22, apply, bad):
+    with pytest.raises(ValueError, match="diagonal size does not match the quiver"):
+        apply(q22, bad)
 
 
 class TestElementNorm:

@@ -131,9 +131,10 @@ def test_fresh_process_never_loads_scipy(tmp_path):
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_cleanly(script):
+    # -W error: a warning fails a demo as filterwarnings = error fails a test
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / script)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
