@@ -39,6 +39,8 @@ PATH_TOKEN_LIMIT = 2**24
 
 
 def _as_count(value) -> int:
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, bool):
         raise ValueError("multiplicities must be integers, got a bool")
     if isinstance(value, float) or isinstance(value, np.floating):

@@ -9,16 +9,18 @@ multiplicity matrix is known to be invariant, so recovering it from the
 presentation mechanizes that invariance.
 
 Both probes read one table, built when the presentation is constructed:
-label pair (a, b) -> the indices of the generators labelled (a, b) and their
-coefficient rows.  Each generator g lies in one arrow block (i, j), and its
-label pair is read off the idempotents: a and b are the labels whose
-idempotents are the vertices i and j.  Then p_a * g * p_b = g, which one
-two-sided product per generator checks, and every other pair compresses g
-to zero, so the rows at (a, b) are the compressions p_a * g * p_b.
+label pair (a, b) -> the indices of the generators labelled (a, b), their
+coefficient rows and the rank of those rows.  Each generator g lies in one
+arrow block (i, j), and its label pair is read off the idempotents: a and b
+are the labels whose idempotents are the vertices i and j.  Then
+p_a * g * p_b = g, which one two-sided product per generator checks, and
+every other pair compresses g to zero, so the rows at (a, b) are the
+compressions p_a * g * p_b.  A row is as wide as the largest arrow index the
+pair's generators carry, plus one.
 
 Two independent probes count each off-diagonal entry:
 
-* the span probe takes the rank of the rows at (a, b);
+* the span probe reads the table's rank of the rows at (a, b);
 * the representation probe builds, from each row at (a, b), a
   two-dimensional representation with zero diagonal data and the normalized
   row as gamma, which the family test of ``TwoDimRep`` must accept, and
@@ -31,10 +33,11 @@ recoverable state.  A diagonal entry is the rank of the rows at (a, a)
 alone.
 
 Beyond the polynomial values the code reads the hidden quiver in these
-places only: the vertex each idempotent names, and its multiplicity matrix
-``c`` in ``_block_support``, which sizes each coefficient row, and in the
-constructor's span check.  The probes read no ``c``: their vectors come
-from the table, and ``TwoDimRep`` sizes the zero diagonal data itself.
+places only: the vertex each idempotent names, its vertex count, and its
+multiplicity matrix ``c`` in the constructor's span check, which compares
+each pair's row count and rank with the block's size.  Neither the table
+nor the probes read ``c``: the rows are sized from the generators, and
+``TwoDimRep`` sizes the zero diagonal data itself.
 ``hidden_truth`` is read only by ``recover``, to refuse a presentation too
 large for the isomorphism search, to check the result against the source
 graph and to report the witness.
@@ -42,14 +45,13 @@ graph and to report the witness.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .polynomials import PathPolynomial
-from .quiver import Quiver, _check_iso_size, are_isomorphic, arrow_path
+from .quiver import Arrow, Quiver, _check_iso_size, are_isomorphic, arrow_path
 from .reps import TwoDimRep, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
@@ -60,7 +62,7 @@ from .reps import membership_G  # noqa: F401
 RANK_TOL = 1e-8
 
 #: the table entry of a label pair that no generator carries
-_UNLABELLED: tuple = ((), ())
+_UNLABELLED: tuple = ((), (), 0)
 
 #: ``scramble`` refuses graphs whose block unitaries hold more entries than
 #: this (the sum of c[i][j]^2), before it draws anything
@@ -94,59 +96,60 @@ class ScrambledPresentation:
     on a single arrow block.
     """
 
-    n: int
     idempotents: tuple[PathPolynomial, ...]
     generators: tuple[PathPolynomial, ...]
     hidden_truth: Optional[HiddenTruth] = None
 
     def __post_init__(self) -> None:
-        if self.n != len(self.idempotents):
-            raise ValueError("label count does not match n")
-        if self.n != self.quiver.n:
+        if not self.idempotents:
+            raise ValueError("a presentation needs at least one idempotent label")
+        q = self.quiver
+        if self.n != q.n:
             raise ValueError("label count does not match the vertex count")
         # the vertex each label's idempotent names
         vertex = self._vertex = tuple(_idempotent_vertex(p) for p in self.idempotents)
         if len(set(vertex)) != self.n:
             raise ValueError("duplicate idempotent label")
-        q = self.quiver
         if any(g.quiver != q for g in self.generators):
             raise ValueError("generators live over a different quiver")
-        by_block = {(vertex[a], vertex[b]): vecs for (a, b), (_, vecs) in self._by_label.items()}
-        for (i, j), vecs in by_block.items():
-            want = q.c[i][j]
-            got = np.linalg.matrix_rank(vecs, tol=RANK_TOL)
-            if len(vecs) != want or got != want:
+        # each generator in the block (i, j) is labelled by the labels of i
+        # and j, and it must equal p_a * g * p_b for that pair
+        label = {v: a for a, v in enumerate(vertex)}
+        labelled: dict[tuple[int, int], list[tuple[int, dict[int, complex]]]] = {}
+        for k, g in enumerate(self.generators):
+            (i, j), coeffs = _block_support(g)
+            a, b = label[i], label[j]
+            if self.idempotents[a] * g * self.idempotents[b] != g:
+                raise RecoveryError(f"generator {k} is not fixed by the idempotents of ({a}, {b})")
+            labelled.setdefault((a, b), []).append((k, coeffs))
+        # the generator table: label pair (a, b) -> the indices of the
+        # generators labelled (a, b), their coefficient rows and their rank
+        self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
+        for (a, b), kcs in labelled.items():
+            width = 1 + max(m for _, coeffs in kcs for m in coeffs)
+            vecs = np.zeros((len(kcs), width), dtype=complex)
+            for row, (_, coeffs) in zip(vecs, kcs):
+                row[list(coeffs)] = list(coeffs.values())
+            rank = int(np.linalg.matrix_rank(vecs, tol=RANK_TOL))
+            i, j = vertex[a], vertex[b]
+            if len(vecs) != q.c[i][j] or rank != q.c[i][j]:
                 raise ValueError(
                     f"generators do not span block ({i}, {j}): "
-                    f"{len(vecs)} generators of rank {got}, need {want}"
+                    f"{len(vecs)} generators of rank {rank}, need {q.c[i][j]}"
                 )
+            self._by_label[(a, b)] = (np.array([k for k, _ in kcs]), vecs, rank)
         nonempty = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
-        missing = [block for block in nonempty if block not in by_block]
+        missing = [(i, j) for i, j in nonempty if (label[i], label[j]) not in self._by_label]
         if missing:
             raise ValueError(f"no generators for nonempty blocks {missing}")
 
     @property
+    def n(self) -> int:
+        return len(self.idempotents)
+
+    @property
     def quiver(self) -> Quiver:
         return self.idempotents[0].quiver
-
-    @functools.cached_property
-    def _by_label(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """The generator table: label pair (a, b) -> the indices of the
-        generators labelled (a, b), in generator order, and their coefficient
-        rows.  A generator in the block (i, j) is labelled by the labels of
-        i and j, and it must equal p_a * g * p_b for that pair."""
-        label = {v: a for a, v in enumerate(self._vertex)}
-        rows: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
-        for k, g in enumerate(self.generators):
-            (i, j), vec = _block_support(g)
-            a, b = label[i], label[j]
-            if self.idempotents[a] * g * self.idempotents[b] != g:
-                raise RecoveryError(f"generator {k} is not fixed by the idempotents of ({a}, {b})")
-            rows.setdefault((a, b), []).append((k, vec))
-        return {
-            pair: (np.array([k for k, _ in kvs]), np.array([vec for _, vec in kvs]))
-            for pair, kvs in rows.items()
-        }
 
 
 @dataclass
@@ -175,21 +178,18 @@ def _idempotent_vertex(p: PathPolynomial) -> int:
     return items[0][0].base
 
 
-def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], np.ndarray]:
+def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], dict[int, complex]]:
     """The one (target, source) block a degree-1 generator lies in, and its
-    coefficient vector in the arrow-index basis of that block."""
+    coefficients by arrow index in that block."""
     if not g.terms or any(p.length != 1 for p in g.terms):
         raise ValueError("generators must be homogeneous of degree 1")
     blocks = {(p.target, p.source) for p in g.terms}
     if len(blocks) != 1:
         raise ValueError("generators must be supported on a single block")
-    (i, j) = blocks.pop()
-    vec = np.zeros(g.quiver.c[i][j], dtype=complex)
-    for p, coeff in g.items():
-        vec[p.arrows[0].index] = coeff
-    if not np.isfinite(vec).all():
+    coeffs = {p.arrows[0].index: coeff for p, coeff in g.items()}
+    if not np.isfinite(list(coeffs.values())).all():
         raise ValueError("generator coefficients must be finite")
-    return (i, j), vec
+    return blocks.pop(), coeffs
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -229,23 +229,17 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
             generators += [PathPolynomial(q, dict(zip(paths, u[:, m]))) for m in range(d)]
     order = rng.permutation(len(generators))
     return ScrambledPresentation(
-        n=q.n,
         idempotents=tuple(PathPolynomial.vertex(q, v) for v in tau),
         generators=tuple(generators[k] for k in order),
         hidden_truth=HiddenTruth(quiver=q, tau=tau, unitaries=unitaries),
     )
 
 
-def _rank(rows) -> int:
-    """Numerical rank of a list or array of rows; 0 when there are none."""
-    return int(np.linalg.matrix_rank(np.array(rows), tol=RANK_TOL)) if len(rows) else 0
-
-
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     """Dimension of the character-parameter ball at the label a: the rank of
     the doubly-compressed generators p_a * g * p_a."""
     _check_label(s, a)
-    return _rank(s._by_label.get((a, a), _UNLABELLED)[1])
+    return s._by_label.get((a, a), _UNLABELLED)[2]
 
 
 def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
@@ -267,25 +261,28 @@ def _rep_rows(s: ScrambledPresentation, a: int, b: int, reps: list[TwoDimRep]) -
     """The upper-right entries of the representations ``_pair_reps(s, a, b)``
     on the generators labelled (a, b), one row per representation (they
     vanish on every other generator).  ``rho_eval`` is linear, so it runs
-    once per representation and arrow j -> i, k * d calls of one term each;
-    the span check makes every arrow of the block occur in a generator."""
-    gens, vecs = s._by_label.get((a, b), _UNLABELLED)
-    arrows = {p.arrows[0] for k in gens for p in s.generators[k].terms}
-    monomials = [PathPolynomial.arrow(s.quiver, x) for x in sorted(arrows, key=lambda x: x.index)]
-    upper = [[rho_eval(r, m)[0, 1] for m in monomials] for r in reps]
-    return np.array(upper) @ vecs.T if reps else np.zeros((0, 0))
+    once per representation and arrow j -> i below the rows' width, k * d
+    calls of one term each."""
+    if not reps:
+        return np.zeros((0, 0))
+    vecs = s._by_label[(a, b)][1]
+    i, j = s._vertex[a], s._vertex[b]
+    monomials = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
+    return np.array([[rho_eval(r, x)[0, 1] for x in monomials] for r in reps]) @ vecs.T
 
 
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     """Dimension of the off-diagonal parameter space at the label pair (a, b):
-    the span probe ranks the table's rows at (a, b), the representation probe
-    the rows of ``_rep_rows``; raises ProbeMismatchError if they disagree."""
+    the span probe reads the table's rank of the rows at (a, b), the
+    representation probe ranks the rows of ``_rep_rows``; raises
+    ProbeMismatchError if they disagree."""
     _check_label(s, a)
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    span_dim = _rank(s._by_label.get((a, b), _UNLABELLED)[1])
-    rep_dim = _rank(_rep_rows(s, a, b, _pair_reps(s, a, b)))
+    span_dim = s._by_label.get((a, b), _UNLABELLED)[2]
+    rows = _rep_rows(s, a, b, _pair_reps(s, a, b))
+    rep_dim = int(np.linalg.matrix_rank(rows, tol=RANK_TOL)) if rows.size else 0
     if span_dim != rep_dim:
         raise ProbeMismatchError(
             f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"

@@ -130,6 +130,23 @@ class TestQuiverConstruction:
         q = Quiver(np.array([[2.0, 0.0], [1.0, 0.0]]))
         assert q.c == ((2, 0), (1, 0))
 
+    def test_exact_ints_take_no_type_checks(self, monkeypatch):
+        """An all-int matrix is read without one ``isinstance`` call in
+        ``quiver``; every other entry still takes the checked route."""
+        calls = []
+
+        def counting(value, kind):
+            calls.append(kind)
+            return isinstance(value, kind)
+
+        monkeypatch.setattr(quiver, "isinstance", counting, raising=False)
+        c = [[(i + j) % 3 for j in range(64)] for i in range(64)]
+        assert Quiver(c).c == tuple(map(tuple, c)) and calls == []
+        assert Quiver([[np.int64(2)]]).c == ((2,),) and calls
+        for bad, match in ((True, "bool"), (-1, "nonnegative")):
+            with pytest.raises(ValueError, match=match):
+                Quiver([[bad]])
+
     def test_arrow_iteration_order(self):
         q = Quiver([[1, 2], [0, 1]])
         arrows = list(q.arrows())

@@ -44,7 +44,6 @@ def manual_presentation(q, tau):
     )
     idempotents = tuple(PathPolynomial.vertex(q, tau[a]) for a in range(q.n))
     return ScrambledPresentation(
-        n=q.n,
         idempotents=idempotents,
         generators=generators,
         hidden_truth=HiddenTruth(quiver=q, tau=tuple(tau), unitaries={}),
@@ -91,7 +90,6 @@ class TestScramble:
         a = PathPolynomial.arrow(q, Arrow(0, 0, 0))
         with pytest.raises(ValueError, match="span"):
             ScrambledPresentation(
-                n=1,
                 idempotents=(PathPolynomial.vertex(q, 0),),
                 generators=(a, a),  # rank 1, need 2
             )
@@ -102,7 +100,6 @@ class TestScramble:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 ScrambledPresentation(
-                    n=1,
                     idempotents=(PathPolynomial.vertex(q, 0),),
                     generators=(a, b + bad * a),
                 )
@@ -114,12 +111,40 @@ class TestScramble:
         with pytest.raises(ValueError, match="size limit exceeded"):
             scramble(Quiver([[2, 1], [1, 2]]), seed=0)
 
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("no_labels", "at least one idempotent label"),
+            ("too_few_labels", "does not match the vertex count"),
+            ("duplicate_label", "duplicate idempotent label"),
+            ("scaled_idempotent", "single vertex monomials"),
+            ("other_quiver", "different quiver"),
+            ("two_blocks", "supported on a single block"),
+        ],
+    )
+    def test_presentation_validation_refusals(self, case, match):
+        q = Quiver([[1, 1], [0, 1]])
+        p0, p1 = PathPolynomial.vertex(q, 0), PathPolynomial.vertex(q, 1)
+        gens = tuple(
+            PathPolynomial.arrow(q, a) for i in range(2) for j in range(2) for a in q.block(i, j)
+        )
+        other = Quiver([[1, 1], [1, 1]])
+        idempotents, generators = {
+            "no_labels": ((), ()),
+            "too_few_labels": ((p0,), gens),
+            "duplicate_label": ((p0, p0), gens),
+            "scaled_idempotent": ((p0, 2 * p1), gens),
+            "other_quiver": ((p0, p1), gens[:-1] + (PathPolynomial.arrow(other, Arrow(0, 1, 0)),)),
+            "two_blocks": ((p0, p1), gens[:-1] + (gens[0] + gens[1],)),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            ScrambledPresentation(idempotents=idempotents, generators=generators)
+
     def test_presentation_validation_rejects_missing_block(self):
         q = Quiver([[1, 1], [0, 0]])
         gens = (PathPolynomial.arrow(q, Arrow(0, 0, 0)),)
         with pytest.raises(ValueError, match="no generators"):
             ScrambledPresentation(
-                n=2,
                 idempotents=(
                     PathPolynomial.vertex(q, 0),
                     PathPolynomial.vertex(q, 1),
@@ -193,7 +218,7 @@ class TestCompressions:
             for b in range(q.n):
                 block, _, ref_vecs = reference_compressions(s, a, b)
                 nonzero = [ref for ref in ref_vecs if np.any(ref)]
-                gens, vecs = s._by_label.get((a, b), ((), ()))
+                gens, vecs, _ = s._by_label.get((a, b), ((), (), 0))
                 assert list(gens) == [k for k, ref in enumerate(ref_vecs) if np.any(ref)]
                 assert len(vecs) == len(nonzero)
                 for vec, ref in zip(vecs, nonzero):
@@ -215,7 +240,7 @@ class TestCompressions:
         q = Quiver([[1, 2, 0], [0, 1, 3], [1, 0, 0]])
         s = scramble(q, seed=4)
         tau = s.hidden_truth.tau
-        counts = {pair: len(gens) for pair, (gens, _) in s._by_label.items()}
+        counts = {pair: len(gens) for pair, (gens, _, _) in s._by_label.items()}
         assert sum(counts.values()) == len(s.generators) == q.total_arrows()
         assert all(
             counts.get((a, b), 0) == q.c[tau[a]][tau[b]]
@@ -246,7 +271,6 @@ class TestCompressions:
         s = scramble(q, seed=2)
         with pytest.raises(ValueError, match="homogeneous of degree 1"):
             ScrambledPresentation(
-                n=s.n,
                 idempotents=s.idempotents,
                 generators=s.generators + (PathPolynomial.zero(q),),
             )
@@ -411,9 +435,10 @@ def test_thirty_vertices_within_budget():
 
 
 def test_rank_inputs_no_wider_than_their_pair(monkeypatch):
-    """During ``recover`` on 30 vertices every rank is taken over rows that
-    are the generators of one label pair (or one representation per
-    generator), and no input has more columns than those generators."""
+    """During ``recover`` on 30 vertices the only ranks taken are of the
+    representation rows, one representation per generator of a label pair,
+    and no input has more columns than those generators.  The span ranks
+    come from the generator table, built when the presentation is."""
     rng = np.random.default_rng(1)
     q = Quiver(rng.integers(0, 3, size=(30, 30)).tolist())
     s = scramble(q, seed=1)
@@ -426,10 +451,9 @@ def test_rank_inputs_no_wider_than_their_pair(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "matrix_rank", recording)
     recover(s)
-    # one rank per nonempty loop block, two (span and representation) per
-    # nonempty off-diagonal block
+    # one rank (of the representation rows) per nonempty off-diagonal block
     nonempty = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
-    assert len(shapes) == len(nonempty) + sum(1 for i, j in nonempty if i != j)
+    assert len(shapes) == sum(1 for i, j in nonempty if i != j)
     assert all(cols <= rows for rows, cols in shapes)
 
 
@@ -452,10 +476,14 @@ def test_oversized_recovery_refused_before_probing(tmp_path, monkeypatch):
 
 
 def test_probes_read_no_multiplicity_matrix():
-    """The probes get their vectors from the generator table: none of them
-    reads an attribute ``c`` or calls ``block``."""
+    """The probes get their vectors from the generator table, whose rows
+    ``_block_support`` reads off each generator: none of them reads an
+    attribute ``c`` or calls ``block``."""
     tree = ast.parse(inspect.getsource(recovery))
-    names = {"_pair_reps", "_rep_rows", "probe_character_dimension", "probe_pair_dimension", "recover"}
+    names = {
+        "_block_support", "_pair_reps", "_rep_rows",
+        "probe_character_dimension", "probe_pair_dimension", "recover",
+    }
     found = {}
     for fn in tree.body:
         if isinstance(fn, ast.FunctionDef) and fn.name in names:

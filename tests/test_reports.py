@@ -49,6 +49,11 @@ REPORTS = {
          "--expect", graph("recover6_relabelled")],
         EXIT_OK,
     ),
+    "recover5_wide_expect": (
+        ["recover", "--graph", graph("recover5_wide"), "--seed", "5",
+         "--expect", graph("recover5_wide_relabelled")],
+        EXIT_OK,
+    ),
     "recover12_expect": (
         ["recover", "--graph", graph("recover12"), "--seed", "12",
          "--expect", graph("recover12_relabelled")],
