@@ -32,7 +32,7 @@ before it draws anything.
 rest of the process (``parse_args`` leaves a parser unchanged).  Reports
 are byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``;
 ``_report_text`` writes them with the stdlib's C encoder, which ``indent``
-would switch off.
+would switch off, and flat lists of plain strings with one ``str.join``.
 
 Exit codes: 0 success (also for ``--help`` and ``--version``), 1 validation
 error (bad input or a usage error such as a missing or malformed option),
@@ -248,14 +248,18 @@ def _run_paths(cfg: RunConfig) -> tuple[int, dict]:
     q = parse_quiver_file(cfg.graph)
     if cfg.max_len < 0:
         raise ValueError("max-len must be nonnegative")
-    parent, last_arrow, _, _ = _path_tree(q, cfg.max_len)
-    # a path's text is its last arrow's token before its parent's text
-    tokens = [format_path(arrow_path(a)) for a in q.arrows()]
-    names = [format_path(vertex_path(v)) for v in q.vertices()]
-    n = q.n
-    for p, a in zip(parent.tolist(), last_arrow.tolist()):
-        names.append(tokens[a] + "*" + names[p] if p >= n else tokens[a])
-    return EXIT_OK, {"count": len(names), "paths": names}
+    parent, last_arrow, lengths, _ = _path_tree(q, cfg.max_len)
+    # a path's text is its last arrow's token before its parent's text; the
+    # levels are contiguous, so each level is one object-array add
+    tokens = np.array([format_path(arrow_path(a)) for a in q.arrows()], dtype=object)
+    starred = tokens + "*"
+    names = np.empty(len(lengths), dtype=object)
+    names[: q.n] = [format_path(vertex_path(v)) for v in q.vertices()]
+    ends = np.cumsum(np.bincount(lengths))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        r = slice(lo - q.n, hi - q.n)
+        names[lo:hi] = tokens[last_arrow[r]] if lo == q.n else starred[last_arrow[r]] + names[parent[r]]
+    return EXIT_OK, {"count": len(names), "paths": names.tolist()}
 
 
 _RUNNERS = {
@@ -379,12 +383,23 @@ def _flat_encoder(inner: str):
     ).encode
 
 
+#: the bytes json.dumps writes as they are: printable ASCII but '"' and '\\'
+_PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
+
+
 def _report_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed values;
-    each nonempty dict or list of scalars is one call of the C encoder."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed values.
+
+    A nonempty list of exact ``str`` items whose text is all ``_PLAIN`` bytes
+    needs no escaping and is one ``str.join``; any other nonempty dict or list
+    of scalars is one call of the C encoder."""
     if not value or not isinstance(value, _CONTAINERS):
         return json.dumps(value)
     inner = indent + "  "
+    if isinstance(value, list) and type(value[0]) is str and set(map(type, value)) == {str}:
+        text = "".join(value)
+        if text.isascii() and not text.encode().translate(None, _PLAIN):
+            return f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]'
     for v in value.values() if isinstance(value, dict) else value:
         if isinstance(v, _CONTAINERS):
             break

@@ -28,12 +28,39 @@ json_values = st.recursive(
     max_leaves=40,
 )
 
+#: nonempty lists of printable-ASCII strings: '"' and '\\' send a list past
+#: the writer's one-join route, any other such list takes it
+plain_string_lists = st.lists(
+    st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E)), min_size=1, max_size=50
+)
+
+
+class StrSubclass(str):
+    pass
+
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(json_values)
+@given(json_values | plain_string_lists)
 @example([])
 @example({})
 @example([[], {}, [[]], [{}]])
 @example({"a": {"b": [], "c": {}}, "": [[[]]]})
+# flat lists of plain strings: one join
+@example(["v1", "2<1:1", "1<1:1*1<1:2", " !#/~", ""])
+@example(["v1"])
+@example({"count": 2, "paths": ["v1", "12<10:3*10<12:1"]})
+# a string json escapes: the C encoder
+@example(["v1", 'a"b'])
+@example(["v1", "a\\b"])
+@example(["v1", "\x7f"])
+@example(["v1", "a\nb"])
+@example(["v1", "é"])
+@example(["v1", "\ud800"])
+# not all exact str: the C encoder
+@example(["a", 1])
+@example([StrSubclass("a"), "b"])
+@example(["a", StrSubclass("b")])
+@example({"a": "x", "b": "y"})
+@example([["v1", "v2"], ["1<1:1"], ["a\"b"]])
 def test_writer_matches_indented_dumps(value):
     assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -37,6 +37,10 @@ REPORTS = {
     "paths_four_cycle_loop_l6": (
         ["paths", "--graph", graph("four_cycle_loop"), "--max-len", "6"], EXIT_OK
     ),
+    # two-digit vertex numbers
+    "paths_recover12_l2": (["paths", "--graph", graph("recover12"), "--max-len", "2"], EXIT_OK),
+    # acyclic: no path is longer than 10, so the last five levels are empty
+    "paths_chain11_l15": (["paths", "--graph", graph("chain11"), "--max-len", "15"], EXIT_OK),
     "iso_relabelled": (["iso", graph("recover6"), graph("recover6_relabelled")], EXIT_OK),
     "iso_other": (["iso", graph("recover6"), graph("recover6_other")], EXIT_MISMATCH),
     "recover4_expect": (
