@@ -26,7 +26,8 @@ paths hold more than ``quiver.PATH_TOKEN_LIMIT`` arrow tokens in all, or
 more than ``quiver.PATH_LIMIT`` paths; ``recover`` refuses graphs past
 ``quiver.ISO_VERTEX_LIMIT`` vertices before it scrambles them, and
 ``scramble`` refuses graphs past ``recovery.SCRAMBLE_LIMIT`` unitary entries
-before it draws anything.
+before it draws anything; ``norms`` refuses blocks (i, i), (j, j) and (i, j)
+with more than ``quiver.PATH_LIMIT`` arrows in all before it builds a vector.
 
 ``main`` builds its argument parser on its first call and reuses it for the
 rest of the process (``parse_args`` leaves a parser unchanged).  Reports
@@ -57,7 +58,7 @@ from .correspondence import CorrespondenceElement, element_norm
 from .fock import DEFAULT_DEPTH, FockSpace, check_isometric_covariance, corner_shift_report, creation_operator, operator_norm
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
-from .quiver import Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
+from .quiver import PATH_LIMIT, Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
 # Not called here: perfbench's tracer wraps quiveralg.cli.enumerate_paths and
 # its self-test requires every wrapped name to exist.
 from .quiver import enumerate_paths  # noqa: F401
@@ -176,14 +177,14 @@ def _run_norms(cfg: RunConfig) -> tuple[int, dict]:
     i, j = cfg.vertex_i - 1, cfg.vertex_j - 1
     if not (0 <= i < q.n and 0 <= j < q.n):
         raise ValueError(f"vertices must be in 1..{q.n}")
-    rep = TwoDimRep(
-        q,
-        i,
-        j,
-        _parse_complex_vector(cfg.lam_i, q.c[i][i], "lambda-i"),
-        _parse_complex_vector(cfg.lam_j, q.c[j][j], "lambda-j"),
-        _parse_complex_vector(cfg.gamma, q.c[i][j], "gamma"),
-    )
+    dims = q.c[i][i], q.c[j][j], q.c[i][j]
+    if sum(dims) > PATH_LIMIT:  # arrows are the paths of length 1
+        raise ValueError(
+            f"size limit exceeded: the blocks at vertices {cfg.vertex_i} and {cfg.vertex_j} "
+            f"hold {sum(dims)} > {PATH_LIMIT} arrows"
+        )
+    texts = ((cfg.lam_i, "lambda-i"), (cfg.lam_j, "lambda-j"), (cfg.gamma, "gamma"))
+    rep = TwoDimRep(q, i, j, *(_parse_complex_vector(t, d, name) for (t, name), d in zip(texts, dims)))
     if not 1 <= cfg.k_max <= NORMS_K_MAX:
         raise ValueError(f"k-max must be in 1..{NORMS_K_MAX}, got {cfg.k_max}")
     rows = []

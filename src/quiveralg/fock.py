@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .correspondence import CorrespondenceElement, _diagonal, inner_product
-from .polynomials import PathPolynomial
+from .polynomials import PathPolynomial, _evaluate
 from .quiver import Arrow, Path, Quiver, _path_tree, enumerate_paths
 
 if TYPE_CHECKING:
@@ -162,33 +162,15 @@ def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> sp.csr_matrix:
     def arrow_op(a: Arrow) -> sp.csr_matrix:
         return creation_operator(space, CorrespondenceElement.basis(space.quiver, a)).matrix
 
-    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for path, coeff in p.items():
-        if path.length == 0:
-            mono = diag_operator(space, np.eye(space.quiver.n)[path.base])
-        else:
-            mono = reduce(
-                lambda acc, a: arrow_op(a) @ acc, path.arrows[1:], arrow_op(path.arrows[0])
-            )
-        total = total + coeff * mono
-    return total.tocsr()
+    eye = np.eye(space.quiver.n)
+    zero = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    return _evaluate(p, lambda v: diag_operator(space, eye[v]), arrow_op, zero).tocsr()
 
 
-def _weighted_shift_norm(mat, sparse: bool) -> Optional[float]:
-    """The largest column 2-norm when every row holds at most one stored
-    entry (the columns are then orthogonal, so this is the exact norm);
-    None otherwise."""
-    if sparse:
-        csr = mat.tocsr()
-        if np.diff(csr.indptr).max() > 1:
-            return None
-        sq = np.bincount(csr.indices, weights=np.abs(csr.data) ** 2, minlength=csr.shape[1])
-    else:
-        dense = np.asarray(mat)
-        if np.count_nonzero(dense, axis=1).max() > 1:
-            return None
-        sq = np.sum(np.abs(dense) ** 2, axis=0)
-    return float(np.sqrt(sq.max()))
+def _column_norm(cols: np.ndarray, vals: np.ndarray, width: int) -> float:
+    """The largest column 2-norm of a matrix with ``width`` columns whose
+    entries ``vals`` sit in columns ``cols``."""
+    return float(np.sqrt(np.bincount(cols, np.abs(vals) ** 2, minlength=width).max()))
 
 
 def operator_norm(op) -> float:
@@ -205,24 +187,29 @@ def operator_norm(op) -> float:
     """
     if isinstance(op, FockOperator):
         # column parent[r] holds weights[r]
-        sq = np.bincount(op.space.parent, np.abs(op.weights) ** 2, minlength=op.space.dim)
-        return float(np.sqrt(sq.max()))
+        return _column_norm(op.space.parent, op.weights, op.space.dim)
     mat = op
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return 0.0
     # a sparse matrix exists only once scipy.sparse has been imported
     sparse_mod = sys.modules.get("scipy.sparse")
     sparse = sparse_mod is not None and sparse_mod.issparse(mat)
-    shift_norm = _weighted_shift_norm(mat, sparse)
-    if shift_norm is not None:
-        return shift_norm
+    if sparse:
+        coo = mat.tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data
+    else:
+        mat = np.asarray(mat)
+        rows, cols = np.nonzero(mat)
+        vals = mat[rows, cols]
+    if np.bincount(rows, minlength=mat.shape[0]).max() <= 1:
+        return _column_norm(cols, vals, mat.shape[1])
     if max(mat.shape) >= DENSE_SVD_LIMIT:
         raise ValueError(
             f"size limit exceeded: the norm of a {mat.shape[0]}x{mat.shape[1]} matrix "
             f"that is not a weighted shift needs a dense SVD, taken only below "
             f"{DENSE_SVD_LIMIT} on both sides"
         )
-    dense = mat.toarray() if sparse else np.asarray(mat)
+    dense = mat.toarray() if sparse else mat
     return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 

@@ -4,7 +4,9 @@ Products of non-composable monomials are zero and vanish from the term map;
 the sum of all vertex monomials is the unit.  Polynomial degree is capped at
 ``MAX_DEGREE`` to guard against runaway coefficient blowup.
 
-Text form (used by the CLI), with 1-based vertex and arrow numbers:
+Text form (read by ``parse_polynomial`` and written by ``format_polynomial``;
+``format_path`` also names the entries of the CLI's ``paths`` report), with
+1-based vertex and arrow numbers:
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := atom ('*' atom)*
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from functools import reduce
 from typing import Mapping, Optional
 
 from .correspondence import CorrespondenceElement
@@ -169,6 +172,21 @@ class PathPolynomial:
         return f"PathPolynomial({format_polynomial(self)!r})"
 
 
+def _evaluate(p: PathPolynomial, vertex, arrow, zero):
+    """The image of p under the representation fixed by its values on the
+    vertices and the arrows: a vertex path v maps to ``vertex(v)``, a longer
+    path to ``arrow(a_last) @ ... @ arrow(a_first)``, extended linearly from
+    ``zero``."""
+    total = zero
+    for path, coeff in p.items():
+        if path.arrows:
+            mono = reduce(lambda acc, a: arrow(a) @ acc, path.arrows[1:], arrow(path.arrows[0]))
+        else:
+            mono = vertex(path.base)
+        total = total + coeff * mono
+    return total
+
+
 # -- text form ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -248,6 +266,8 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
         nonlocal pos
         kind, value = peek()
         pos += 1
+        if kind is None:
+            raise ValueError("polynomial text ends where a monomial or scalar was expected")
         if kind == "arrow":
             return ("path", _parse_arrow_token(q, value))
         if kind == "vertex":
@@ -265,20 +285,13 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
     def parse_term():
         nonlocal pos
         coeff = 1.0 + 0j
-        path: Optional[Path] = None
-        dead = False
+        paths: list[Path] = []
         while True:
             kind, atom = parse_atom()
             if kind == "scalar":
                 coeff *= atom
             else:
-                if path is None:
-                    path = atom
-                else:
-                    path = compose(path, atom)
-                    if path is None:
-                        dead = True  # zero product; keep parsing for syntax
-                        path = atom  # placeholder, result discarded
+                paths.append(atom)
             k, v = peek()
             if k == "op" and v == "*":
                 pos += 1
@@ -286,10 +299,12 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
             break
         if not cmath.isfinite(coeff):
             raise ValueError(f"coefficients must be finite, got {coeff}")
-        if dead:
-            return PathPolynomial.zero(q)
-        if path is None:
+        if not paths:
             return PathPolynomial.unit(q).scaled(coeff)
+        # a non-composable pair makes the term zero; syntax was checked above
+        path = reduce(lambda u, v: None if u is None else compose(u, v), paths)
+        if path is None:
+            return PathPolynomial.zero(q)
         return PathPolynomial.monomial(q, path, coeff)
 
     result = PathPolynomial.zero(q)

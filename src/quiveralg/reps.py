@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polynomials import PathPolynomial
+from .polynomials import PathPolynomial, _evaluate
 from .quiver import Path, Quiver, arrow_path
 
 #: two squared norms closer than this are treated as an exactly degenerate
@@ -93,21 +93,13 @@ def char_eval(c: Character, p: PathPolynomial) -> complex:
     """
     if p.quiver != c.quiver:
         raise ValueError("polynomial lives over a different quiver")
-    total = 0j
-    for path, coeff in p.items():
-        if path.length == 0:
-            if path.base == c.vertex:
-                total += coeff
-            continue
-        value = coeff
-        for a in path.arrows:
-            if a.source == c.vertex and a.target == c.vertex:
-                value *= np.conj(c.lam[a.index])
-            else:
-                value = 0j
-                break
-        total += value
-    return complex(total)
+    total = _evaluate(
+        p,
+        lambda v: np.array([[1.0 + 0j if v == c.vertex else 0j]]),
+        lambda a: np.array([[np.conj(c.lam[a.index]) if a.source == a.target == c.vertex else 0j]]),
+        np.zeros((1, 1), dtype=complex),
+    )
+    return complex(total[0, 0])
 
 
 class TwoDimRep:
@@ -179,21 +171,12 @@ def rho_eval(r: TwoDimRep, p: PathPolynomial) -> np.ndarray:
     """Evaluate the representation on a path polynomial as a 2x2 matrix."""
     if p.quiver != r.quiver:
         raise ValueError("polynomial lives over a different quiver")
-    total = np.zeros((2, 2), dtype=complex)
-    for path, coeff in p.items():
-        total += coeff * _rho_monomial(r, path)
-    return total
-
-
-def _rho_monomial(r: TwoDimRep, path: Path) -> np.ndarray:
-    if path.length == 0:
-        return np.diag(
-            [1.0 + 0j if path.base == r.i else 0j, 1.0 + 0j if path.base == r.j else 0j]
-        )
-    m = _arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, path.arrows[0])
-    for a in path.arrows[1:]:
-        m = _arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a) @ m
-    return m
+    return _evaluate(
+        p,
+        lambda v: np.diag([1.0 + 0j if v == r.i else 0j, 1.0 + 0j if v == r.j else 0j]),
+        lambda a: _arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a),
+        np.zeros((2, 2), dtype=complex),
+    )
 
 
 def t_tilde_k_matrix(q: Quiver, i: int, j: int, lam_i, lam_j, gamma, k: int) -> np.ndarray:

@@ -247,6 +247,21 @@ class TestNorms:
         assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 7))
         assert elapsed < 0.05
 
+    def test_oversized_blocks_refused_before_any_vector(self, tmp_path, capsys):
+        # 10^15 loops at vertex 1: an omitted lambda-i would be a 14 PiB zero
+        # vector, so the block sizes are bounded first
+        g = Path(__file__).parent / "fixtures" / "graphs" / "norms_oversized.json"
+        argv = ["norms", "--i", "1", "--j", "2", "--gamma", "0.5"]
+        assert main([*argv, "--graph", str(g)]) == 1
+        err = capsys.readouterr().err
+        assert "size limit exceeded" in err and "Traceback" not in err
+        # norms reads only the blocks (1, 1), (2, 2) and (1, 2): the same
+        # loops at a third vertex are never read
+        doc = json.loads(g.read_text())
+        doc["n"] = 3
+        doc["edges"][0].update({"from": 3, "to": 3})
+        assert main([*argv, "--graph", graph_file(tmp_path, "third.json", doc)]) == 0
+
     def test_unrelated_loops_leave_report_and_time_unchanged(self, tmp_path):
         # the representation at (1, 2) is zero on the 10^5 loops at vertex 3,
         # so the report is byte for byte the one without them, and the Gram

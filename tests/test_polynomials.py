@@ -215,6 +215,27 @@ class TestTextForm:
         with pytest.raises(ValueError, match="finite"):
             parse_polynomial(q, text)
 
+    @pytest.mark.parametrize("text", ["2*", "-", "v1 +", "v1 - 3*1<1:1*"])
+    def test_parse_names_the_end_of_the_text(self, q, text):
+        with pytest.raises(ValueError, match="text ends where a monomial or scalar was expected"):
+            parse_polynomial(q, text)
+
+    def test_parse_folds_past_the_product_degree_cap(self, q):
+        # the parser composes a term's paths itself, so text may name a
+        # monomial longer than MAX_DEGREE, which products refuse to reach
+        text = "*".join(["1<1:1"] * 17)
+        p = parse_polynomial(q, f"2*{text}")
+        (path,) = p.terms
+        assert path.length == 17 and p.coefficient(path) == 2.0
+        assert format_polynomial(p) == f"(2+0j)*{text}"
+        assert parse_polynomial(q, format_polynomial(p)) == p
+
+    def test_zero_product_still_refuses_an_overflowing_coefficient(self):
+        q = Quiver([[1, 1], [0, 1]])
+        assert not parse_polynomial(q, "1e308*1<2:1*1<2:1").terms
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_polynomial(q, "1e308*10*1<2:1*1<2:1")
+
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip(self, seed):
         rng = np.random.default_rng(60 + seed)
