@@ -17,9 +17,8 @@ Subcommands:
 ``--seed`` (default 0) through one numpy generator, so identical
 configurations produce byte-identical reports; the other subcommands draw
 none and take no ``--seed``.  Vertex numbers in files, flags, and reports
-are 1-based.  ``verify`` judges every check against ``--tolerance-exact``, a
-finite nonnegative number: the covariance deviation and both sides of each
-norm check are closed-form.
+are 1-based.  ``verify`` judges every check against ``VERIFY_TOL``: the
+covariance deviation and both sides of each norm check are closed-form.
 
 ``paths`` and ``verify`` refuse, before they build any path, graphs whose
 paths hold more than ``quiver.PATH_TOKEN_LIMIT`` arrow tokens in all, or
@@ -29,9 +28,13 @@ more than ``quiver.PATH_LIMIT`` paths; ``recover`` refuses graphs past
 before it draws anything; ``norms`` refuses blocks (i, i), (j, j) and (i, j)
 with more than ``quiver.PATH_LIMIT`` arrows in all before it builds a vector.
 
-``main`` builds its argument parser on its first call and reuses it for the
-rest of the process (``parse_args`` leaves a parser unchanged).  Reports
-are byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``;
+``build_parser`` is the one place where a subcommand and its options, with
+their defaults, are declared; each subcommand sets ``run`` to its runner,
+which returns the exit code, the report and the detail of the summary line
+``main`` prints on stderr.  ``main`` builds the parser on its first call and
+reuses it for the rest of the process (``parse_args`` leaves a parser
+unchanged).  Reports are byte-identical to
+``json.dumps(report, indent=2, sort_keys=True)``;
 ``_report_text`` writes them with the stdlib's C encoder, which ``indent``
 would switch off, and flat lists of plain strings with one ``str.join``.
 
@@ -45,9 +48,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,34 +78,8 @@ VERIFY_RANDOM_NORM_CHECKS = 2
 #: largest --k-max that norms accepts (one table row per k)
 NORMS_K_MAX = 100
 
-
-@dataclass
-class RunConfig:
-    """One run's settings; the defaults here are the CLI's defaults."""
-
-    subcommand: str
-    graph: Optional[str] = None
-    graph2: Optional[str] = None
-    expect: Optional[str] = None
-    depth: int = DEFAULT_DEPTH
-    seed: int = 0
-    tolerance_exact: float = 1e-12
-    output: Optional[str] = None
-    vertex_i: int = 1
-    vertex_j: int = 2
-    lam_i: Optional[str] = None
-    lam_j: Optional[str] = None
-    gamma: Optional[str] = None
-    k_max: int = 6
-    max_len: int = 4
-
-    def __post_init__(self) -> None:
-        if self.subcommand == "verify" and self.depth < 1:
-            raise ValueError("verify needs depth >= 1")
-        if not 0 <= self.tolerance_exact < math.inf:
-            raise ValueError(
-                f"--tolerance-exact must be finite and nonnegative, got {self.tolerance_exact}"
-            )
+#: the bound verify judges the covariance deviation and each norm check against
+VERIFY_TOL = 1e-12
 
 
 def _parse_complex_vector(text: Optional[str], dim: int, name: str) -> np.ndarray:
@@ -120,10 +95,10 @@ def _parse_complex_vector(text: Optional[str], dim: int, name: str) -> np.ndarra
     return vec
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, dict]:
-    q = parse_quiver_file(cfg.graph)
-    space = FockSpace(q, cfg.depth)
-    rng = np.random.default_rng(cfg.seed)
+def _run_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
+    q = parse_quiver_file(args.graph)
+    space = FockSpace(q, args.depth)
+    rng = np.random.default_rng(args.seed)
 
     deviations = [
         check_isometric_covariance(
@@ -158,58 +133,55 @@ def _run_verify(cfg: RunConfig) -> tuple[int, dict]:
         )
 
     report = {
-        "depth": cfg.depth,
+        "depth": args.depth,
         "dim": space.dim,
         "max_covariance_deviation": max_cov,
         "corner_isometry_ok": corner_ok,
         "norm_checks": norm_checks,
     }
-    ok = (
-        max_cov <= cfg.tolerance_exact
-        and corner_ok
-        and all(c["deviation"] <= cfg.tolerance_exact for c in norm_checks)
-    )
-    return (EXIT_OK if ok else EXIT_NUMERICAL), report
+    ok = max_cov <= VERIFY_TOL and corner_ok and all(c["deviation"] <= VERIFY_TOL for c in norm_checks)
+    detail = f"dim {space.dim}, max covariance deviation {max_cov:.3e}, {len(norm_checks)} norm checks"
+    return (EXIT_OK if ok else EXIT_NUMERICAL), report, detail
 
 
-def _run_norms(cfg: RunConfig) -> tuple[int, dict]:
-    q = parse_quiver_file(cfg.graph)
-    i, j = cfg.vertex_i - 1, cfg.vertex_j - 1
+def _run_norms(args: argparse.Namespace) -> tuple[int, dict, str]:
+    q = parse_quiver_file(args.graph)
+    i, j = args.vertex_i - 1, args.vertex_j - 1
     if not (0 <= i < q.n and 0 <= j < q.n):
         raise ValueError(f"vertices must be in 1..{q.n}")
     dims = q.c[i][i], q.c[j][j], q.c[i][j]
     if sum(dims) > PATH_LIMIT:  # arrows are the paths of length 1
         raise ValueError(
-            f"size limit exceeded: the blocks at vertices {cfg.vertex_i} and {cfg.vertex_j} "
+            f"size limit exceeded: the blocks at vertices {args.vertex_i} and {args.vertex_j} "
             f"hold {sum(dims)} > {PATH_LIMIT} arrows"
         )
-    texts = ((cfg.lam_i, "lambda-i"), (cfg.lam_j, "lambda-j"), (cfg.gamma, "gamma"))
+    texts = ((args.lam_i, "lambda-i"), (args.lam_j, "lambda-j"), (args.gamma, "gamma"))
     rep = TwoDimRep(q, i, j, *(_parse_complex_vector(t, d, name) for (t, name), d in zip(texts, dims)))
-    if not 1 <= cfg.k_max <= NORMS_K_MAX:
-        raise ValueError(f"k-max must be in 1..{NORMS_K_MAX}, got {cfg.k_max}")
+    if not 1 <= args.k_max <= NORMS_K_MAX:
+        raise ValueError(f"k-max must be in 1..{NORMS_K_MAX}, got {args.k_max}")
     rows = []
     worst = 0.0
-    for k in range(1, cfg.k_max + 1):
+    for k in range(1, args.k_max + 1):
         closed = t_tilde_k_norm_closed(rep, k)
         direct = t_tilde_k_norm_direct(rep, k)
         bound = purity_bound(rep, k)
         worst = max(worst, abs(closed - direct))
         rows.append({"k": k, "closed": closed, "direct": direct, "bound": bound})
     report = {
-        "i": cfg.vertex_i,
-        "j": cfg.vertex_j,
+        "i": args.vertex_i,
+        "j": args.vertex_j,
         "rows": rows,
         "max_closed_direct_gap": worst,
     }
     code = EXIT_OK if worst <= 1e-10 else EXIT_NUMERICAL
-    return code, report
+    return code, report, f"k up to {len(rows)}, closed/direct gap {worst:.3e}"
 
 
-def _run_recover(cfg: RunConfig) -> tuple[int, dict]:
-    q = parse_quiver_file(cfg.graph)
+def _run_recover(args: argparse.Namespace) -> tuple[int, dict, str]:
+    q = parse_quiver_file(args.graph)
     # recover refuses such graphs too, but only after the costly scramble
     _check_iso_size(q.n)
-    presentation = scramble(q, cfg.seed)
+    presentation = scramble(q, args.seed)
     result = recover(presentation)
     recovered = Quiver(result.c_recovered)
     report = {
@@ -220,36 +192,34 @@ def _run_recover(cfg: RunConfig) -> tuple[int, dict]:
             {"a": e.a + 1, "b": e.b + 1, "span_dim": e.span_dim, "rep_dim": e.rep_dim}
             for e in result.evidence
         ],
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     code = EXIT_OK
-    if cfg.expect is not None:
-        expected = parse_quiver_file(cfg.expect)
+    if args.expect is not None:
+        expected = parse_quiver_file(args.expect)
         match = (
             are_isomorphic(recovered, expected) if recovered.n == expected.n else None
         )
         report["expect_met"] = match is not None
         if match is None:
             code = EXIT_MISMATCH
-    return code, report
+    return code, report, f"recovered {result.n_recovered} vertices, witness {report['witness']}"
 
 
-def _run_iso(cfg: RunConfig) -> tuple[int, dict]:
-    q1 = parse_quiver_file(cfg.graph)
-    q2 = parse_quiver_file(cfg.graph2)
+def _run_iso(args: argparse.Namespace) -> tuple[int, dict, str]:
+    q1 = parse_quiver_file(args.graph)
+    q2 = parse_quiver_file(args.graph2)
     tau = are_isomorphic(q1, q2)
     report = {
         "isomorphic": tau is not None,
         "permutation": None if tau is None else [t + 1 for t in tau],
     }
-    return (EXIT_OK if tau is not None else EXIT_MISMATCH), report
+    return (EXIT_OK if tau is not None else EXIT_MISMATCH), report, f"permutation {report['permutation']}"
 
 
-def _run_paths(cfg: RunConfig) -> tuple[int, dict]:
-    q = parse_quiver_file(cfg.graph)
-    if cfg.max_len < 0:
-        raise ValueError("max-len must be nonnegative")
-    parent, last_arrow, lengths, _ = _path_tree(q, cfg.max_len)
+def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
+    q = parse_quiver_file(args.graph)
+    parent, last_arrow, lengths, _ = _path_tree(q, args.max_len)
     # a path's text is its last arrow's token before its parent's text; the
     # levels are contiguous, so each level is one object-array add
     tokens = np.array([format_path(arrow_path(a)) for a in q.arrows()], dtype=object)
@@ -260,25 +230,7 @@ def _run_paths(cfg: RunConfig) -> tuple[int, dict]:
     for lo, hi in zip(ends[:-1], ends[1:]):
         r = slice(lo - q.n, hi - q.n)
         names[lo:hi] = tokens[last_arrow[r]] if lo == q.n else starred[last_arrow[r]] + names[parent[r]]
-    return EXIT_OK, {"count": len(names), "paths": names.tolist()}
-
-
-_RUNNERS = {
-    "verify": _run_verify,
-    "norms": _run_norms,
-    "recover": _run_recover,
-    "iso": _run_iso,
-    "paths": _run_paths,
-}
-
-
-def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Dispatch a configuration; returns (exit code, JSON-ready report)."""
-    try:
-        runner = _RUNNERS[cfg.subcommand]
-    except KeyError:
-        raise ValueError(f"unknown subcommand {cfg.subcommand!r}") from None
-    return runner(cfg)
+    return EXIT_OK, {"count": len(names), "paths": names.tolist()}, f"{len(names)} paths"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -302,15 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, runner):
         p.add_argument("--output", help="write the JSON report here instead of stdout")
+        p.set_defaults(run=runner)
 
     p = sub.add_parser("verify", help="consistency checks on the truncated shifts")
     p.add_argument("--graph", required=True)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--tolerance-exact", type=float)
-    p.add_argument("--seed", type=int)
-    common(p)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--seed", type=int, default=0)
+    common(p, _run_verify)
 
     p = sub.add_parser("norms", help="compressed-map norm table for a 2-dim representation")
     p.add_argument("--graph", required=True)
@@ -319,57 +271,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-i", dest="lam_i")
     p.add_argument("--lambda-j", dest="lam_j")
     p.add_argument("--gamma")
-    p.add_argument("--k-max", dest="k_max", type=int)
-    common(p)
+    p.add_argument("--k-max", dest="k_max", type=int, default=6)
+    common(p, _run_norms)
 
     p = sub.add_parser("recover", help="scramble a graph and reconstruct it")
     p.add_argument("--graph", required=True)
     p.add_argument("--expect")
-    p.add_argument("--seed", type=int)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    common(p, _run_recover)
 
     p = sub.add_parser("iso", help="least isomorphism witness between two graph files (backtracking search)")
     p.add_argument("graph")
     p.add_argument("graph2")
-    common(p)
+    common(p, _run_iso)
 
     p = sub.add_parser("paths", help="enumerate paths up to a length")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    common(p)
+    p.add_argument("--max-len", dest="max_len", type=int, default=4)
+    common(p, _run_paths)
 
     return parser
 
 
 #: the parser ``main`` uses, built on its first call
 _cached_parser = functools.cache(build_parser)
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run configuration of parsed arguments; options left out (None)
-    take the RunConfig defaults."""
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**kwargs)
-
-
-def _summary(cfg: RunConfig, code: int, report: dict) -> str:
-    status = {0: "OK", 1: "VALIDATION ERROR", 2: "CHECK FAILED", 3: "MISMATCH"}[code]
-    if cfg.subcommand == "verify":
-        detail = (
-            f"dim {report['dim']}, max covariance deviation "
-            f"{report['max_covariance_deviation']:.3e}, "
-            f"{len(report['norm_checks'])} norm checks"
-        )
-    elif cfg.subcommand == "norms":
-        detail = f"k up to {len(report['rows'])}, closed/direct gap {report['max_closed_direct_gap']:.3e}"
-    elif cfg.subcommand == "recover":
-        detail = f"recovered {report['n_recovered']} vertices, witness {report['witness']}"
-    elif cfg.subcommand == "iso":
-        detail = f"permutation {report['permutation']}"
-    else:
-        detail = f"{report['count']} paths"
-    return f"{cfg.subcommand}: {detail} -- {status}"
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -416,8 +341,8 @@ def _report_text(value, indent: str = "") -> str:
 
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(_cached_parser().parse_args(argv))
-        code, report = run(cfg)
+        args = _cached_parser().parse_args(argv)
+        code, report, detail = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -425,12 +350,13 @@ def main(argv=None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     text = _report_text(report)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    print(_summary(cfg, code, report), file=sys.stderr)
+    status = {EXIT_OK: "OK", EXIT_NUMERICAL: "CHECK FAILED", EXIT_MISMATCH: "MISMATCH"}[code]
+    print(f"{args.subcommand}: {detail} -- {status}", file=sys.stderr)
     return code
 
 

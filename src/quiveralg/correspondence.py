@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quiver import Arrow, Quiver
+from .quiver import Arrow, Quiver, _check_arrow_count
 
 
 class CorrespondenceElement:
@@ -41,6 +41,7 @@ class CorrespondenceElement:
 
     @classmethod
     def zeros(cls, quiver: Quiver) -> "CorrespondenceElement":
+        _check_arrow_count(quiver.total_arrows())
         return cls(quiver, np.zeros(quiver.total_arrows()))
 
     @classmethod
@@ -54,14 +55,9 @@ class CorrespondenceElement:
     def random(cls, quiver: Quiver, rng: np.random.Generator):
         """Standard complex Gaussian coefficients, drawn block by block in
         (target, source) order, real parts before imaginary parts."""
-        out = cls.zeros(quiver)
-        for i in quiver.vertices():
-            for j in quiver.vertices():
-                d = quiver.c[i][j]
-                if d:
-                    start = quiver.block_start(i, j)
-                    out.vector[start:start + d] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return out
+        _check_arrow_count(quiver.total_arrows())
+        blocks = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for row in quiver.c for d in row if d]
+        return cls(quiver, np.concatenate([[], *blocks]))
 
     def block(self, target: int, source: int) -> np.ndarray:
         """The coefficients of the arrows from ``source`` to ``target``, by index."""

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .correspondence import CorrespondenceElement
-from .quiver import PATH_LIMIT, Quiver
+from .quiver import PATH_LIMIT, Quiver, _check_arrow_count
 
 #: version of the graph file schema (printed by the CLI --version flag)
 GRAPH_SCHEMA_VERSION = "1"
@@ -119,6 +119,7 @@ def element_to_wire(xi: CorrespondenceElement) -> list[dict]:
 
 
 def element_from_wire(q: Quiver, records) -> CorrespondenceElement:
+    _check_arrow_count(q.total_arrows())
     vector = np.zeros(q.total_arrows(), dtype=complex)
     seen: set[tuple[int, int]] = set()
     for k, rec in enumerate(records):

@@ -341,6 +341,15 @@ def _check_iso_size(n: int) -> None:
         )
 
 
+def _check_arrow_count(count: int) -> None:
+    """Refuse a vector with one entry per arrow for more than ``PATH_LIMIT``
+    arrows (the paths of length 1), before it is allocated."""
+    if count > PATH_LIMIT:
+        raise ValueError(
+            f"size limit exceeded: refusing a vector over {count} > {PATH_LIMIT} arrows"
+        )
+
+
 def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     """Search for a vertex permutation tau with ``apply_permutation(q1, tau) == q2``.
 

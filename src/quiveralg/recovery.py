@@ -110,8 +110,8 @@ class ScrambledPresentation:
         vertex = self._vertex = tuple(_idempotent_vertex(p) for p in self.idempotents)
         if len(set(vertex)) != self.n:
             raise ValueError("duplicate idempotent label")
-        if any(g.quiver != q for g in self.generators):
-            raise ValueError("generators live over a different quiver")
+        if any(p.quiver != q for p in (*self.idempotents, *self.generators)):
+            raise ValueError("idempotents or generators live over a different quiver")
         # each generator in the block (i, j) is labelled by the labels of i
         # and j, and it must equal p_a * g * p_b for that pair
         label = {v: a for a, v in enumerate(vertex)}

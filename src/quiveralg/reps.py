@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .polynomials import PathPolynomial, _evaluate
-from .quiver import Path, Quiver, arrow_path
+from .quiver import Path, Quiver, _check_arrow_count, arrow_path
 
 #: two squared norms closer than this are treated as an exactly degenerate
 #: pair in the closed-form geometric sum
@@ -49,6 +49,7 @@ def _as_vector(x) -> np.ndarray:
 def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> np.ndarray:
     """lam checked against the loop space at the vertex; None is its zero vector."""
     dim = q.c[vertex][vertex]
+    _check_arrow_count(dim)
     vec = np.zeros(dim, dtype=complex) if lam is None else _as_vector(lam)
     if vec.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {vec.shape[0]}")

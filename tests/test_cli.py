@@ -11,8 +11,14 @@ import pytest
 from quiveralg import GRAPH_SCHEMA_VERSION, FockSpace, Quiver, format_path, parse_quiver_dict, parse_quiver_file, quiver_to_dict, write_quiver_file
 from quiveralg.quiver import Path as QuiverPath
 from quiveralg import cli, quiver, recovery
-from quiveralg.cli import NORMS_K_MAX, RunConfig, build_parser, config_from_args, main, run
+from quiveralg.cli import NORMS_K_MAX, build_parser, main
 from helpers import random_quiver, reference_enumerate_paths
+
+
+def run(argv):
+    """(exit code, report, summary detail) of one subcommand, without ``main``."""
+    args = cli._cached_parser().parse_args(argv)
+    return args.run(args)
 
 
 def graph_file(tmp_path, name, doc):
@@ -144,7 +150,7 @@ class TestGraphFileParsing:
 
 class TestVerify:
     def test_passes_on_two_loops(self, two_loop):
-        code, report = run(RunConfig("verify", graph=two_loop, depth=3))
+        code, report, _ = run(["verify", "--graph", two_loop, "--depth", "3"])
         assert code == 0
         assert report["depth"] == 3
         assert report["dim"] == 1 + 2 + 4 + 8
@@ -153,29 +159,20 @@ class TestVerify:
         assert all(c["deviation"] <= 1e-9 for c in report["norm_checks"])
 
     def test_reference_graph(self, reference):
-        code, report = run(RunConfig("verify", graph=reference, depth=4))
+        code, report, _ = run(["verify", "--graph", reference, "--depth", "4"])
         assert code == 0
 
     def test_impossible_tolerance_fails_numerically(self, two_loop, monkeypatch):
-        # tolerance 0 (the least one accepted): the smallest positive
-        # covariance deviation fails the run
+        # tolerance 0: the smallest positive covariance deviation fails the run
         monkeypatch.setattr(cli, "check_isometric_covariance", lambda *args: 5e-324)
-        cfg = RunConfig("verify", graph=two_loop, depth=3, tolerance_exact=0.0)
-        code, report = run(cfg)
+        monkeypatch.setattr(cli, "VERIFY_TOL", 0.0)
+        code, report, _ = run(["verify", "--graph", two_loop, "--depth", "3"])
         assert report["max_covariance_deviation"] == 5e-324
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_non_finite_or_negative_tolerance_exits_1(self, two_loop, value, monkeypatch, capsys):
-        # refused before the graph is read
-        monkeypatch.setattr(cli, "parse_quiver_file", None)
-        code = main(["verify", "--graph", two_loop, "--depth", "3", "--tolerance-exact", value])
-        assert code == 1
-        assert "--tolerance-exact must be finite and nonnegative" in capsys.readouterr().err
-
     def test_depth_zero_rejected(self, two_loop):
         with pytest.raises(ValueError, match="depth"):
-            RunConfig("verify", graph=two_loop, depth=0)
+            run(["verify", "--graph", two_loop, "--depth", "0"])
 
     def test_two_loops_depth_10_within_budget(self, two_loop, tmp_path):
         # dim 2047; every norm here is a weighted-shift norm, so no SVD runs
@@ -215,16 +212,10 @@ class TestVerify:
 
 class TestNorms:
     def test_table_shape_and_agreement(self, reference):
-        cfg = RunConfig(
-            "norms",
-            graph=reference,
-            vertex_i=1,
-            vertex_j=2,
-            lam_i="0.5",
-            gamma="0.4,0.3",
-            k_max=4,
+        code, report, _ = run(
+            ["norms", "--graph", reference, "--i", "1", "--j", "2", "--lambda-i", "0.5",
+             "--gamma", "0.4,0.3", "--k-max", "4"]
         )
-        code, report = run(cfg)
         assert code == 0
         assert [row["k"] for row in report["rows"]] == [1, 2, 3, 4]
         for row in report["rows"]:
@@ -290,23 +281,20 @@ class TestNorms:
 
     def test_k_max_out_of_range_rejected(self, reference):
         for k_max in (0, -3, NORMS_K_MAX + 1):
-            cfg = RunConfig("norms", graph=reference, vertex_i=1, vertex_j=2, k_max=k_max)
             with pytest.raises(ValueError, match="k-max must be in 1"):
-                run(cfg)
+                run(["norms", "--graph", reference, "--i", "1", "--j", "2", "--k-max", str(k_max)])
 
     def test_k_max_past_six_accepted(self, reference):
         # the direct route is a Gram recursion, so k-max has no cap at 6
-        cfg = RunConfig("norms", graph=reference, vertex_i=1, vertex_j=2, k_max=NORMS_K_MAX)
-        code, report = run(cfg)
+        code, report, _ = run(
+            ["norms", "--graph", reference, "--i", "1", "--j", "2", "--k-max", str(NORMS_K_MAX)]
+        )
         assert code == 0
         assert [row["k"] for row in report["rows"]] == list(range(1, NORMS_K_MAX + 1))
 
     def test_bad_vector_rejected(self, reference):
-        cfg = RunConfig(
-            "norms", graph=reference, vertex_i=1, vertex_j=2, lam_i="0.5,0.5"
-        )
         with pytest.raises(ValueError, match="entries"):
-            run(cfg)
+            run(["norms", "--graph", reference, "--i", "1", "--j", "2", "--lambda-i", "0.5,0.5"])
 
     def test_non_finite_parameter_exits_1(self, reference, capsys):
         # NaN fails every comparison, so it would pass the ball and
@@ -319,8 +307,7 @@ class TestNorms:
 
 class TestRecoverCommand:
     def test_self_expectation_met(self, reference):
-        cfg = RunConfig("recover", graph=reference, seed=5, expect=reference)
-        code, report = run(cfg)
+        code, report, _ = run(["recover", "--graph", reference, "--seed", "5", "--expect", reference])
         assert code == 0
         assert report["expect_met"] is True
         assert report["witness"] is not None
@@ -360,8 +347,7 @@ class TestRecoverCommand:
         other = graph_file(
             tmp_path, "other.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 3}]}
         )
-        cfg = RunConfig("recover", graph=reference, seed=5, expect=other)
-        code, report = run(cfg)
+        code, report, _ = run(["recover", "--graph", reference, "--seed", "5", "--expect", other])
         assert code == 3
         assert report["expect_met"] is False
 
@@ -405,7 +391,7 @@ class TestIso:
         three = graph_file(
             tmp_path, "g3.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 3}]}
         )
-        code, report = run(RunConfig("iso", graph=two_loop, graph2=three))
+        code, report, _ = run(["iso", two_loop, three])
         assert code == 3
         assert report["isomorphic"] is False
 
@@ -435,14 +421,14 @@ class TestIso:
             "b.json",
             {"n": 2, "edges": [{"from": 1, "to": 1, "count": 1}, {"from": 1, "to": 2, "count": 2}, {"from": 2, "to": 2, "count": 1}]},
         )
-        code, report = run(RunConfig("iso", graph=g1, graph2=g2))
+        code, report, _ = run(["iso", g1, g2])
         assert code == 0
         assert report["permutation"] == [2, 1]
 
 
 class TestPaths:
     def test_two_loop_enumeration(self, two_loop):
-        code, report = run(RunConfig("paths", graph=two_loop, max_len=2))
+        code, report, _ = run(["paths", "--graph", two_loop, "--max-len", "2"])
         assert code == 0
         assert report["count"] == 7
         assert report["paths"][0] == "v1"
@@ -466,7 +452,7 @@ class TestPaths:
         for q in quivers:
             write_quiver_file(q, g)
             for max_len in range(6):
-                code, report = run(RunConfig("paths", graph=g, max_len=max_len))
+                code, report, _ = run(["paths", "--graph", g, "--max-len", str(max_len)])
                 want = [format_path(p) for p in reference_enumerate_paths(q, max_len)]
                 assert code == 0
                 assert report == {"count": len(want), "paths": want}
@@ -586,12 +572,28 @@ class TestMainEntry:
             ["paths", "--graph", "{g}", "--seed", "1"],
             ["norms", "--graph", "{g}", "--i", "1", "--j", "1", "--seed", "1"],
             ["verify", "--graph", "{g}", "--tolerance-iterative", "1e-9"],
+            ["verify", "--graph", "{g}", "--tolerance-exact", "1e-9"],
         ],
-        ids=["iso-seed", "paths-seed", "norms-seed", "tolerance-iterative"],
+        ids=["iso-seed", "paths-seed", "norms-seed", "tolerance-iterative", "tolerance-exact"],
     )
     def test_removed_options_exit_1(self, argv, two_loop, capsys):
         assert main([a.format(g=two_loop) for a in argv]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "--depth", "0"], "depth"),
+            (["verify", "--depth", "-1"], "depth"),
+            (["paths", "--max-len", "-1"], "max_len"),
+        ],
+        ids=["verify-depth-0", "verify-depth-negative", "paths-max-len-negative"],
+    )
+    def test_too_short_length_exits_1(self, argv, name, two_loop, capsys):
+        # refused by the library (FockSpace, the covariance check, the path tree)
+        assert main([*argv, "--graph", two_loop]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -658,6 +660,6 @@ class TestMainEntry:
         args = parser.parse_args(
             ["norms", "--graph", "g.json", "--i", "1", "--j", "2", "--k-max", "3"]
         )
-        cfg = config_from_args(args)
-        assert cfg.subcommand == "norms"
-        assert cfg.vertex_i == 1 and cfg.vertex_j == 2 and cfg.k_max == 3
+        assert args.subcommand == "norms" and args.run is cli._run_norms
+        assert args.vertex_i == 1 and args.vertex_j == 2 and args.k_max == 3
+        assert parser.parse_args(["verify", "--graph", "g.json"]).depth == cli.DEFAULT_DEPTH

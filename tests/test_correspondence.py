@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +51,30 @@ class TestConstruction:
         xi = CorrespondenceElement.zeros(q22).with_block(0, 0, [1, 2])
         with pytest.raises(ValueError, match="not an arrow"):
             xi.component(a)
+
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            CorrespondenceElement.zeros,
+            lambda q: CorrespondenceElement.random(q, np.random.default_rng(0)),
+            lambda q: CorrespondenceElement.basis(q, Arrow(0, 0, 0)),
+            lambda q: element_from_wire(q, []),
+        ],
+        ids=["zeros", "random", "basis", "from_wire"],
+    )
+    def test_oversized_quiver_refused_before_allocation(self, build):
+        # 10^15 loops: the zero vector alone would be 14 PiB
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            build(Quiver([[10**15, 1], [0, 0]]))
+
+    def test_random_complete_200_within_budget(self):
+        # 40,000 one-arrow blocks, drawn with no per-block position lookup
+        q = Quiver([[1] * 200] * 200)
+        t0 = time.perf_counter()
+        xi = CorrespondenceElement.random(q, np.random.default_rng(0))
+        assert time.perf_counter() - t0 < 1.0
+        assert xi.vector.shape == (40000,) and np.count_nonzero(xi.vector) == 40000
 
 
 class TestInnerProduct:

@@ -119,6 +119,7 @@ class TestScramble:
             ("duplicate_label", "duplicate idempotent label"),
             ("scaled_idempotent", "single vertex monomials"),
             ("other_quiver", "different quiver"),
+            ("idempotent_other_quiver", "different quiver"),
             ("two_blocks", "supported on a single block"),
         ],
     )
@@ -135,6 +136,8 @@ class TestScramble:
             "duplicate_label": ((p0, p0), gens),
             "scaled_idempotent": ((p0, 2 * p1), gens),
             "other_quiver": ((p0, p1), gens[:-1] + (PathPolynomial.arrow(other, Arrow(0, 1, 0)),)),
+            # with no generators, only the idempotents carry a quiver
+            "idempotent_other_quiver": ((PathPolynomial.vertex(Quiver([[0, 0], [0, 0]]), 0), p1), ()),
             "two_blocks": ((p0, p1), gens[:-1] + (gens[0] + gens[1],)),
         }[case]
         with pytest.raises(ValueError, match=match):

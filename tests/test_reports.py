@@ -107,6 +107,33 @@ def test_verify_takes_no_svd(name, capsys, monkeypatch):
     test_verify_report_matches_fixture(name, capsys)
 
 
+#: report name -> the summary line ``main`` prints on stderr, as printed
+#: when the fixtures were recorded
+SUMMARIES = {
+    "iso_other": "iso: permutation None -- MISMATCH",
+    "iso_relabelled": "iso: permutation [6, 5, 4, 3, 2, 1] -- OK",
+    "norms_three_blocks_k6": "norms: k up to 6, closed/direct gap 1.110e-16 -- OK",
+    "paths_chain11_l15": "paths: 96 paths -- OK",
+    "paths_four_cycle_loop_l6": "paths: 85 paths -- OK",
+    "paths_recover12_l2": "paths: 2481 paths -- OK",
+    "paths_reference": "paths: 30 paths -- OK",
+    "recover12_expect": "recover: recovered 12 vertices, witness [8, 2, 10, 9, 1, 6, 5, 7, 12, 4, 3, 11] -- OK",
+    "recover4_expect": "recover: recovered 4 vertices, witness [1, 4, 3, 2] -- OK",
+    "recover5_wide_expect": "recover: recovered 5 vertices, witness [5, 3, 4, 2, 1] -- OK",
+    "recover6_expect": "recover: recovered 6 vertices, witness [1, 3, 6, 2, 4, 5] -- OK",
+    "verify_four_cycle_loop_d8": "verify: dim 171, max covariance deviation 3.140e-16, 7 norm checks -- OK",
+    "verify_two_loops_d10": "verify: dim 2047, max covariance deviation 2.220e-16, 4 norm checks -- OK",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_summary_line_matches_fixture(name, capsys):
+    assert set(SUMMARIES) == set(REPORTS) | set(VERIFY_REPORTS)
+    argv = REPORTS[name][0] if name in REPORTS else VERIFY_REPORTS[name]
+    main(argv)
+    assert capsys.readouterr().err == SUMMARIES[name] + "\n"
+
+
 def test_fresh_process_never_loads_scipy(tmp_path):
     """``import quiveralg`` and one CLI run of every fixture (all five
     subcommands) leave scipy unloaded: scipy is imported only where a CSR

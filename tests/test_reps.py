@@ -139,6 +139,19 @@ class TestTwoDimRepValidation:
         with pytest.raises(ValueError, match="dimension"):
             TwoDimRep(q, 0, 1, [0.5], [], [0.5])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TwoDimRep(Quiver([[10**15, 1], [0, 0]]), 0, 1, gamma=[0.5]),
+            lambda: Character(Quiver([[10**15]]), 0),
+        ],
+        ids=["two_dim_rep", "character"],
+    )
+    def test_oversized_loop_space_refused_before_allocation(self, build):
+        # an omitted lam at 10^15 loops would be a 14 PiB zero vector
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            build()
+
 
 class TestMembership:
     def test_equality_case_is_member(self):
