@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -120,7 +122,13 @@ class Quiver:
         ``target``; the rest of that block follows it in index order."""
         self._check_vertex(target)
         self._check_vertex(source)
-        return sum(map(sum, self.c[:target])) + sum(self.c[target][:source])
+        return self._block_starts[target * self.n + source]
+
+    @cached_property
+    def _block_starts(self) -> list[int]:
+        """``block_start`` of every block, row-major: the prefix sums of the
+        flattened multiplicity matrix."""
+        return list(accumulate(chain.from_iterable(self.c), initial=0))
 
     def arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The (sources, targets) of all arrows as int arrays, in ``arrows()`` order."""
@@ -140,7 +148,7 @@ class Quiver:
         )
 
     def total_arrows(self) -> int:
-        return sum(sum(row) for row in self.c)
+        return self._block_starts[-1]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

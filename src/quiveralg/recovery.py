@@ -32,6 +32,17 @@ They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank of the rows at (a, a)
 alone.
 
+The small dense linear algebra runs in batches.  ``scramble`` lists the
+nonempty blocks in (target, source) order, draws all their Gaussians with
+one ``standard_normal`` call (the stream of one real and then one imaginary
+(d, d) draw per block) and orthogonalizes them with one stacked QR per block
+size.  Every rank comes from one helper, ``_ranks``: one stacked SVD per
+matrix shape, counting the singular values above ``RANK_TOL`` as
+``np.linalg.matrix_rank`` does.  The constructor ranks all of the table's
+rows with one call, and ``recover`` builds the representation rows of every
+labelled pair before it ranks them with one call, so a family-test
+``RecoveryError`` at any pair is raised before a ``ProbeMismatchError``.
+
 Beyond the polynomial values the code reads the hidden quiver in these
 places only: the vertex each idempotent names, its vertex count, and its
 multiplicity matrix ``c`` in the constructor's span check, which compares
@@ -124,13 +135,15 @@ class ScrambledPresentation:
             labelled.setdefault((a, b), []).append((k, coeffs))
         # the generator table: label pair (a, b) -> the indices of the
         # generators labelled (a, b), their coefficient rows and their rank
-        self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        for (a, b), kcs in labelled.items():
+        rows = []
+        for kcs in labelled.values():
             width = 1 + max(m for _, coeffs in kcs for m in coeffs)
             vecs = np.zeros((len(kcs), width), dtype=complex)
             for row, (_, coeffs) in zip(vecs, kcs):
                 row[list(coeffs)] = list(coeffs.values())
-            rank = int(np.linalg.matrix_rank(vecs, tol=RANK_TOL))
+            rows.append(vecs)
+        self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
+        for ((a, b), kcs), vecs, rank in zip(labelled.items(), rows, _ranks(rows)):
             i, j = vertex[a], vertex[b]
             if len(vecs) != q.c[i][j] or rank != q.c[i][j]:
                 raise ValueError(
@@ -171,6 +184,22 @@ class RecoveryReport:
     evidence: tuple[PairEvidence, ...]
 
 
+def _ranks(matrices: list[np.ndarray]) -> list[int]:
+    """``np.linalg.matrix_rank(m, tol=RANK_TOL)`` of each matrix, from one
+    stacked SVD per distinct shape and dtype; a matrix without entries has
+    rank 0."""
+    ranks = [0] * len(matrices)
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(matrices):
+        if m.size:
+            groups.setdefault((m.shape, m.dtype), []).append(k)
+    for ks in groups.values():
+        s = np.linalg.svd(np.stack([matrices[k] for k in ks]), compute_uv=False)
+        for k, rank in zip(ks, np.count_nonzero(s > RANK_TOL, axis=-1).tolist()):
+            ranks[k] = rank
+    return ranks
+
+
 def _idempotent_vertex(p: PathPolynomial) -> int:
     items = list(p.items())
     if len(items) != 1 or items[0][0].length != 0 or items[0][1] != 1:
@@ -192,13 +221,28 @@ def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], dict[int, comple
     return blocks.pop(), coeffs
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Orthogonalized complex Gaussian (QR with phase-fixed diagonal)."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+def _haar_unitaries(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
+    """One Haar unitary per entry of ``sizes``, in order: orthogonalized
+    complex Gaussians (QR with phase-fixed diagonal).  The Gaussians are one
+    draw, each unitary's real (d, d) part and then its imaginary part in
+    turn, which is the stream of two (d, d) draws per unitary; the QRs run
+    stacked, one per distinct size."""
+    if not sizes:
+        return []
+    ends = np.cumsum([2 * d * d for d in sizes])
+    z = rng.standard_normal(int(ends[-1]))
+    by_size: dict[int, list[int]] = {}
+    for k, d in enumerate(sizes):
+        by_size.setdefault(d, []).append(k)
+    unitaries = [np.empty(0)] * len(sizes)
+    for d, ks in by_size.items():
+        parts = z[ends[ks][:, None] - 2 * d * d + np.arange(2 * d * d)].reshape(-1, 2, d, d)
+        q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0))
+        diag = np.diagonal(r, axis1=1, axis2=2).copy()
+        diag[diag == 0] = 1.0
+        for k, u in zip(ks, q * (diag / np.abs(diag))[:, None, :]):
+            unitaries[k] = u
+    return unitaries
 
 
 def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
@@ -217,16 +261,12 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
         )
     rng = np.random.default_rng(seed)
     tau = tuple(int(v) for v in rng.permutation(q.n))
-    unitaries: dict[tuple[int, int], np.ndarray] = {}
+    blocks = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
+    unitaries = dict(zip(blocks, _haar_unitaries(rng, [q.c[i][j] for i, j in blocks])))
     generators: list[PathPolynomial] = []
-    for i in range(q.n):
-        for j in range(q.n):
-            d = q.c[i][j]
-            if d == 0:
-                continue
-            u = unitaries[(i, j)] = _haar_unitary(rng, d)
-            paths = [arrow_path(a) for a in q.block(i, j)]
-            generators += [PathPolynomial(q, dict(zip(paths, u[:, m]))) for m in range(d)]
+    for (i, j), u in unitaries.items():
+        paths = [arrow_path(a) for a in q.block(i, j)]
+        generators += [PathPolynomial(q, dict(zip(paths, u[:, m]))) for m in range(len(u))]
     order = rng.permutation(len(generators))
     return ScrambledPresentation(
         idempotents=tuple(PathPolynomial.vertex(q, v) for v in tau),
@@ -280,9 +320,13 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
+    (rep_dim,) = _ranks([_rep_rows(s, a, b, _pair_reps(s, a, b))])
+    return _agreed(s, a, b, rep_dim)
+
+
+def _agreed(s: ScrambledPresentation, a: int, b: int, rep_dim: int) -> int:
+    """The span probe's count at (a, b), once it equals ``rep_dim``."""
     span_dim = s._by_label.get((a, b), _UNLABELLED)[2]
-    rows = _rep_rows(s, a, b, _pair_reps(s, a, b))
-    rep_dim = int(np.linalg.matrix_rank(rows, tol=RANK_TOL)) if rows.size else 0
     if span_dim != rep_dim:
         raise ProbeMismatchError(
             f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"
@@ -314,11 +358,15 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
         d = probe_character_dimension(s, a)
         c[a][a] = d
         evidence.append(PairEvidence(a=a, b=a, span_dim=d, rep_dim=None))
+    # every labelled pair's representation rows first, then one rank call
+    pairs = sorted((a, b) for a, b in s._by_label if a != b)
+    rows = [_rep_rows(s, a, b, _pair_reps(s, a, b)) for a, b in pairs]
+    rep_dims = dict(zip(pairs, _ranks(rows)))
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
-            d = probe_pair_dimension(s, a, b)
+            d = _agreed(s, a, b, rep_dims.get((a, b), 0))
             evidence.append(PairEvidence(a=a, b=b, span_dim=d, rep_dim=d))
             c[a][b] = d
     recovered = Quiver(c)

@@ -16,6 +16,7 @@ from quiveralg import (
     PathPolynomial,
     Quiver,
     TwoDimRep,
+    arrow_path,
     compose,
     enumerate_paths,
     inner_product,
@@ -314,3 +315,32 @@ def reference_product(p, r):
             if w is not None:
                 terms[w] = terms.get(w, 0j) + cu * cv
     return PathPolynomial(p.quiver, terms)
+
+
+def reference_haar_unitary(rng, d):
+    """One Haar unitary drawn on its own: a (d, d) real then a (d, d)
+    imaginary Gaussian draw, one QR, the phase-fixed diagonal."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def reference_scramble(q, seed):
+    """``scramble``'s draws one block at a time: the vertex permutation, the
+    unitary of each nonempty block in (target, source) order, then the
+    generator order.  Returns (tau, unitaries, generator terms), the terms of
+    each generator as a list of (path, coefficient)."""
+    rng = np.random.default_rng(seed)
+    tau = tuple(int(v) for v in rng.permutation(q.n))
+    unitaries, generators = {}, []
+    for i in range(q.n):
+        for j in range(q.n):
+            d = q.c[i][j]
+            if d:
+                u = unitaries[(i, j)] = reference_haar_unitary(rng, d)
+                paths = [arrow_path(a) for a in q.block(i, j)]
+                generators += [list(zip(paths, u[:, m])) for m in range(d)]
+    order = rng.permutation(len(generators))
+    return tau, unitaries, [generators[k] for k in order]

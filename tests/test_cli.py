@@ -379,7 +379,7 @@ class TestRecoverCommand:
         def no_draw(*args, **kwargs):
             raise AssertionError("a unitary was drawn")
 
-        monkeypatch.setattr(recovery, "_haar_unitary", no_draw)
+        monkeypatch.setattr(recovery, "_haar_unitaries", no_draw)
         t0 = time.perf_counter()
         assert main(["recover", "--graph", g]) == 1
         assert time.perf_counter() - t0 < 0.1

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from quiveralg import Quiver, enumerate_paths  # noqa: E402
+from quiveralg import Arrow, Quiver, enumerate_paths  # noqa: E402
 from quiveralg import quiver  # noqa: E402
 from quiveralg.quiver import _path_tree  # noqa: E402
 
@@ -41,3 +41,20 @@ def test_token_budget_is_exact(q, max_len):
             mp.setattr(quiver, "PATH_TOKEN_LIMIT", tokens - 1)
             with pytest.raises(ValueError, match="arrow tokens"):
                 _path_tree(q, max_len)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_block_start_is_first_position_in_arrows(data):
+    n = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    q = Quiver(data.draw(st.lists(row, min_size=n, max_size=n)))
+    arrows = list(q.arrows())
+    blocks = data.draw(st.permutations([(i, j) for i in range(n) for j in range(n)]))
+    # asked in any order, each block starts where arrows() reaches it
+    for i, j in blocks:
+        start = q.block_start(i, j)
+        assert start == sum(1 for a in arrows if (a.target, a.source) < (i, j))
+        if q.c[i][j]:
+            assert arrows[start] == Arrow(j, i, 0)
+    assert q.total_arrows() == len(arrows)

@@ -158,6 +158,17 @@ class TestQuiverConstruction:
         ]
         assert list(q.arrows_from(1)) == [Arrow(1, 0, 0), Arrow(1, 0, 1), Arrow(1, 1, 0)]
 
+    def test_block_start_of_every_block_within_budget(self):
+        """All n^2 block starts and arrow counts of the complete 200-vertex
+        graph (40,000 arrows) are read from one table, not summed per call."""
+        n = 200
+        q = Quiver([[1] * n] * n)
+        t0 = time.perf_counter()
+        starts = [q.block_start(i, j) for i in range(n) for j in range(n)]
+        totals = {q.total_arrows() for _ in range(n * n)}
+        assert time.perf_counter() - t0 < 0.5
+        assert starts == list(range(n * n)) and totals == {n * n}
+
 
 class TestPath:
     def test_vertex_path(self):

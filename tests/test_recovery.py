@@ -13,6 +13,7 @@ from quiveralg import (
     PathPolynomial,
     Quiver,
     ScrambledPresentation,
+    TwoDimRep,
     apply_permutation,
     are_isomorphic,
     probe_character_dimension,
@@ -31,7 +32,12 @@ from quiveralg.recovery import (
     _pair_reps,
     _rep_rows,
 )
-from helpers import random_quiver, reference_compressions, reference_rep_rows
+from helpers import (
+    random_quiver,
+    reference_compressions,
+    reference_rep_rows,
+    reference_scramble,
+)
 
 
 def manual_presentation(q, tau):
@@ -279,6 +285,13 @@ class TestCompressions:
             )
 
 
+def zeroed_rho_eval(r, p):
+    """``rho_eval`` with the upper-right entry zeroed."""
+    m = rho_eval(r, p)
+    m[0, 1] = 0
+    return m
+
+
 class TestBatchedRows:
     """The pair probe's representation rows: ``rho_eval`` of each
     representation on each arrow of its block, times the coefficient rows of
@@ -345,14 +358,121 @@ class TestBatchedRows:
         counts 0 where the span probe counts the arrows."""
         s = scramble(Quiver([[0, 2], [1, 0]]), seed=3)
 
-        def zeroed(r, p):
-            m = rho_eval(r, p)
-            m[0, 1] = 0
-            return m
-
-        monkeypatch.setattr(recovery, "rho_eval", zeroed)
+        monkeypatch.setattr(recovery, "rho_eval", zeroed_rho_eval)
         with pytest.raises(ProbeMismatchError, match="rep 0"):
             recover(s)
+
+    def test_family_test_error_comes_before_an_earlier_mismatch(self, monkeypatch):
+        """``recover`` builds the representation rows of every pair before it
+        ranks any, so a family-test refusal at the last pair is raised even
+        though the probes already disagree at the first; the pair probe on
+        the first pair alone still reports the mismatch."""
+        s = scramble(Quiver([[0, 2], [1, 0]]), seed=3)
+        last = max(p for p in s._by_label if p[0] != p[1])
+        last_vertices = (s._vertex[last[0]], s._vertex[last[1]])
+
+        def refusing(q, i, j, **kwargs):
+            if (i, j) == last_vertices:
+                raise ValueError("refused")
+            return TwoDimRep(q, i, j, **kwargs)
+
+        monkeypatch.setattr(recovery, "rho_eval", zeroed_rho_eval)
+        monkeypatch.setattr(recovery, "TwoDimRep", refusing)
+        with pytest.raises(RecoveryError, match="family test") as info:
+            recover(s)
+        assert type(info.value) is RecoveryError
+        first = min(p for p in s._by_label if p[0] != p[1])
+        with pytest.raises(ProbeMismatchError, match="rep 0"):
+            probe_pair_dimension(s, *first)
+
+
+def _bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+#: blocks of sizes 1, 2, 3 alternating in (target, source) order, as in the
+#: recover4_mixed fixture
+MIXED = Quiver([[1, 2, 3, 0], [0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 0, 2]])
+
+
+class TestBatchedLinearAlgebra:
+    """``scramble`` draws every block's Gaussians at once and runs one
+    stacked QR per block size; the ranks come from one stacked SVD per
+    matrix shape.  The per-block draws of ``reference_scramble`` and
+    ``np.linalg.matrix_rank`` are the oracles, and both must agree bit for
+    bit."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_scramble_equals_per_block_reference(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        n = int(rng.integers(3, 6))
+        # every block size 1..5 and an empty block, interleaved at random
+        c = rng.permutation(np.resize(np.arange(6), n * n)).reshape(n, n)
+        self.assert_same_draws(Quiver(c.tolist()), seed)
+
+    @pytest.mark.parametrize("c", [[[0, 0], [0, 0]], [[1]], [[0]]], ids=["arrowless", "loop", "point"])
+    def test_scramble_equals_reference_without_blocks_or_one_loop(self, c):
+        self.assert_same_draws(Quiver(c), 3)
+
+    @staticmethod
+    def assert_same_draws(q, seed):
+        s = scramble(q, seed)
+        tau, unitaries, generators = reference_scramble(q, seed)
+        assert s.hidden_truth.tau == tau
+        got = s.hidden_truth.unitaries
+        assert list(got) == list(unitaries)
+        for block, u in unitaries.items():
+            assert got[block].shape == u.shape and got[block].tobytes() == u.tobytes()
+        assert len(s.generators) == len(generators)
+        for g, terms in zip(s.generators, generators):
+            assert [(p, _bits(z)) for p, z in g.items()] == [(p, _bits(z)) for p, z in terms]
+
+    def test_ranks_equal_matrix_rank(self):
+        rng = np.random.default_rng(12)
+        mats = []
+        for shape in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (3, 3)] * 2:
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            u, _, vh = np.linalg.svd(z, full_matrices=False)
+            # full rank, rank one, and a last singular value on either side
+            # of RANK_TOL
+            mats += [z, np.outer(z[:, 0], z[0]), z.real]
+            for scale in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0):
+                sv = np.ones(min(shape))
+                sv[-1] = RANK_TOL * scale
+                mats.append((u * sv) @ vh)
+        mats += [np.zeros((2, 2)), np.zeros((2, 2), dtype=complex), np.zeros((1, 3))]
+        want = [int(np.linalg.matrix_rank(m, tol=RANK_TOL)) for m in mats]
+        assert recovery._ranks(mats) == want
+        # the list holds rank-deficient matrices, and the near-RANK_TOL ones
+        # fall on both sides
+        assert any(r < min(m.shape) for r, m in zip(want, mats))
+        near = [r for r, m in zip(want, mats) if m.shape == (1, 1)][3:7]
+        assert near == [0, 0, 1, 1]
+        assert recovery._ranks([np.zeros((0, 0)), np.ones((1, 1))]) == [0, 1]
+
+    def test_one_qr_per_block_size_and_one_svd_per_row_shape(self, monkeypatch):
+        stacks = collections.defaultdict(list)
+
+        def recording(name, f):
+            def wrapped(a, *args, **kwargs):
+                stacks[name].append(np.shape(a))
+                return f(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        s = scramble(MIXED, seed=9)
+        sizes = collections.Counter(d for row in MIXED.c for d in row if d)
+        # one stacked QR per block size, and one stacked SVD per shape of
+        # the generator table's rows
+        want = sorted((m, d, d) for d, m in sizes.items())
+        assert sorted(stacks.pop("qr")) == sorted(stacks.pop("svd")) == want
+        recover(s)
+        off = collections.Counter(
+            d for i, row in enumerate(MIXED.c) for j, d in enumerate(row) if i != j and d
+        )
+        assert sorted(stacks.pop("svd")) == sorted((m, d, d) for d, m in off.items())
+        assert not stacks
 
 
 class TestRecover:
@@ -446,13 +566,13 @@ def test_rank_inputs_no_wider_than_their_pair(monkeypatch):
     q = Quiver(rng.integers(0, 3, size=(30, 30)).tolist())
     s = scramble(q, seed=1)
     shapes = []
-    matrix_rank = np.linalg.matrix_rank
+    ranks = recovery._ranks
 
-    def recording(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return matrix_rank(m, *args, **kwargs)
+    def recording(matrices):
+        shapes.extend(np.shape(m) for m in matrices)
+        return ranks(matrices)
 
-    monkeypatch.setattr(np.linalg, "matrix_rank", recording)
+    monkeypatch.setattr(recovery, "_ranks", recording)
     recover(s)
     # one rank (of the representation rows) per nonempty off-diagonal block
     nonempty = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
@@ -484,7 +604,7 @@ def test_probes_read_no_multiplicity_matrix():
     attribute ``c`` or calls ``block``."""
     tree = ast.parse(inspect.getsource(recovery))
     names = {
-        "_block_support", "_pair_reps", "_rep_rows",
+        "_block_support", "_pair_reps", "_rep_rows", "_ranks", "_agreed",
         "probe_character_dimension", "probe_pair_dimension", "recover",
     }
     found = {}

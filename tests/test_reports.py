@@ -58,6 +58,12 @@ REPORTS = {
          "--expect", graph("recover5_wide_relabelled")],
         EXIT_OK,
     ),
+    # blocks of 1, 2 and 3 arrows alternating in (target, source) order
+    "recover4_mixed_expect": (
+        ["recover", "--graph", graph("recover4_mixed"), "--seed", "9",
+         "--expect", graph("recover4_mixed_relabelled")],
+        EXIT_OK,
+    ),
     "recover12_expect": (
         ["recover", "--graph", graph("recover12"), "--seed", "12",
          "--expect", graph("recover12_relabelled")],
@@ -119,6 +125,7 @@ SUMMARIES = {
     "paths_reference": "paths: 30 paths -- OK",
     "recover12_expect": "recover: recovered 12 vertices, witness [8, 2, 10, 9, 1, 6, 5, 7, 12, 4, 3, 11] -- OK",
     "recover4_expect": "recover: recovered 4 vertices, witness [1, 4, 3, 2] -- OK",
+    "recover4_mixed_expect": "recover: recovered 4 vertices, witness [2, 4, 3, 1] -- OK",
     "recover5_wide_expect": "recover: recovered 5 vertices, witness [5, 3, 4, 2, 1] -- OK",
     "recover6_expect": "recover: recovered 6 vertices, witness [1, 3, 6, 2, 4, 5] -- OK",
     "verify_four_cycle_loop_d8": "verify: dim 171, max covariance deviation 3.140e-16, 7 norm checks -- OK",
