@@ -82,10 +82,11 @@ NORMS_K_MAX = 100
 VERIFY_TOL = 1e-12
 
 
-def _parse_complex_vector(text: Optional[str], dim: int, name: str) -> np.ndarray:
-    """Comma-separated complex literals; empty/omitted means the zero vector."""
+def _parse_complex_vector(text: Optional[str], dim: int, name: str) -> Optional[np.ndarray]:
+    """Comma-separated complex literals; empty or omitted is None, which
+    ``TwoDimRep`` reads as the zero vector."""
     if text is None or text.strip() == "":
-        return np.zeros(dim, dtype=complex)
+        return None
     try:
         vec = np.array([complex(part.strip()) for part in text.split(",")])
     except ValueError as exc:

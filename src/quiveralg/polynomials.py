@@ -50,6 +50,14 @@ class PathPolynomial:
                     clean[path] = z
         self.terms = clean
 
+    @classmethod
+    def _of_valid_paths(cls, quiver: Quiver, terms: Mapping[Path, complex]) -> "PathPolynomial":
+        """The polynomial with these complex terms, zeros dropped, when every
+        path is already known to be one of the quiver's: no path is checked."""
+        p = cls(quiver)
+        p.terms = {path: z for path, z in terms.items() if z != 0}
+        return p
+
     @staticmethod
     def _check_path(quiver: Quiver, path: Path) -> None:
         if not 0 <= path.base < quiver.n:
@@ -129,7 +137,7 @@ class PathPolynomial:
         terms = dict(self.terms)
         for path, coeff in other.terms.items():
             terms[path] = terms.get(path, 0j) + coeff
-        return PathPolynomial(self.quiver, terms)
+        return PathPolynomial._of_valid_paths(self.quiver, terms)
 
     def __sub__(self, other: "PathPolynomial") -> "PathPolynomial":
         return self + (-1.0) * other
@@ -139,7 +147,7 @@ class PathPolynomial:
 
     def scaled(self, scalar: complex) -> "PathPolynomial":
         z = complex(scalar)
-        return PathPolynomial(self.quiver, {p: z * c for p, c in self.terms.items()})
+        return PathPolynomial._of_valid_paths(self.quiver, {p: z * c for p, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PathPolynomial):
@@ -155,11 +163,8 @@ class PathPolynomial:
                     w = compose(u, v)
                     if w is not None:
                         terms[w] = terms.get(w, 0j) + cu * cv
-            # a composition of two of this quiver's paths is one of its
-            # paths, so the terms skip the constructor's path check
-            product = PathPolynomial(self.quiver)
-            product.terms = {w: z for w, z in terms.items() if z != 0}
-            return product
+            # a composition of two of this quiver's paths is one of its paths
+            return PathPolynomial._of_valid_paths(self.quiver, terms)
         return self.scaled(other)
 
     def __rmul__(self, scalar):
@@ -241,15 +246,14 @@ def _parse_arrow_token(q: Quiver, token: str) -> Path:
     head, k = token.split(":")
     i, j = head.split("<")
     target, source, index = int(i) - 1, int(j) - 1, int(k) - 1
-    a = Arrow(source, target, index)
     if not (0 <= target < q.n and 0 <= source < q.n):
         raise ValueError(f"arrow token {token!r}: vertex out of range 1..{q.n}")
-    if not q.has_arrow(a):
+    if not 0 <= index < q.c[target][source]:
         raise ValueError(
             f"arrow token {token!r}: index out of range, the quiver has "
             f"{q.c[target][source]} arrows {source + 1} -> {target + 1}"
         )
-    return arrow_path(a)
+    return arrow_path(Arrow(source, target, index))
 
 
 def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
@@ -258,6 +262,7 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
     if not tokens:
         raise ValueError("empty polynomial text")
     pos = 0
+    arrow_tokens: dict[str, Path] = {}  # each distinct arrow token is read once
 
     def peek():
         return tokens[pos] if pos < len(tokens) else (None, None)
@@ -269,7 +274,9 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
         if kind is None:
             raise ValueError("polynomial text ends where a monomial or scalar was expected")
         if kind == "arrow":
-            return ("path", _parse_arrow_token(q, value))
+            if value not in arrow_tokens:
+                arrow_tokens[value] = _parse_arrow_token(q, value)
+            return ("path", arrow_tokens[value])
         if kind == "vertex":
             v = int(value[1:]) - 1
             if not 0 <= v < q.n:
@@ -282,7 +289,8 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
                 raise ValueError(f"bad complex literal {value!r}") from exc
         raise ValueError(f"unexpected token {value!r} where a monomial or scalar was expected")
 
-    def parse_term():
+    def parse_term() -> list[tuple[Path, complex]]:
+        """The term's paths with their coefficients, as a polynomial holds them."""
         nonlocal pos
         coeff = 1.0 + 0j
         paths: list[Path] = []
@@ -299,27 +307,35 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
             break
         if not cmath.isfinite(coeff):
             raise ValueError(f"coefficients must be finite, got {coeff}")
-        if not paths:
-            return PathPolynomial.unit(q).scaled(coeff)
+        if not paths:  # coeff times the unit, whose coefficients are 1+0j
+            return [(vertex_path(v), coeff * (1 + 0j)) for v in q.vertices()]
         # a non-composable pair makes the term zero; syntax was checked above
         path = reduce(lambda u, v: None if u is None else compose(u, v), paths)
-        if path is None:
-            return PathPolynomial.zero(q)
-        return PathPolynomial.monomial(q, path, coeff)
+        return [] if path is None else [(path, coeff)]
 
-    result = PathPolynomial.zero(q)
+    # the terms are summed into one map as ``+`` sums polynomials, a sum
+    # that cancels dropped at once; every path was checked as it was read,
+    # and the polynomial is built once
+    total: dict[Path, complex] = {}
     sign = 1.0
     kind, value = peek()
     if kind == "op" and value in "+-":
         sign = -1.0 if value == "-" else 1.0
         pos += 1
     while True:
-        result = result + parse_term().scaled(sign)
+        for path, coeff in parse_term():
+            if coeff == 0:
+                continue
+            z = total.get(path, 0j) + complex(sign) * coeff
+            if z != 0:
+                total[path] = z
+            else:
+                del total[path]
         kind, value = peek()
         if kind is None:
-            if not all(map(cmath.isfinite, result.terms.values())):
+            if not all(map(cmath.isfinite, total.values())):
                 raise ValueError("coefficients must be finite; the sum overflows")
-            return result
+            return PathPolynomial._of_valid_paths(q, total)
         if kind == "op" and value in "+-":
             sign = -1.0 if value == "-" else 1.0
             pos += 1

@@ -79,6 +79,10 @@ class Quiver:
     c: tuple[tuple[int, ...], ...]
 
     def __init__(self, c) -> None:
+        if type(c) is np.ndarray:
+            # numpy scalars would miss _as_count's plain-int fast path, and a
+            # bool array reads as Python bools, which are refused
+            c = c.tolist()
         rows = tuple(tuple(_as_count(x) for x in row) for row in c)
         if len(rows) == 0:
             raise ValueError("a quiver needs at least one vertex")
@@ -131,9 +135,15 @@ class Quiver:
         return list(accumulate(chain.from_iterable(self.c), initial=0))
 
     def arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (sources, targets) of all arrows as int arrays, in ``arrows()`` order."""
+        """The (sources, targets) of all arrows as read-only int arrays, in
+        ``arrows()`` order; built once per quiver."""
+        return self._arrow_ends
+
+    @cached_property
+    def _arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
         blocks = np.repeat(np.arange(self.n * self.n), self.matrix().reshape(-1))
         targets, sources = np.divmod(blocks, self.n)
+        sources.flags.writeable = targets.flags.writeable = False
         return sources, targets
 
     def block(self, target: int, source: int) -> list[Arrow]:

@@ -46,19 +46,27 @@ def _as_vector(x) -> np.ndarray:
     return vec
 
 
-def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> np.ndarray:
-    """lam checked against the loop space at the vertex; None is its zero vector."""
-    dim = q.c[vertex][vertex]
+def _block_vector(q: Quiver, target: int, source: int, x, name: str) -> tuple[np.ndarray, float]:
+    """x checked against the arrow space of block (target, source), with its
+    norm; None is the zero vector, whose norm is not computed."""
+    dim = q.c[target][source]
     _check_arrow_count(dim)
-    vec = np.zeros(dim, dtype=complex) if lam is None else _as_vector(lam)
+    if x is None:
+        return np.zeros(dim, dtype=complex), 0.0
+    vec = _as_vector(x)
     if vec.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {vec.shape[0]}")
-    nrm = np.linalg.norm(vec)
+    return vec, float(np.linalg.norm(vec))
+
+
+def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> tuple[np.ndarray, float]:
+    """lam checked against the loop space at the vertex, with its norm."""
+    vec, nrm = _block_vector(q, vertex, vertex, lam, name)
     if strict and not nrm < 1.0:
         raise ValueError(f"{name} must lie in the open unit ball, got norm {nrm}")
     if not strict and nrm > 1.0 + BOUNDARY_SLACK:
         raise ValueError(f"{name} must lie in the closed unit ball, got norm {nrm}")
-    return vec
+    return vec, nrm
 
 
 class Character:
@@ -70,7 +78,7 @@ class Character:
         quiver._check_vertex(vertex)
         self.quiver = quiver
         self.vertex = vertex
-        self.lam = _ball_vector(quiver, vertex, lam, "lam", strict=False)
+        self.lam, _ = _ball_vector(quiver, vertex, lam, "lam", strict=False)
 
     @property
     def interior_flag(self) -> bool:
@@ -116,20 +124,15 @@ class TwoDimRep:
         self.quiver = quiver
         self.i = i
         self.j = j
-        self.lam_i = _ball_vector(quiver, i, lam_i, "lam_i", strict=True)
-        self.lam_j = _ball_vector(quiver, j, lam_j, "lam_j", strict=True)
-        g = _as_vector(gamma)
-        if g.shape[0] != quiver.c[i][j]:
-            raise ValueError(
-                f"gamma must have dimension {quiver.c[i][j]}, got {g.shape[0]}"
-            )
-        q1 = float(np.linalg.norm(self.lam_i) ** 2)
-        t = float(np.linalg.norm(g) ** 2)
+        self.lam_i, nrm_i = _ball_vector(quiver, i, lam_i, "lam_i", strict=True)
+        self.lam_j, _ = _ball_vector(quiver, j, lam_j, "lam_j", strict=True)
+        self.gamma, nrm_g = _block_vector(quiver, i, j, gamma, "gamma")
+        q1 = nrm_i**2
+        t = nrm_g**2
         if t > 1.0 - q1 + BOUNDARY_SLACK:
             raise ValueError(
                 f"not contractive: ||gamma||^2 = {t} exceeds 1 - ||lam_i||^2 = {1.0 - q1}"
             )
-        self.gamma = g
 
     def squared_params(self) -> tuple[float, float, float]:
         """(q1, q2, t) = squared norms of lam_i, lam_j, gamma."""

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -12,6 +9,7 @@ from quiveralg import GRAPH_SCHEMA_VERSION, FockSpace, Quiver, format_path, pars
 from quiveralg.quiver import Path as QuiverPath
 from quiveralg import cli, quiver, recovery
 from quiveralg.cli import NORMS_K_MAX, build_parser, main
+from golden import RUNS, graph, python
 from helpers import random_quiver, reference_enumerate_paths
 
 
@@ -27,45 +25,26 @@ def graph_file(tmp_path, name, doc):
     return str(path)
 
 
-@pytest.fixture
-def two_loop(tmp_path):
-    return graph_file(
-        tmp_path, "g2.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 2}]}
-    )
+def quiver_file(tmp_path, name, c):
+    """A graph file of the quiver with multiplicity matrix c."""
+    write_quiver_file(Quiver(c), tmp_path / name)
+    return str(tmp_path / name)
 
 
 @pytest.fixture
-def reference(tmp_path):
-    return graph_file(
-        tmp_path,
-        "g12.json",
-        {
-            "n": 2,
-            "edges": [
-                {"from": 1, "to": 1, "count": 1},
-                {"from": 2, "to": 1, "count": 2},
-                {"from": 2, "to": 2, "count": 1},
-            ],
-        },
-    )
+def two_loop():
+    return graph("two_loops")
+
+
+@pytest.fixture
+def reference():
+    return graph("reference")
 
 
 @pytest.fixture
 def dense3(tmp_path):
-    # C = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]: 195,023 paths of length <= 12
-    return graph_file(
-        tmp_path,
-        "dense3.json",
-        {
-            "n": 3,
-            "edges": [
-                {"from": s, "to": t, "count": 1}
-                for t, row in enumerate([[1, 1, 1], [1, 1, 0], [1, 0, 1]], start=1)
-                for s, x in enumerate(row, start=1)
-                if x
-            ],
-        },
-    )
+    # 195,023 paths of length <= 12
+    return quiver_file(tmp_path, "dense3.json", [[1, 1, 1], [1, 1, 0], [1, 0, 1]])
 
 
 class TestGraphFileParsing:
@@ -202,7 +181,7 @@ class TestVerify:
     def test_depth_past_token_budget_exits_1_at_once(self, tmp_path, capsys):
         # one loop: 100,001 paths pass the path limit, but they hold 5 * 10^9
         # arrows, and the Fock space is refused before its levels are built
-        g = graph_file(tmp_path, "loop.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 1}]})
+        g = quiver_file(tmp_path, "loop.json", [[1]])
         t0 = time.perf_counter()
         assert main(["verify", "--graph", g, "--depth", "100000"]) == 1
         assert time.perf_counter() - t0 < 0.1
@@ -225,14 +204,9 @@ class TestNorms:
     def test_k6_three_blocks_within_budget(self, tmp_path):
         # [[3, 3], [0, 3]]: the explicit assembly at k = 6 has 2 x 5,832
         # entries, the Gram recursion only 2 x 2 blocks per vertex
-        g = str(Path(__file__).parent / "fixtures" / "graphs" / "three_blocks.json")
         out = tmp_path / "norms.json"
         t0 = time.perf_counter()
-        code = main(
-            ["norms", "--graph", g, "--i", "1", "--j", "2", "--lambda-i", "0.3,0.2j,-0.1",
-             "--lambda-j", "0.25,-0.15j,0.1", "--gamma", "0.4,0.3j,-0.2", "--k-max", "6",
-             "--output", str(out)]
-        )
+        code = main(RUNS["norms_three_blocks_k6"].argv + ["--output", str(out)])
         elapsed = time.perf_counter() - t0
         assert code == 0
         assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 7))
@@ -241,7 +215,7 @@ class TestNorms:
     def test_oversized_blocks_refused_before_any_vector(self, tmp_path, capsys):
         # 10^15 loops at vertex 1: an omitted lambda-i would be a 14 PiB zero
         # vector, so the block sizes are bounded first
-        g = Path(__file__).parent / "fixtures" / "graphs" / "norms_oversized.json"
+        g = Path(graph("norms_oversized"))
         argv = ["norms", "--i", "1", "--j", "2", "--gamma", "0.5"]
         assert main([*argv, "--graph", str(g)]) == 1
         err = capsys.readouterr().err
@@ -257,22 +231,18 @@ class TestNorms:
         # the representation at (1, 2) is zero on the 10^5 loops at vertex 3,
         # so the report is byte for byte the one without them, and the Gram
         # recursion does not read them
-        g = Path(__file__).parent / "fixtures" / "graphs" / "three_blocks.json"
-        doc = json.loads(g.read_text())
+        doc = json.loads(Path(graph("three_blocks")).read_text())
         doc["n"] = 3
         doc["edges"].append({"from": 3, "to": 3, "count": 10**5})
         loops = graph_file(tmp_path, "loops.json", doc)
 
-        def report(graph):
+        def report(g):
             out = tmp_path / "norms.json"
-            assert main(
-                ["norms", "--graph", graph, "--i", "1", "--j", "2", "--lambda-i", "0.3,0.2j,-0.1",
-                 "--lambda-j", "0.25,-0.15j,0.1", "--gamma", "0.4,0.3j,-0.2", "--k-max", "6",
-                 "--output", str(out)]
-            ) == 0
+            # the second --graph overrides the golden run's
+            assert main(RUNS["norms_three_blocks_k6"].argv + ["--graph", g, "--output", str(out)]) == 0
             return out.read_bytes()
 
-        plain = report(str(g))
+        plain = report(graph("three_blocks"))
         t0 = time.perf_counter()
         with_loops = report(loops)
         elapsed = time.perf_counter() - t0
@@ -295,6 +265,21 @@ class TestNorms:
     def test_bad_vector_rejected(self, reference):
         with pytest.raises(ValueError, match="entries"):
             run(["norms", "--graph", reference, "--i", "1", "--j", "2", "--lambda-i", "0.5,0.5"])
+
+    def test_omitted_and_empty_vectors_are_zero(self, tmp_path):
+        # an omitted or empty flag reaches TwoDimRep as None, its zero vector
+        flags = ["--lambda-i", "--lambda-j", "--gamma"]
+
+        def report(values):
+            out = tmp_path / "norms.json"
+            argv = ["norms", "--graph", graph("three_blocks"), "--i", "1", "--j", "2", "--output", str(out)]
+            for flag, value in zip(flags, values):
+                argv += [] if value is None else [flag, value]
+            assert main(argv) == 0
+            return out.read_bytes()
+
+        zeros = report(["0,0,0"] * 3)
+        assert report([None] * 3) == report([""] * 3) == report([" ", None, ""]) == zeros
 
     def test_non_finite_parameter_exits_1(self, reference, capsys):
         # NaN fails every comparison, so it would pass the ball and
@@ -344,9 +329,7 @@ class TestRecoverCommand:
         assert elapsed < 0.5
 
     def test_wrong_expectation_exits_3(self, reference, tmp_path):
-        other = graph_file(
-            tmp_path, "other.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 3}]}
-        )
+        other = quiver_file(tmp_path, "other.json", [[3]])
         code, report, _ = run(["recover", "--graph", reference, "--seed", "5", "--expect", other])
         assert code == 3
         assert report["expect_met"] is False
@@ -374,7 +357,7 @@ class TestRecoverCommand:
 
     def test_oversized_blocks_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # one vertex with 513 loops: a 513 x 513 unitary, 263,169 entries
-        g = graph_file(tmp_path, "loops.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 513}]})
+        g = quiver_file(tmp_path, "loops.json", [[513]])
 
         def no_draw(*args, **kwargs):
             raise AssertionError("a unitary was drawn")
@@ -388,9 +371,7 @@ class TestRecoverCommand:
 
 class TestIso:
     def test_non_isomorphic_exits_3(self, two_loop, tmp_path):
-        three = graph_file(
-            tmp_path, "g3.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 3}]}
-        )
+        three = quiver_file(tmp_path, "g3.json", [[3]])
         code, report, _ = run(["iso", two_loop, three])
         assert code == 3
         assert report["isomorphic"] is False
@@ -410,18 +391,9 @@ class TestIso:
         assert json.loads(out.read_text()) == {"isomorphic": False, "permutation": None}
         assert elapsed < 0.1
 
-    def test_swapped_copy_found(self, tmp_path):
-        g1 = graph_file(
-            tmp_path,
-            "a.json",
-            {"n": 2, "edges": [{"from": 1, "to": 1, "count": 1}, {"from": 2, "to": 1, "count": 2}, {"from": 2, "to": 2, "count": 1}]},
-        )
-        g2 = graph_file(
-            tmp_path,
-            "b.json",
-            {"n": 2, "edges": [{"from": 1, "to": 1, "count": 1}, {"from": 1, "to": 2, "count": 2}, {"from": 2, "to": 2, "count": 1}]},
-        )
-        code, report, _ = run(["iso", g1, g2])
+    def test_swapped_copy_found(self, reference, tmp_path):
+        # reference is [[1, 2], [0, 1]]
+        code, report, _ = run(["iso", reference, quiver_file(tmp_path, "b.json", [[1, 0], [2, 1]])])
         assert code == 0
         assert report["permutation"] == [2, 1]
 
@@ -475,9 +447,7 @@ class TestPaths:
 
     @pytest.fixture
     def one_loop(self, tmp_path):
-        return graph_file(
-            tmp_path, "loop.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 1}]}
-        )
+        return quiver_file(tmp_path, "loop.json", [[1]])
 
     def test_past_token_budget_exits_1_at_once(self, one_loop, capsys):
         # 100,001 paths pass the path limit, but they hold 5 * 10^9 arrows
@@ -609,20 +579,11 @@ class TestMainEntry:
         assert GRAPH_SCHEMA_VERSION in out
         assert "quiveralg" in out
 
-    def test_cached_parser_carries_no_state(self, capsys, monkeypatch):
-        graphs = Path(__file__).resolve().parent / "fixtures" / "graphs"
-
-        def g(name):
-            return str(graphs / f"{name}.json")
-
-        runs = [
-            ["verify", "--graph", g("two_loops"), "--depth", "4", "--seed", "2"],
-            ["norms", "--graph", g("three_blocks"), "--i", "1", "--j", "2", "--gamma", "0.4,0.3j,-0.2"],
-            ["recover", "--graph", g("recover4"), "--seed", "14", "--expect", g("recover4_relabelled")],
-            ["iso", g("recover6"), g("recover6_relabelled")],
-            ["paths", "--graph", g("reference"), "--max-len", "3"],
-        ]
-        assert main(["paths", "--graph", g("reference"), "--max-len", "abc"]) == 1
+    def test_cached_parser_carries_no_state(self, reference, capsys, monkeypatch):
+        names = ["verify_four_cycle_loop_d8", "norms_three_blocks_k6", "recover4_expect", "iso_relabelled",
+                 "paths_reference"]
+        runs = [RUNS[name].argv for name in names]
+        assert main(["paths", "--graph", reference, "--max-len", "abc"]) == 1
         for argv in (["verify", "--help"], ["--version"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -640,19 +601,11 @@ class TestMainEntry:
             assert capsys.readouterr() == want
 
     def test_import_builds_no_parser(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import quiveralg, quiveralg.cli\n"
             "assert quiveralg.cli._cached_parser.cache_info().currsize == 0"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = python("-c", code, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
     def test_parser_round_trip_to_config(self):

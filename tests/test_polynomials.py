@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from quiveralg import (
     arrow_path,
     compose,
     creation_operator,
+    enumerate_paths,
     evaluate_polynomial,
     format_path,
     format_polynomial,
@@ -24,6 +27,17 @@ from helpers import random_element, random_polynomial, random_quiver, reference_
 @pytest.fixture
 def q():
     return Quiver([[1, 2], [0, 1]])
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The paths ``PathPolynomial._check_path`` is called on."""
+    paths = []
+    check = PathPolynomial._check_path
+    monkeypatch.setattr(
+        PathPolynomial, "_check_path", staticmethod(lambda quiver, path: paths.append(path) or check(quiver, path))
+    )
+    return paths
 
 
 class TestArithmetic:
@@ -111,21 +125,28 @@ class TestMultiplication:
             with pytest.raises(ValueError, match="degree cap exceeded: .* degree 17 > 16"):
                 x * y
 
-    def test_product_checks_no_path(self, q, monkeypatch):
+    def test_product_checks_no_path(self, q, checked):
         # a composition of two of the quiver's paths is one of its paths
         rng = np.random.default_rng(5)
         p, r = random_polynomial(q, rng), random_polynomial(q, rng)
         want = reference_product(p, r)
         assert want
-        checked = []
-        check = PathPolynomial._check_path
-        monkeypatch.setattr(
-            PathPolynomial, "_check_path",
-            staticmethod(lambda quiver, path: checked.append(path) or check(quiver, path)),
-        )
+        checked.clear()
         got = p * r
         assert checked == []
         assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_sum_and_scaling_check_no_path(self, q, checked):
+        # the terms of a sum or a multiple are paths of the operands
+        rng = np.random.default_rng(6)
+        p, r = random_polynomial(q, rng), random_polynomial(q, rng)
+        checked.clear()
+        total, scaled = p + r, p.scaled(2 - 1j)
+        assert checked == []
+        assert total.terms == {
+            w: z for w in {**p.terms, **r.terms} if (z := p.coefficient(w) + r.coefficient(w))
+        }
+        assert scaled.terms == {w: (2 - 1j) * z for w, z in p.terms.items()}
 
 
 class TestFromCorrespondence:
@@ -243,6 +264,17 @@ class TestTextForm:
         p = random_polynomial(q, rng, max_degree=2, terms=5)
         back = parse_polynomial(q, format_polynomial(p))
         assert (p - back).coeff_norm() < 1e-12
+
+    def test_parse_many_terms_within_budget(self):
+        """The terms are summed into one map: 4,000 distinct terms parse in
+        linear time, not one growing sum per term."""
+        q = Quiver([[3, 2], [1, 2]])
+        paths = enumerate_paths(q, 6)[:4000]
+        text = " + ".join(f"{k + 1}*{format_path(p)}" for k, p in enumerate(paths))
+        t0 = time.perf_counter()
+        p = parse_polynomial(q, text)
+        assert time.perf_counter() - t0 < 0.5
+        assert p.terms == {path: k + 1 for k, path in enumerate(paths)}
 
     def test_format_zero(self, q):
         assert format_polynomial(PathPolynomial.zero(q)) == "0"

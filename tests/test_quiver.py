@@ -130,6 +130,20 @@ class TestQuiverConstruction:
         q = Quiver(np.array([[2.0, 0.0], [1.0, 0.0]]))
         assert q.c == ((2, 0), (1, 0))
 
+    def test_rejects_a_bool_array(self):
+        # as a Python True is refused, so is an np.bool_ entry
+        with pytest.raises(ValueError, match="got a bool"):
+            Quiver(np.array([[True, False], [False, True]]))
+
+    def test_int_array_within_budget(self):
+        # an int64 array is read through plain ints, as fast as nested lists
+        c = np.zeros((1024, 1024), dtype=np.int64)
+        c[0, 1] = 2
+        t0 = time.perf_counter()
+        q = Quiver(c)
+        assert time.perf_counter() - t0 < 0.3
+        assert q.total_arrows() == 2 and type(q.c[0][1]) is int
+
     def test_exact_ints_take_no_type_checks(self, monkeypatch):
         """An all-int matrix is read without one ``isinstance`` call in
         ``quiver``; every other entry still takes the checked route."""
@@ -168,6 +182,18 @@ class TestQuiverConstruction:
         totals = {q.total_arrows() for _ in range(n * n)}
         assert time.perf_counter() - t0 < 0.5
         assert starts == list(range(n * n)) and totals == {n * n}
+
+
+class TestArrowEnds:
+    def test_built_once_per_quiver_and_read_only(self, monkeypatch):
+        calls = []
+        matrix = Quiver.matrix
+        monkeypatch.setattr(Quiver, "matrix", lambda self: (calls.append(self), matrix(self))[1])
+        q, r = Quiver([[1, 2], [0, 1]]), Quiver([[0, 1], [1, 0]])
+        for _ in range(5):
+            assert q.arrow_ends()[0].tolist() == [0, 1, 1, 1] and r.arrow_ends()[1].tolist() == [0, 1]
+        assert calls == [q, r]
+        assert not any(a.flags.writeable for a in q.arrow_ends() + r.arrow_ends())
 
 
 class TestPath:

@@ -267,6 +267,17 @@ class TestCompressions:
         s = scramble(q, seed=4)
         assert len(calls) == 2 * len(s.generators) == 2 * q.total_arrows()
 
+    def test_two_norms_per_pair_representation(self, monkeypatch):
+        # one to normalize the row, one for gamma's contractivity; the
+        # omitted lam_i and lam_j are zero vectors, whose norms are known
+        q = Quiver([[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 0, 2], [2, 1, 0, 1]])
+        s = scramble(q, seed=4)
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: (calls.append(a), norm(*a, **k))[1])
+        reps = _pair_reps(s, 0, 1)
+        assert len(reps) == 2 and len(calls) == 2 * len(reps)
+
     def test_failed_cross_check_raises(self, monkeypatch):
         q = Quiver([[1, 1], [0, 1]])
         monkeypatch.setattr(PathPolynomial, "__mul__", lambda x, y: PathPolynomial.zero(x.quiver))

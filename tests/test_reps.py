@@ -134,6 +134,12 @@ class TestTwoDimRepValidation:
         assert r.lam_i.dtype == r.lam_j.dtype == complex
         assert np.array_equal(r.lam_i, np.zeros(2)) and np.array_equal(r.lam_j, np.zeros(3))
 
+    def test_gamma_defaults_to_zero(self):
+        q = Quiver([[0, 2], [0, 0]])
+        r = TwoDimRep(q, 0, 1)
+        assert r.gamma.dtype == complex and np.array_equal(r.gamma, np.zeros(2))
+        assert TwoDimRep(q, 1, 0).gamma.shape == (0,)
+
     def test_dimension_checks(self):
         q = two_block_quiver(2, 1, 0)
         with pytest.raises(ValueError, match="dimension"):
@@ -144,11 +150,13 @@ class TestTwoDimRepValidation:
         [
             lambda: TwoDimRep(Quiver([[10**15, 1], [0, 0]]), 0, 1, gamma=[0.5]),
             lambda: Character(Quiver([[10**15]]), 0),
+            lambda: TwoDimRep(Quiver([[0, 10**15], [0, 0]]), 0, 1),
         ],
-        ids=["two_dim_rep", "character"],
+        ids=["two_dim_rep", "character", "omitted_gamma"],
     )
     def test_oversized_loop_space_refused_before_allocation(self, build):
-        # an omitted lam at 10^15 loops would be a 14 PiB zero vector
+        # an omitted lam at 10^15 loops, or an omitted gamma over 10^15
+        # arrows, would be a 14 PiB zero vector
         with pytest.raises(ValueError, match="size limit exceeded"):
             build()
 
