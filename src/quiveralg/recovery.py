@@ -8,29 +8,45 @@ shuffled order.  Exactly these are the degrees of freedom under which the
 multiplicity matrix is known to be invariant, so recovering it from the
 presentation mechanizes that invariance.
 
-Both probes read one table, built when the presentation is constructed:
-label pair (a, b) -> the indices of the generators labelled (a, b), their
-coefficient rows and the rank of those rows.  Each generator g lies in one
-arrow block (i, j), and its label pair is read off the idempotents: a and b
-are the labels whose idempotents are the vertices i and j.  Then
-p_a * g * p_b = g, which one two-sided product per generator checks, and
-every other pair compresses g to zero, so the rows at (a, b) are the
-compressions p_a * g * p_b.  A row is as wide as the largest arrow index the
-pair's generators carry, plus one.
+A generator is a degree-1 element: a vector in the arrow space of one block
+(i, j).  The presentation holds each generator as that block and one
+coefficient row over the block's arrow indices.  ``scramble`` writes the
+rows straight from the columns of the block unitaries; the public
+constructor reads degree-1 polynomials into rows with ``_block_support``.
+Both then go through one table build: label pair (a, b) -> the indices of the
+generators labelled (a, b), their coefficient rows and the rank of those
+rows.  A generator's label pair is read off the idempotents: a and b are the
+labels whose idempotents are the vertices i and j, so p_a * g * p_b = g and
+every other pair compresses g to zero.  The rows are checked as vectors:
+each is finite and is filed under the one block its labels are read from.
+A row is as wide as the largest arrow index of the pair's generators, plus
+one.  ``generators`` returns the polynomials, built from the rows on first
+access when the presentation came from ``scramble``.
 
 Two independent probes count each off-diagonal entry:
 
-* the span probe reads the table's rank of the rows at (a, b);
-* the representation probe builds, from each row at (a, b), a
-  two-dimensional representation with zero diagonal data and the normalized
-  row as gamma, which the family test of ``TwoDimRep`` must accept, and
-  takes the rank of their upper-right entries on the generators labelled
-  (a, b).  With zero diagonal data at the vertices (i, j) a representation
-  sees only the arrows j -> i, so it vanishes on every other generator.
+* the span probe reads the table's rank of the rows V at (a, b);
+* the representation probe takes, for each row, the two-dimensional
+  representation with zero diagonal data and the normalized row as gamma.
+  The family test of ``reps`` must accept every gamma, and the upper-right
+  entries of the representations on the generators labelled (a, b) are
+  conj(Gamma) @ V.T, one product per pair, with Gamma the normalized rows.
+  With zero diagonal data at the vertices (i, j) a representation sees only
+  the arrows j -> i, so it vanishes on every other generator.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank of the rows at (a, a)
 alone.
+
+Two spot routes run on the algebra itself, once per presentation each, as
+independent checks of the vector routes; their cost does not grow with the
+generator count.  The constructor multiplies one generator by its label
+pair's idempotents, p_a * g * p_b == g, through ``PathPolynomial``.  Once
+the probes agree, ``recover`` builds the ``TwoDimRep`` of the first row of
+the first labelled off-diagonal pair and evaluates it with ``rho_eval`` on
+each arrow of that block; times V.T, this must give the batched row.  The
+benchmark's self-tests (``perfbench``) also count these products and
+``rho_eval`` calls on a recovery request.
 
 The small dense linear algebra runs in batches.  ``scramble`` lists the
 nonempty blocks in (target, source) order, draws all their Gaussians with
@@ -43,8 +59,8 @@ rows with one call, and ``recover`` builds the representation rows of every
 labelled pair before it ranks them with one call, so a family-test
 ``RecoveryError`` at any pair is raised before a ``ProbeMismatchError``.
 
-Beyond the polynomial values the code reads the hidden quiver in these
-places only: the vertex each idempotent names, its vertex count, and its
+Beyond the generators the code reads the hidden quiver in these places
+only: the vertex each idempotent names, its vertex count, and its
 multiplicity matrix ``c`` in the constructor's span check, which compares
 each pair's row count and rank with the block's size.  Neither the table
 nor the probes read ``c``: the rows are sized from the generators, and
@@ -63,7 +79,7 @@ import numpy as np
 
 from .polynomials import PathPolynomial
 from .quiver import Arrow, Quiver, _check_iso_size, are_isomorphic, arrow_path
-from .reps import TwoDimRep, rho_eval
+from .reps import TwoDimRep, _check_contractive, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
 # its self-tests expect every wrapped name to exist
@@ -71,6 +87,10 @@ from .reps import membership_G  # noqa: F401
 
 #: singular values below this count as numerical zero in rank computations
 RANK_TOL = 1e-8
+
+#: the rho_eval spot check's largest admitted difference from the batched
+#: representation row, relative to the largest coefficient of the pair's rows
+_SPOT_TOL = 1e-10
 
 #: the table entry of a label pair that no generator carries
 _UNLABELLED: tuple = ((), (), 0)
@@ -98,63 +118,106 @@ class HiddenTruth:
     unitaries: dict[tuple[int, int], np.ndarray]
 
 
-@dataclass(eq=False)
 class ScrambledPresentation:
     """What the recovery algorithm is allowed to see.
 
     ``idempotents[a]`` is the vertex idempotent the label a names (as an
-    algebra element); ``generators`` span the degree-1 part, each supported
-    on a single arrow block.
+    algebra element).  The generators span the degree-1 part, each supported
+    on a single arrow block (i, j); the presentation holds each as that block
+    and a coefficient row over its arrow indices.  The constructor takes the
+    generators as degree-1 polynomials, and ``generators`` gives them back as
+    polynomials.
     """
 
-    idempotents: tuple[PathPolynomial, ...]
-    generators: tuple[PathPolynomial, ...]
-    hidden_truth: Optional[HiddenTruth] = None
+    def __init__(self, idempotents, generators, hidden_truth: Optional[HiddenTruth] = None):
+        self._label(idempotents, hidden_truth)
+        generators = tuple(generators)
+        if any(p.quiver != self.quiver for p in (*self.idempotents, *generators)):
+            raise ValueError("idempotents or generators live over a different quiver")
+        by_block: dict[tuple[int, int], list[tuple[int, dict[int, complex]]]] = {}
+        for k, g in enumerate(generators):
+            block, coeffs = _block_support(g)
+            by_block.setdefault(block, []).append((k, coeffs))
+        rows = {}
+        for block, kcs in by_block.items():
+            width = 1 + max(m for _, coeffs in kcs for m in coeffs)
+            vecs = np.zeros((len(kcs), width), dtype=complex)
+            for row, (_, coeffs) in zip(vecs, kcs):
+                row[list(coeffs)] = list(coeffs.values())
+            rows[block] = (np.array([k for k, _ in kcs]), vecs)
+        self._tabulate(rows)
+        self._generators: Optional[tuple[PathPolynomial, ...]] = generators
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _of_rows(cls, idempotents, rows, hidden_truth: HiddenTruth) -> "ScrambledPresentation":
+        """The presentation whose generators are given by block: (i, j) ->
+        (their indices, ascending; their coefficient rows over the arrows of
+        (i, j)).  Its polynomials are built on first use of ``generators``."""
+        s = cls.__new__(cls)
+        s._label(idempotents, hidden_truth)
+        s._tabulate(rows)
+        s._generators = None
+        return s
+
+    def _label(self, idempotents, hidden_truth: Optional[HiddenTruth]) -> None:
+        self.idempotents = tuple(idempotents)
+        self.hidden_truth = hidden_truth
         if not self.idempotents:
             raise ValueError("a presentation needs at least one idempotent label")
-        q = self.quiver
-        if self.n != q.n:
+        if self.n != self.quiver.n:
             raise ValueError("label count does not match the vertex count")
         # the vertex each label's idempotent names
         vertex = self._vertex = tuple(_idempotent_vertex(p) for p in self.idempotents)
         if len(set(vertex)) != self.n:
             raise ValueError("duplicate idempotent label")
-        if any(p.quiver != q for p in (*self.idempotents, *self.generators)):
-            raise ValueError("idempotents or generators live over a different quiver")
-        # each generator in the block (i, j) is labelled by the labels of i
-        # and j, and it must equal p_a * g * p_b for that pair
-        label = {v: a for a, v in enumerate(vertex)}
-        labelled: dict[tuple[int, int], list[tuple[int, dict[int, complex]]]] = {}
-        for k, g in enumerate(self.generators):
-            (i, j), coeffs = _block_support(g)
-            a, b = label[i], label[j]
+
+    def _tabulate(self, rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]) -> None:
+        """The generator table, from the generators' indices and rows by block:
+        label pair (a, b) -> the indices of the generators labelled (a, b),
+        their coefficient rows and their rank, in the order of each pair's
+        first generator."""
+        q = self.quiver
+        label = {v: a for a, v in enumerate(self._vertex)}
+        # each row is a finite vector in one block (i, j), and it is labelled
+        # by the labels of i and j
+        table = {}
+        for i, j in sorted(rows, key=lambda block: rows[block][0][0]):
+            ks, vecs = rows[(i, j)]
+            if not np.isfinite(vecs).all():
+                raise ValueError("generator coefficients must be finite")
+            table[(label[i], label[j])] = (i, j, ks, vecs)
+        if table:
+            # the polynomial route, on generator 0: p_a * g * p_b == g
+            (a, b), (i, j, _, vecs) = next(iter(table.items()))
+            g = _polynomial(q, i, j, vecs[0])
             if self.idempotents[a] * g * self.idempotents[b] != g:
-                raise RecoveryError(f"generator {k} is not fixed by the idempotents of ({a}, {b})")
-            labelled.setdefault((a, b), []).append((k, coeffs))
-        # the generator table: label pair (a, b) -> the indices of the
-        # generators labelled (a, b), their coefficient rows and their rank
-        rows = []
-        for kcs in labelled.values():
-            width = 1 + max(m for _, coeffs in kcs for m in coeffs)
-            vecs = np.zeros((len(kcs), width), dtype=complex)
-            for row, (_, coeffs) in zip(vecs, kcs):
-                row[list(coeffs)] = list(coeffs.values())
-            rows.append(vecs)
+                raise RecoveryError(f"generator 0 is not fixed by the idempotents of ({a}, {b})")
+        ranks = _ranks([vecs for _, _, _, vecs in table.values()])
         self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        for ((a, b), kcs), vecs, rank in zip(labelled.items(), rows, _ranks(rows)):
-            i, j = vertex[a], vertex[b]
+        for ((a, b), (i, j, ks, vecs)), rank in zip(table.items(), ranks):
             if len(vecs) != q.c[i][j] or rank != q.c[i][j]:
                 raise ValueError(
                     f"generators do not span block ({i}, {j}): "
                     f"{len(vecs)} generators of rank {rank}, need {q.c[i][j]}"
                 )
-            self._by_label[(a, b)] = (np.array([k for k, _ in kcs]), vecs, rank)
-        nonempty = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
-        missing = [(i, j) for i, j in nonempty if (label[i], label[j]) not in self._by_label]
+            self._by_label[(a, b)] = (ks, vecs, rank)
+        missing = [
+            (i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j] and (i, j) not in rows
+        ]
         if missing:
             raise ValueError(f"no generators for nonempty blocks {missing}")
+
+    @property
+    def generators(self) -> tuple[PathPolynomial, ...]:
+        """The generators as degree-1 polynomials, in order."""
+        if self._generators is None:
+            gens: list = [None] * sum(len(ks) for ks, _, _ in self._by_label.values())
+            for (a, b), (ks, vecs, _) in self._by_label.items():
+                i, j = self._vertex[a], self._vertex[b]
+                for k, row in zip(ks.tolist(), vecs):
+                    gens[k] = _polynomial(self.quiver, i, j, row)
+            self._generators = tuple(gens)
+        return self._generators
 
     @property
     def n(self) -> int:
@@ -215,10 +278,15 @@ def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], dict[int, comple
     blocks = {(p.target, p.source) for p in g.terms}
     if len(blocks) != 1:
         raise ValueError("generators must be supported on a single block")
-    coeffs = {p.arrows[0].index: coeff for p, coeff in g.items()}
-    if not np.isfinite(list(coeffs.values())).all():
-        raise ValueError("generator coefficients must be finite")
-    return blocks.pop(), coeffs
+    return blocks.pop(), {p.arrows[0].index: coeff for p, coeff in g.items()}
+
+
+def _polynomial(q: Quiver, i: int, j: int, row: np.ndarray) -> PathPolynomial:
+    """The degree-1 polynomial with the coefficient row ``row`` over the
+    arrows of block (i, j), in arrow index order."""
+    return PathPolynomial._of_valid_paths(
+        q, {arrow_path(Arrow(j, i, m)): z for m, z in enumerate(row.tolist())}
+    )
 
 
 def _haar_unitaries(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
@@ -263,15 +331,20 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     tau = tuple(int(v) for v in rng.permutation(q.n))
     blocks = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
     unitaries = dict(zip(blocks, _haar_unitaries(rng, [q.c[i][j] for i, j in blocks])))
-    generators: list[PathPolynomial] = []
-    for (i, j), u in unitaries.items():
-        paths = [arrow_path(a) for a in q.block(i, j)]
-        generators += [PathPolynomial(q, dict(zip(paths, u[:, m]))) for m in range(len(u))]
-    order = rng.permutation(len(generators))
-    return ScrambledPresentation(
-        idempotents=tuple(PathPolynomial.vertex(q, v) for v in tau),
-        generators=tuple(generators[k] for k in order),
-        hidden_truth=HiddenTruth(quiver=q, tau=tau, unitaries=unitaries),
+    # the generators, listed block by block, are the columns of the
+    # unitaries; the one listed at p is handed out as generator position[p]
+    position = np.argsort(rng.permutation(q.total_arrows()))
+    rows = {}
+    start = 0
+    for block, u in unitaries.items():
+        ks = position[start : start + len(u)]
+        start += len(u)
+        by_index = np.argsort(ks)
+        rows[block] = (ks[by_index], u.T[by_index])
+    return ScrambledPresentation._of_rows(
+        tuple(PathPolynomial.vertex(q, v) for v in tau),
+        rows,
+        HiddenTruth(quiver=q, tau=tau, unitaries=unitaries),
     )
 
 
@@ -282,33 +355,37 @@ def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     return s._by_label.get((a, a), _UNLABELLED)[2]
 
 
-def _pair_reps(s: ScrambledPresentation, a: int, b: int) -> list[TwoDimRep]:
-    """One representation per generator labelled (a, b): zero diagonal data
-    and gamma its normalized compression, each passed by the family test."""
-    va, vb = s._vertex[a], s._vertex[b]
-    reps = []
-    for vec in s._by_label.get((a, b), _UNLABELLED)[1]:
-        try:
-            reps.append(TwoDimRep(s.quiver, va, vb, gamma=vec / np.linalg.norm(vec)))
-        except ValueError as exc:
-            raise RecoveryError(
-                f"normalized compression rejected by the family test: {exc}"
-            ) from exc
-    return reps
-
-
-def _rep_rows(s: ScrambledPresentation, a: int, b: int, reps: list[TwoDimRep]) -> np.ndarray:
-    """The upper-right entries of the representations ``_pair_reps(s, a, b)``
-    on the generators labelled (a, b), one row per representation (they
-    vanish on every other generator).  ``rho_eval`` is linear, so it runs
-    once per representation and arrow j -> i below the rows' width, k * d
-    calls of one term each."""
-    if not reps:
+def _rep_rows(s: ScrambledPresentation, a: int, b: int) -> np.ndarray:
+    """The upper-right entries of the representations of the pair (a, b) on
+    the generators labelled (a, b), one row per representation (they vanish
+    on every other generator): with V the rows at (a, b) and Gamma those rows
+    normalized, every gamma must pass the family test, and the entries are
+    conj(Gamma) @ V.T."""
+    vecs = s._by_label.get((a, b), _UNLABELLED)[1]
+    if not len(vecs):
         return np.zeros((0, 0))
+    gammas = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    try:
+        _check_contractive(np.linalg.norm(gammas, axis=1) ** 2, 0.0)
+    except ValueError as exc:
+        raise RecoveryError(f"normalized compression rejected by the family test: {exc}") from exc
+    return gammas.conj() @ vecs.T
+
+
+def _spot_check(s: ScrambledPresentation, a: int, b: int, batched: np.ndarray) -> None:
+    """``rho_eval`` of the representation built from the first row at (a, b),
+    on each arrow of that block, times the rows' transpose: it must give
+    ``batched``, the first row of ``_rep_rows(s, a, b)``, or
+    ProbeMismatchError is raised."""
     vecs = s._by_label[(a, b)][1]
     i, j = s._vertex[a], s._vertex[b]
-    monomials = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
-    return np.array([[rho_eval(r, x)[0, 1] for x in monomials] for r in reps]) @ vecs.T
+    r = TwoDimRep(s.quiver, i, j, gamma=vecs[0] / np.linalg.norm(vecs[0]))
+    arrows = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
+    spot = np.array([rho_eval(r, x)[0, 1] for x in arrows]) @ vecs.T
+    if np.abs(spot - batched).max() > _SPOT_TOL * np.abs(vecs).max():
+        raise ProbeMismatchError(
+            f"rho_eval disagrees with the batched representation rows at pair ({a}, {b})"
+        )
 
 
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
@@ -320,7 +397,7 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    (rep_dim,) = _ranks([_rep_rows(s, a, b, _pair_reps(s, a, b))])
+    (rep_dim,) = _ranks([_rep_rows(s, a, b)])
     return _agreed(s, a, b, rep_dim)
 
 
@@ -360,7 +437,7 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
         evidence.append(PairEvidence(a=a, b=a, span_dim=d, rep_dim=None))
     # every labelled pair's representation rows first, then one rank call
     pairs = sorted((a, b) for a, b in s._by_label if a != b)
-    rows = [_rep_rows(s, a, b, _pair_reps(s, a, b)) for a, b in pairs]
+    rows = [_rep_rows(s, a, b) for a, b in pairs]
     rep_dims = dict(zip(pairs, _ranks(rows)))
     for a in range(n):
         for b in range(n):
@@ -369,6 +446,8 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
             d = _agreed(s, a, b, rep_dims.get((a, b), 0))
             evidence.append(PairEvidence(a=a, b=b, span_dim=d, rep_dim=d))
             c[a][b] = d
+    if pairs:
+        _spot_check(s, *pairs[0], rows[0][0])
     recovered = Quiver(c)
     witness = None
     if s.hidden_truth is not None:

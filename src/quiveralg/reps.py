@@ -69,6 +69,19 @@ def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> tup
     return vec, nrm
 
 
+def _check_contractive(t, q1: float) -> None:
+    """The family test: refuse a squared norm t of gamma above 1 - q1, with q1
+    the squared norm of lam_i, up to ``BOUNDARY_SLACK``.  t may be an array,
+    one squared norm per candidate gamma, all checked at once; the first one
+    refused is named."""
+    t = np.asarray(t)
+    over = t[t > 1.0 - q1 + BOUNDARY_SLACK]
+    if over.size:
+        raise ValueError(
+            f"not contractive: ||gamma||^2 = {float(over[0])} exceeds 1 - ||lam_i||^2 = {1.0 - q1}"
+        )
+
+
 class Character:
     """A one-dimensional representation, labelled (vertex, lam)."""
 
@@ -127,12 +140,7 @@ class TwoDimRep:
         self.lam_i, nrm_i = _ball_vector(quiver, i, lam_i, "lam_i", strict=True)
         self.lam_j, _ = _ball_vector(quiver, j, lam_j, "lam_j", strict=True)
         self.gamma, nrm_g = _block_vector(quiver, i, j, gamma, "gamma")
-        q1 = nrm_i**2
-        t = nrm_g**2
-        if t > 1.0 - q1 + BOUNDARY_SLACK:
-            raise ValueError(
-                f"not contractive: ||gamma||^2 = {t} exceeds 1 - ||lam_i||^2 = {1.0 - q1}"
-            )
+        _check_contractive(nrm_g**2, nrm_i**2)
 
     def squared_params(self) -> tuple[float, float, float]:
         """(q1, q2, t) = squared norms of lam_i, lam_j, gamma."""

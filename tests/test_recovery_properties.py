@@ -1,4 +1,5 @@
-"""Property test of recovery under vertex relabelling (needs hypothesis)."""
+"""Property tests of recovery (need hypothesis): invariance under vertex
+relabelling, and one generator table from either input of a presentation."""
 
 import pytest
 
@@ -6,7 +7,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from quiveralg import Quiver, apply_permutation, are_isomorphic, recover, scramble  # noqa: E402
+from quiveralg import (  # noqa: E402
+    Quiver,
+    ScrambledPresentation,
+    apply_permutation,
+    are_isomorphic,
+    recover,
+    scramble,
+)
 
 
 @st.composite
@@ -28,3 +36,29 @@ def test_recovery_is_invariant_under_relabelling(q_tau, seed):
     assert report.witness is not None
     assert apply_permutation(recovered, report.witness) == hidden
     assert are_isomorphic(recovered, q) is not None
+
+
+@st.composite
+def quivers(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(quivers(), st.integers(0, 2**32 - 1))
+def test_polynomial_constructor_builds_the_scramble_table(q, seed):
+    """``scramble`` writes its rows from the block unitaries; rebuilt through
+    the public constructor from the same generators, read back as
+    polynomials, the table is the same bit for bit, and so is the report."""
+    s = scramble(q, seed)
+    rebuilt = ScrambledPresentation(
+        idempotents=s.idempotents, generators=s.generators, hidden_truth=s.hidden_truth
+    )
+    assert list(rebuilt._by_label) == list(s._by_label)
+    for pair, (ks, vecs, rank) in s._by_label.items():
+        ks2, vecs2, rank2 = rebuilt._by_label[pair]
+        assert ks2.tolist() == ks.tolist() and rank2 == rank
+        assert vecs2.dtype == vecs.dtype and vecs2.shape == vecs.shape
+        assert vecs2.tobytes() == vecs.tobytes()
+    assert recover(rebuilt) == recover(s)

@@ -18,7 +18,7 @@ from quiveralg import (
     t_tilde_k_norm_direct,
     t_tilde_product,
 )
-from quiveralg.reps import TwoDimRep
+from quiveralg.reps import TwoDimRep, _check_contractive
 from helpers import (
     dyadic_ball_vector,
     dyadic_polynomial,
@@ -127,6 +127,24 @@ class TestTwoDimRepValidation:
         TwoDimRep(q, 0, 1, [0.6], [], [0.8])  # equality case admitted
         with pytest.raises(ValueError, match="not contractive"):
             TwoDimRep(q, 0, 1, [0.8], [], [0.8])
+
+    def test_batched_family_test_agrees_with_each_representation(self):
+        """``_check_contractive`` on an array of squared gamma norms refuses
+        exactly when ``TwoDimRep`` refuses one of them, naming the first
+        refused value as ``TwoDimRep`` names it."""
+        q = two_block_quiver(1, 1, 0)
+        lam_i = 0.6
+        for gammas in ([0.8, 0.5, 0.8 + 1e-13], [0.1, 0.9, 0.95], [0.81]):
+            t = np.array(gammas) ** 2
+            refused = [g for g in gammas if not membership_G(q, 0, 1, [lam_i], [], [g])]
+            if not refused:
+                _check_contractive(t, lam_i**2)
+                continue
+            with pytest.raises(ValueError) as batched:
+                _check_contractive(t, lam_i**2)
+            with pytest.raises(ValueError) as single:
+                TwoDimRep(q, 0, 1, [lam_i], [], [refused[0]])
+            assert str(batched.value) == str(single.value)
 
     def test_diagonal_data_defaults_to_zero(self):
         q = Quiver([[2, 1], [0, 3]])
