@@ -18,6 +18,10 @@ Text form (read by ``parse_polynomial`` and written by ``format_polynomial``;
 
 Monomials multiply like the paths they name: "a*b" means "a after b", so a
 length-2 path walked first along b then along a prints as "a*b".
+
+``parse_polynomial`` reads the tokens in one pass.  A malformed text raises
+at its first fault: an untokenizable character, then, term by term, a
+non-finite coefficient before a missing operator after the term.
 """
 
 from __future__ import annotations
@@ -202,22 +206,20 @@ _TOKEN_RE = re.compile(
     | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[jJ]?)
     | (?P<op>[+\-*])
     | (?P<ws>\s+)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            pos = m.start()
             raise ValueError(f"cannot tokenize polynomial text at position {pos}: {text[pos:pos + 12]!r}")
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group()))
-        pos = m.end()
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group()))
     return tokens
 
 
@@ -257,87 +259,60 @@ def _parse_arrow_token(q: Quiver, token: str) -> Path:
 
 
 def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
-    """Parse the text grammar in the module docstring."""
+    """Parse the text grammar in the module docstring, in one pass."""
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial text")
-    pos = 0
     arrow_tokens: dict[str, Path] = {}  # each distinct arrow token is read once
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def parse_atom():
-        nonlocal pos
-        kind, value = peek()
-        pos += 1
-        if kind is None:
-            raise ValueError("polynomial text ends where a monomial or scalar was expected")
-        if kind == "arrow":
-            if value not in arrow_tokens:
-                arrow_tokens[value] = _parse_arrow_token(q, value)
-            return ("path", arrow_tokens[value])
-        if kind == "vertex":
-            v = int(value[1:]) - 1
-            if not 0 <= v < q.n:
-                raise ValueError(f"vertex token {value!r} out of range 1..{q.n}")
-            return ("path", vertex_path(v))
-        if kind in ("cplx", "num"):
-            try:
-                return ("scalar", complex(value))
-            except ValueError as exc:
-                raise ValueError(f"bad complex literal {value!r}") from exc
-        raise ValueError(f"unexpected token {value!r} where a monomial or scalar was expected")
-
-    def parse_term() -> list[tuple[Path, complex]]:
-        """The term's paths with their coefficients, as a polynomial holds them."""
-        nonlocal pos
-        coeff = 1.0 + 0j
-        paths: list[Path] = []
-        while True:
-            kind, atom = parse_atom()
-            if kind == "scalar":
-                coeff *= atom
-            else:
-                paths.append(atom)
-            k, v = peek()
-            if k == "op" and v == "*":
-                pos += 1
-                continue
-            break
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"coefficients must be finite, got {coeff}")
-        if not paths:  # coeff times the unit, whose coefficients are 1+0j
-            return [(vertex_path(v), coeff * (1 + 0j)) for v in q.vertices()]
-        # a non-composable pair makes the term zero; syntax was checked above
-        path = reduce(lambda u, v: None if u is None else compose(u, v), paths)
-        return [] if path is None else [(path, coeff)]
-
-    # the terms are summed into one map as ``+`` sums polynomials, a sum
-    # that cancels dropped at once; every path was checked as it was read,
-    # and the polynomial is built once
     total: dict[Path, complex] = {}
-    sign = 1.0
-    kind, value = peek()
-    if kind == "op" and value in "+-":
-        sign = -1.0 if value == "-" else 1.0
-        pos += 1
-    while True:
-        for path, coeff in parse_term():
-            if coeff == 0:
-                continue
-            z = total.get(path, 0j) + complex(sign) * coeff
-            if z != 0:
-                total[path] = z
+    sign, coeff, paths = 1.0, 1.0 + 0j, []
+    if tokens[0] in (("op", "+"), ("op", "-")):
+        sign = -1.0 if tokens.pop(0)[1] == "-" else 1.0
+    expect_atom = True  # else an operator, or the end, comes next
+    for kind, value in [*tokens, (None, None)]:
+        if expect_atom:
+            if kind is None:
+                raise ValueError("polynomial text ends where a monomial or scalar was expected")
+            if kind == "arrow":
+                if value not in arrow_tokens:
+                    arrow_tokens[value] = _parse_arrow_token(q, value)
+                paths.append(arrow_tokens[value])
+            elif kind == "vertex":
+                v = int(value[1:]) - 1
+                if not 0 <= v < q.n:
+                    raise ValueError(f"vertex token {value!r} out of range 1..{q.n}")
+                paths.append(vertex_path(v))
+            elif kind in ("cplx", "num"):
+                try:
+                    coeff *= complex(value)
+                except ValueError as exc:
+                    raise ValueError(f"bad complex literal {value!r}") from exc
             else:
-                del total[path]
-        kind, value = peek()
-        if kind is None:
-            if not all(map(cmath.isfinite, total.values())):
-                raise ValueError("coefficients must be finite; the sum overflows")
-            return PathPolynomial._of_valid_paths(q, total)
-        if kind == "op" and value in "+-":
-            sign = -1.0 if value == "-" else 1.0
-            pos += 1
+                raise ValueError(f"unexpected token {value!r} where a monomial or scalar was expected")
+            expect_atom = False
+        elif value == "*":
+            expect_atom = True
         else:
-            raise ValueError(f"unexpected token {value!r} where '+' or '-' was expected")
+            # the term ends: its coefficient is checked before the token after it
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"coefficients must be finite, got {coeff}")
+            if not paths:  # coeff times the unit, whose coefficients are 1+0j
+                term = [(vertex_path(v), coeff * (1 + 0j)) for v in q.vertices()]
+            else:  # a non-composable pair makes the term zero
+                path = reduce(lambda u, v: None if u is None else compose(u, v), paths)
+                term = [] if path is None else [(path, coeff)]
+            # summed as ``+`` sums polynomials, a sum that cancels dropped at once
+            for path, c in term:
+                if c != 0:
+                    total[path] = total.get(path, 0j) + complex(sign) * c
+                    if total[path] == 0:
+                        del total[path]
+            if kind is None:
+                break
+            if kind != "op":
+                raise ValueError(f"unexpected token {value!r} where '+' or '-' was expected")
+            sign, coeff, paths, expect_atom = (-1.0 if value == "-" else 1.0), 1.0 + 0j, [], True
+    if not all(map(cmath.isfinite, total.values())):
+        raise ValueError("coefficients must be finite; the sum overflows")
+    # every path was checked as it was read
+    return PathPolynomial._of_valid_paths(q, total)

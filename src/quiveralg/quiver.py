@@ -43,16 +43,18 @@ PATH_TOKEN_LIMIT = 2**24
 def _as_count(value) -> int:
     if type(value) is int and value >= 0:
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError("multiplicities must be integers, got a bool")
-    if isinstance(value, float) or isinstance(value, np.floating):
-        if math.isinf(value) or math.isnan(value):
+    if isinstance(value, (float, np.floating)):
+        if math.isinf(value):
             raise ValueError(
                 "infinite multiplicities are not supported; all arrow counts "
                 "must be finite nonnegative integers"
             )
-        if not float(value).is_integer():
+        if not float(value).is_integer():  # NaN included
             raise ValueError(f"multiplicities must be integers, got {value!r}")
+    elif not isinstance(value, (int, np.integer)):
+        raise ValueError(f"multiplicities must be integers, got {value!r}")
     count = int(value)
     if count < 0:
         raise ValueError(f"multiplicities must be nonnegative, got {count}")

@@ -9,6 +9,11 @@ with literal equality instead of a tolerance.
 import numpy as np
 import scipy.sparse as sp
 
+try:
+    from hypothesis import strategies as st
+except ImportError:  # only the property modules draw quivers, and they skip without it
+    st = None
+
 from quiveralg import (
     CornerReport,
     CorrespondenceElement,
@@ -28,6 +33,17 @@ def random_quiver(rng, max_n=3, max_entry=2, min_n=1):
     n = int(rng.integers(min_n, max_n + 1))
     c = rng.integers(0, max_entry + 1, size=(n, n))
     return Quiver(c.tolist())
+
+
+if st is not None:
+
+    @st.composite
+    def quivers(draw, max_n, max_entry):
+        """Quivers with 1..max_n vertices and multiplicities 0..max_entry:
+        the vertex count is drawn first, then the rows."""
+        n = draw(st.integers(1, max_n))
+        row = st.lists(st.integers(0, max_entry), min_size=n, max_size=n)
+        return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 def random_element(q, rng):

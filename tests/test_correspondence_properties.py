@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from quiveralg import (  # noqa: E402
     CorrespondenceElement,
-    Quiver,
     element_from_wire,
     element_to_wire,
     inner_product,
@@ -18,20 +17,13 @@ from quiveralg import (  # noqa: E402
     right_action,
 )
 from helpers import (  # noqa: E402
+    quivers,
     reference_blocks,
     reference_inner_product,
     reference_left_action,
     reference_random_blocks,
     reference_right_action,
 )
-
-
-@st.composite
-def quivers(draw):
-    n = draw(st.integers(1, 4))
-    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
-
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -43,7 +35,7 @@ def assert_same_blocks(got, want):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers())
+@given(quivers(4, 3))
 def test_layout_matches_arrows(q):
     arrows = list(q.arrows())
     sources, targets = q.arrow_ends()
@@ -57,7 +49,7 @@ def test_layout_matches_arrows(q):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers(), seeds)
+@given(quivers(4, 3), seeds)
 def test_random_draws_block_by_block(q, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     xi = CorrespondenceElement.random(q, rng)
@@ -66,7 +58,7 @@ def test_random_draws_block_by_block(q, seed):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers(), seeds)
+@given(quivers(4, 3), seeds)
 def test_blocks_and_components(q, seed):
     rng = np.random.default_rng(seed)
     xi = CorrespondenceElement.random(q, rng)
@@ -84,7 +76,7 @@ def test_blocks_and_components(q, seed):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers(), seeds)
+@given(quivers(4, 3), seeds)
 def test_actions_and_inner_product(q, seed):
     rng = np.random.default_rng(seed)
     xi, eta = CorrespondenceElement.random(q, rng), CorrespondenceElement.random(q, rng)
@@ -97,7 +89,7 @@ def test_actions_and_inner_product(q, seed):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers(), seeds)
+@given(quivers(4, 3), seeds)
 def test_wire_round_trip(q, seed):
     xi = CorrespondenceElement.random(q, np.random.default_rng(seed))
     blocks = reference_blocks(xi)

@@ -4,19 +4,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 
-from quiveralg import Quiver, parse_quiver_dict, quiver_to_dict  # noqa: E402
-
-
-@st.composite
-def quivers(draw):
-    n = draw(st.integers(1, 8))
-    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
+from quiveralg import parse_quiver_dict, quiver_to_dict  # noqa: E402
+from helpers import quivers  # noqa: E402
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(quivers())
+@given(quivers(8, 3))
 def test_dict_round_trip(q):
     assert parse_quiver_dict(quiver_to_dict(q)).c == q.c

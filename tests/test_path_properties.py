@@ -10,17 +10,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from quiveralg import Arrow, Quiver, enumerate_paths  # noqa: E402
 from quiveralg import quiver  # noqa: E402
 from quiveralg.quiver import _path_tree  # noqa: E402
-
-
-@st.composite
-def quivers(draw):
-    n = draw(st.integers(1, 3))
-    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
-    return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
+from helpers import quivers  # noqa: E402
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers(), st.integers(0, 4))
+@given(quivers(3, 2), st.integers(0, 4))
 def test_path_count_identity(q, max_len):
     # sum over k <= max_len of 1^T C^k 1; exact in int64 at these sizes
     expected = sum(int(np.linalg.matrix_power(q.matrix(), k).sum()) for k in range(max_len + 1))
@@ -28,7 +22,7 @@ def test_path_count_identity(q, max_len):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(quivers(), st.integers(0, 4))
+@given(quivers(3, 2), st.integers(0, 4))
 def test_token_budget_is_exact(q, max_len):
     # the arrows of all paths, sum over k of k 1^T C^k 1, are admitted at a
     # budget of exactly that many and refused at one fewer

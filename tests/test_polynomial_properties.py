@@ -19,16 +19,9 @@ from quiveralg import (  # noqa: E402
     parse_polynomial,
     vertex_path,
 )
-from helpers import reference_product  # noqa: E402
+from helpers import quivers, reference_product  # noqa: E402
 
 dyadic = st.builds(lambda re, im: complex(re, im) / 8, st.integers(-8, 8), st.integers(-8, 8))
-
-
-@st.composite
-def quivers(draw):
-    n = draw(st.integers(1, 3))
-    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
-    return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 def vertex_monomials(q):
@@ -52,7 +45,7 @@ def factors(q):
 
 @st.composite
 def factor_triples(draw):
-    q = draw(quivers())
+    q = draw(quivers(3, 2))
     return tuple(draw(factors(q)) for _ in range(3))
 
 
@@ -76,7 +69,7 @@ def test_products_equal_the_double_loop(triple):
 
 @st.composite
 def vertex_and_polynomial(draw):
-    q = draw(quivers())
+    q = draw(quivers(3, 2))
     return draw(vertex_monomials(q)), draw(polynomials(q, max_len=3))
 
 
@@ -107,7 +100,7 @@ finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def text_round_trips(draw):
-    q = draw(quivers())
+    q = draw(quivers(3, 2))
     terms = st.dictionaries(st.sampled_from(enumerate_paths(q, 3)), st.one_of(dyadic, finite), max_size=6)
     return q, PathPolynomial(q, draw(terms))
 

@@ -241,6 +241,29 @@ class TestTextForm:
         with pytest.raises(ValueError, match="text ends where a monomial or scalar was expected"):
             parse_polynomial(q, text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a term's coefficient is checked before the token after the term
+            ("(nan) v1", "coefficients must be finite, got (nan+nanj)"),
+            ("(nan)*v1 v1", "coefficients must be finite, got (nan+nanj)"),
+            ("1e308*1e308 + v1 v2", "coefficients must be finite, got (inf+0j)"),
+            ("v1 v1", "unexpected token 'v1' where '+' or '-' was expected"),
+            ("2*", "polynomial text ends where a monomial or scalar was expected"),
+            ("-", "polynomial text ends where a monomial or scalar was expected"),
+            ("2 +", "polynomial text ends where a monomial or scalar was expected"),
+            ("- -v1", "unexpected token '-' where a monomial or scalar was expected"),
+            ("+ + v1", "unexpected token '+' where a monomial or scalar was expected"),
+            ("*v1", "unexpected token '*' where a monomial or scalar was expected"),
+            # the whole text is tokenized before any term is read
+            ("v1 $", "cannot tokenize polynomial text at position 3: '$'"),
+        ],
+    )
+    def test_parse_reports_the_first_error_of_a_malformed_text(self, q, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(q, text)
+        assert str(info.value) == message
+
     def test_parse_folds_past_the_product_degree_cap(self, q):
         # the parser composes a term's paths itself, so text may name a
         # monomial longer than MAX_DEGREE, which products refuse to reach

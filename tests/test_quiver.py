@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -125,6 +126,27 @@ class TestQuiverConstruction:
     def test_rejects_fractional(self):
         with pytest.raises(ValueError, match="integer"):
             Quiver([[1.5]])
+
+    @pytest.mark.parametrize(
+        "c, bad",
+        [
+            ([["3"]], "3"),
+            ([[b"4"]], b"4"),
+            (np.array([["1", "0"], ["2", "1"]]), "1"),
+            ([[None]], None),
+            ([[3 + 0j]], 3 + 0j),
+            ([[float("nan")]], float("nan")),
+            ([[np.float64("nan")]], np.float64("nan")),
+        ],
+    )
+    def test_rejects_what_is_not_a_number_naming_it(self, c, bad):
+        # only ints, numpy integers and integral floats are counts
+        with pytest.raises(ValueError, match=f"^multiplicities must be integers, got {re.escape(repr(bad))}$"):
+            Quiver(c)
+
+    def test_rejects_a_numpy_bool_in_a_list(self):
+        with pytest.raises(ValueError, match="got a bool"):
+            Quiver([[np.True_]])
 
     def test_accepts_integral_floats_and_numpy(self):
         q = Quiver(np.array([[2.0, 0.0], [1.0, 0.0]]))

@@ -15,15 +15,13 @@ from quiveralg import (  # noqa: E402
     recover,
     scramble,
 )
+from helpers import quivers  # noqa: E402
 
 
 @st.composite
 def relabelled_quivers(draw):
-    n = draw(st.integers(1, 6))
-    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
-    q = Quiver(draw(st.lists(row, min_size=n, max_size=n)))
-    tau = draw(st.permutations(range(n)))
-    return q, tau
+    q = draw(quivers(6, 2))
+    return q, draw(st.permutations(range(q.n)))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -38,15 +36,8 @@ def test_recovery_is_invariant_under_relabelling(q_tau, seed):
     assert are_isomorphic(recovered, q) is not None
 
 
-@st.composite
-def quivers(draw):
-    n = draw(st.integers(1, 5))
-    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    return Quiver(draw(st.lists(row, min_size=n, max_size=n)))
-
-
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(quivers(), st.integers(0, 2**32 - 1))
+@given(quivers(5, 3), st.integers(0, 2**32 - 1))
 def test_polynomial_constructor_builds_the_scramble_table(q, seed):
     """``scramble`` writes its rows from the block unitaries; rebuilt through
     the public constructor from the same generators, read back as
