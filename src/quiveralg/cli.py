@@ -4,7 +4,11 @@ Subcommands:
 
 * ``verify``  -- run the truncated-shift consistency checks on a graph and
   emit {depth, dim, max_covariance_deviation, corner_isometry_ok,
-  norm_checks} as JSON.
+  norm_checks} as JSON.  ``norm_checks`` holds two kinds of entry: one
+  ``basis_arrow`` entry per arrow, named by the token ``paths`` prints for
+  it (``"1<4:1"``), with all their operator norms read off the path tree in
+  one pass; then ``VERIFY_RANDOM_NORM_CHECKS`` ``random`` entries, each with
+  its element's wire vector.
 * ``norms``   -- tabulate {k, closed, direct, bound} for the compressed-map
   norms of a two-dimensional representation.
 * ``recover`` -- scramble a graph, reconstruct its multiplicity matrix, and
@@ -56,7 +60,15 @@ import numpy as np
 from . import __version__
 from .correspondence import CorrespondenceElement, element_norm
 # perfbench's tracer wraps the four fock functions here as well as in fock
-from .fock import DEFAULT_DEPTH, FockSpace, check_isometric_covariance, corner_shift_report, creation_operator, operator_norm
+from .fock import (
+    DEFAULT_DEPTH,
+    FockSpace,
+    _arrow_shift_norms,
+    check_isometric_covariance,
+    corner_shift_report,
+    creation_operator,
+    operator_norm,
+)
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
 from .quiver import PATH_LIMIT, Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
@@ -114,18 +126,24 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
         if q.c[v][v] >= 1:
             corner_ok = corner_ok and corner_shift_report(space, v).ok
 
-    norm_checks = []
-    elements = [("basis_arrow", CorrespondenceElement.basis(q, a)) for a in q.arrows()]
-    elements += [
-        ("random", CorrespondenceElement.random(q, rng))
-        for _ in range(VERIFY_RANDOM_NORM_CHECKS)
+    # a basis element has module norm 1 and is named by its arrow's token
+    norm_checks = [
+        {
+            "kind": "basis_arrow",
+            "arrow": format_path(arrow_path(a)),
+            "element_norm": 1.0,
+            "operator_norm": n_op,
+            "deviation": abs(1.0 - n_op),
+        }
+        for a, n_op in zip(q.arrows(), _arrow_shift_norms(space).tolist())
     ]
-    for kind, xi in elements:
+    for _ in range(VERIFY_RANDOM_NORM_CHECKS):
+        xi = CorrespondenceElement.random(q, rng)
         n_elem = element_norm(xi)
         n_op = operator_norm(creation_operator(space, xi))
         norm_checks.append(
             {
-                "kind": kind,
+                "kind": "random",
                 "element": element_to_wire(xi),
                 "element_norm": n_elem,
                 "operator_norm": n_op,
@@ -349,8 +367,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     text = _report_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         print(text)
     status = {EXIT_OK: "OK", EXIT_NUMERICAL: "CHECK FAILED", EXIT_MISMATCH: "MISMATCH"}[code]

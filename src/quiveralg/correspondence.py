@@ -56,7 +56,7 @@ class CorrespondenceElement:
         """Standard complex Gaussian coefficients, drawn block by block in
         (target, source) order, real parts before imaginary parts."""
         _check_arrow_count(quiver.total_arrows())
-        blocks = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for row in quiver.c for d in row if d]
+        blocks = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _, _, d in quiver._nonempty_blocks]
         return cls(quiver, np.concatenate([[], *blocks]))
 
     def block(self, target: int, source: int) -> np.ndarray:

@@ -16,10 +16,12 @@ arrow), so a creation operator is a weighted shift: each row holds at most
 one entry and the columns are orthogonal.  It is held as one weight per
 path of length >= 1, and the checks ``verify`` makes (the covariance
 deviation, the corner report, the creation-operator norm) are read off
-those weights and the path tree's arrays with ``bincount``; no sparse
-matrix is built for them.  ``scipy.sparse`` is imported only where a CSR
-matrix is asked for: ``FockOperator.matrix``, ``diag_operator`` and
-``evaluate_polynomial``, the last two of which return a CSR matrix.
+those weights and the path tree's arrays with ``bincount``; the norms of
+all the arrows' basis elements come from one count over the tree
+(``_arrow_shift_norms``).  No sparse matrix is built for them.
+``scipy.sparse`` is imported only where a CSR matrix is asked for:
+``FockOperator.matrix``, ``diag_operator`` and ``evaluate_polynomial``, the
+last two of which return a CSR matrix.
 
 ``operator_norm`` has two routes, both exact:
 
@@ -211,6 +213,22 @@ def operator_norm(op) -> float:
         )
     dense = mat.toarray() if sparse else mat
     return float(np.linalg.svd(dense, compute_uv=False)[0])
+
+
+def _arrow_shift_norms(space: FockSpace) -> np.ndarray:
+    """The creation-operator norm of every arrow's basis element, in
+    ``arrows()`` order, read off the path tree in one pass.
+
+    The shift of the basis element at arrow a has weight 1 at every path
+    whose last arrow is a, in its parent's column, so its norm is the square
+    root of the largest count of paths sharing one (last arrow, parent) key;
+    no per-arrow vector is built.
+    """
+    dim = space.dim
+    keys, counts = np.unique(space.last_arrow.astype(np.int64) * dim + space.parent, return_counts=True)
+    largest = np.zeros(space.quiver.total_arrows())
+    np.maximum.at(largest, keys // dim, counts)
+    return np.sqrt(largest)
 
 
 def check_isometric_covariance(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -118,10 +118,17 @@ class Quiver:
 
     def arrows(self) -> Iterator[Arrow]:
         """All arrows, ordered by (target, source, index)."""
-        for target in range(self.n):
-            for source in range(self.n):
-                for index in range(self.c[target][source]):
-                    yield Arrow(source, target, index)
+        for target, source, count in self._nonempty_blocks:
+            for index in range(count):
+                yield Arrow(source, target, index)
+
+    @cached_property
+    def _nonempty_blocks(self) -> tuple[tuple[int, int, int], ...]:
+        """``(target, source, count)`` of every block that holds an arrow, in
+        (target, source) order; the rows are scanned in C, so a walk over the
+        blocks costs the number of blocks, not n^2."""
+        sources = range(self.n)
+        return tuple((t, s, row[s]) for t, row in enumerate(self.c) for s in compress(sources, row))
 
     def block_start(self, target: int, source: int) -> int:
         """Position in ``arrows()`` of the first arrow from ``source`` to
@@ -228,26 +235,30 @@ def compose(p: Path, r: Path) -> Optional[Path]:
     return Path(r.base, r.arrows + p.arrows)
 
 
-def _path_count_check(c: tuple[tuple[int, ...], ...], max_len: int) -> None:
+def _path_count_check(q: Quiver, max_len: int) -> None:
     """Refuse, before anything is allocated, graphs with more than
     ``PATH_LIMIT`` paths of length <= ``max_len`` or with more than
     ``PATH_TOKEN_LIMIT`` arrow tokens in those paths.
 
     The count sum over k <= max_len of 1^T C^k 1 is taken in exact integers,
-    level by level, and stops at the first empty level.  A nonempty level at
-    length >= n holds a path through n + 1 vertices, hence a cycle, so every
-    longer level holds at least one path: the remaining levels are counted
-    as one path each, which decides very large ``max_len`` at once.  The
-    tokens, the sum of k 1^T C^k 1, need no such bound: a nonempty level k
-    adds at least k of them, so the loop passes ``PATH_TOKEN_LIMIT`` within
-    about sqrt(2 PATH_TOKEN_LIMIT) levels.
+    level by level over the nonempty blocks of C, and stops at the first
+    empty level.  A nonempty level at length >= n holds a path through
+    n + 1 vertices, hence a cycle, so every longer level holds at least one
+    path: the remaining levels are counted as one path each, which decides
+    very large ``max_len`` at once.  The tokens, the sum of k 1^T C^k 1,
+    need no such bound: a nonempty level k adds at least k of them, so the
+    loop passes ``PATH_TOKEN_LIMIT`` within about sqrt(2 PATH_TOKEN_LIMIT)
+    levels.
     """
-    n = len(c)
+    n = q.n
     level = [1] * n  # paths of the current length, by end vertex
     total = n
     tokens = 0
     for k in range(1, max_len + 1):
-        level = [sum(c[t][s] * level[s] for s in range(n) if c[t][s]) for t in range(n)]
+        longer = [0] * n
+        for t, s, count in q._nonempty_blocks:
+            longer[t] += count * level[s]
+        level = longer
         size = sum(level)
         if size == 0:
             break
@@ -282,7 +293,7 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    _path_count_check(q.c, max_len)
+    _path_count_check(q, max_len)
     sources, targets = q.arrow_ends()
     out_arrow = np.argsort(sources, kind="stable")
     out_target = targets[out_arrow]

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -171,6 +172,68 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.read_text())["dim"] == 195023
         assert elapsed < 1.0
+
+    def test_basis_entries_named_by_arrow(self, reference):
+        # one entry per arrow, named by the token paths prints for it, then
+        # the random elements with their wire vectors
+        _, report, _ = run(["verify", "--graph", reference, "--depth", "3"])
+        _, listing, _ = run(["paths", "--graph", reference, "--max-len", "1"])
+        q = parse_quiver_file(reference)
+        checks = report["norm_checks"]
+        basis, random = checks[: q.total_arrows()], checks[q.total_arrows():]
+        assert [c["arrow"] for c in basis] == listing["paths"][q.n:]
+        assert all(c["kind"] == "basis_arrow" and "element" not in c for c in basis)
+        assert all(c["element_norm"] == c["operator_norm"] == 1.0 for c in basis)
+        assert [c["kind"] for c in random] == ["random"] * cli.VERIFY_RANDOM_NORM_CHECKS
+        assert all("element" in c and "arrow" not in c for c in random)
+
+    def test_complete_30_depth_1_within_budget(self, tmp_path):
+        # 900 arrows: every basis element is named by its arrow, so the
+        # report grows with the arrows, not with arrows x blocks
+        g = quiver_file(tmp_path, "complete30.json", [[1] * 30] * 30)
+        out = tmp_path / "verify.json"
+        t0 = time.perf_counter()
+        code = main(["verify", "--graph", g, "--depth", "1", "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert len(json.loads(out.read_text())["norm_checks"]) == 902
+        assert out.stat().st_size < 2**20
+        assert elapsed < 1.0
+
+    def test_complete_30_depth_1_peak_rss(self, tmp_path):
+        g = quiver_file(tmp_path, "complete30.json", [[1] * 30] * 30)
+        code = (
+            "import resource, sys\n"
+            "from quiveralg.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        # Linux counts the resident set of the process that starts a child in
+        # the child's ru_maxrss, so the run is started by a small relay
+        # interpreter, not by this one
+        relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        argv = ["verify", "--graph", g, "--depth", "1", "--output", str(tmp_path / "v.json")]
+        proc = python("-c", relay, sys.executable, "-c", code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, max_rss_kib = map(int, proc.stdout.split())
+        assert exit_code == 0
+        assert max_rss_kib < 100 * 1024
+
+    def test_cycle_1024_depth_4_within_budget(self, tmp_path):
+        # 1024 one-arrow blocks among 2^20 entries: the path count, the draws
+        # and the arrows walk the nonempty blocks only
+        n = 1024
+        c = [[0] * n for _ in range(n)]
+        for v in range(n):
+            c[(v + 1) % n][v] = 1
+        g = quiver_file(tmp_path, "cycle.json", c)
+        out = tmp_path / "verify.json"
+        t0 = time.perf_counter()
+        code = main(["verify", "--graph", g, "--depth", "4", "--output", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(out.read_text())["dim"] == 5 * n
+        assert elapsed < 2.0
 
     def test_depth_past_path_limit_exits_1(self, two_loop, capsys):
         t0 = time.perf_counter()
@@ -518,6 +581,16 @@ class TestMainEntry:
         assert code == 0
         report = json.loads(target.read_text())
         assert report["count"] == 3
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_output_exits_1(self, target, two_loop, tmp_path, capsys):
+        # the report is built, but the file cannot be opened: no traceback
+        # and no summary line
+        code = main(["paths", "--graph", two_loop, "--max-len", "1", "--output", str(tmp_path / target)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_validation_error_exit_1(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
