@@ -13,7 +13,8 @@ diagonal-algebra valued, a complex vector of length n:
 
 with the scalar inner product conjugate-linear in the FIRST slot and linear
 in the second.  Every downstream pairing in this package follows the same
-convention.
+convention.  Entry v is one ``np.vdot`` over the arrows leaving v, read in
+the quiver's by-source order; ``random`` is one ``_complex_gaussians`` draw.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class CorrespondenceElement:
         """Standard complex Gaussian coefficients, drawn block by block in
         (target, source) order, real parts before imaginary parts."""
         _check_arrow_count(quiver.total_arrows())
-        blocks = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _, _, d in quiver._nonempty_blocks]
-        return cls(quiver, np.concatenate([[], *blocks]))
+        return cls(quiver, _complex_gaussians(rng, [d for _, _, d in quiver._nonempty_blocks]))
 
     def block(self, target: int, source: int) -> np.ndarray:
         """The coefficients of the arrows from ``source`` to ``target``, by index."""
@@ -104,6 +104,15 @@ def _position(quiver: Quiver, a: Arrow) -> int:
     return quiver.block_start(a.target, a.source) + a.index
 
 
+def _complex_gaussians(rng: np.random.Generator, sizes: list[int]) -> np.ndarray:
+    """Complex Gaussians for blocks of these sizes, concatenated, from one
+    ``standard_normal`` call: each block's d real, then d imaginary parts."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    real = np.arange(sizes.sum()) + np.repeat(np.cumsum(sizes) - sizes, sizes)
+    z = rng.standard_normal(2 * len(real))
+    return z[real] + 1j * z[real + np.repeat(sizes, sizes)]
+
+
 def _same_quiver(xi: CorrespondenceElement, eta: CorrespondenceElement) -> None:
     if xi.quiver != eta.quiver:
         raise ValueError("elements live over different quivers")
@@ -122,11 +131,9 @@ def inner_product(xi: CorrespondenceElement, eta: CorrespondenceElement) -> np.n
     conjugate-linear in ``xi``.  Entry v pairs the coefficients of the
     arrows that leave v."""
     _same_quiver(xi, eta)
-    sources, _ = xi.quiver.arrow_ends()
-    return np.array(
-        [np.vdot(xi.vector[sources == v], eta.vector[sources == v]) for v in xi.quiver.vertices()],
-        dtype=complex,
-    )
+    order, bounds = xi.quiver._by_source
+    x, y, ends = xi.vector[order], eta.vector[order], bounds.tolist()
+    return np.array([np.vdot(x[lo:hi], y[lo:hi]) for lo, hi in zip(ends, ends[1:])], dtype=complex)
 
 
 def left_action(d, xi: CorrespondenceElement) -> CorrespondenceElement:

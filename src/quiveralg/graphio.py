@@ -94,12 +94,7 @@ def parse_quiver_file(path) -> Quiver:
 
 
 def quiver_to_dict(q: Quiver) -> dict:
-    edges = [
-        {"from": j + 1, "to": i + 1, "count": q.c[i][j]}
-        for i in range(q.n)
-        for j in range(q.n)
-        if q.c[i][j]
-    ]
+    edges = [{"from": j + 1, "to": i + 1, "count": d} for i, j, d in q._nonempty_blocks]
     return {"n": q.n, "edges": edges}
 
 
@@ -111,11 +106,12 @@ def write_quiver_file(q: Quiver, path) -> None:
 
 def element_to_wire(xi: CorrespondenceElement) -> list[dict]:
     """One record per nonempty block, 1-based, complex entries as [re, im]."""
-    sources, targets = xi.quiver.arrow_ends()
-    blocks: dict[tuple[int, int], list] = {}  # filled in arrows() order
-    for i, j, z in zip(targets.tolist(), sources.tolist(), xi.vector.tolist()):
-        blocks.setdefault((i, j), []).append([z.real, z.imag])
-    return [{"to": i + 1, "from": j + 1, "vector": vec} for (i, j), vec in blocks.items()]
+    n, starts = xi.quiver.n, xi.quiver._block_starts
+    pairs = xi.vector.view(float).reshape(-1, 2).tolist()  # [re, im] per arrow
+    return [
+        {"to": i + 1, "from": j + 1, "vector": pairs[starts[i * n + j] : starts[i * n + j + 1]]}
+        for i, j, _ in xi.quiver._nonempty_blocks
+    ]
 
 
 def element_from_wire(q: Quiver, records) -> CorrespondenceElement:

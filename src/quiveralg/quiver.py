@@ -11,7 +11,9 @@ spells in an operator product reads right to left.  This matches the shift
 operators the paths label (see :mod:`quiveralg.fock`).
 
 All values here are immutable after construction and safe to share across
-threads.
+threads.  Only this module walks the multiplicity matrix; the others read
+the arrow layout a ``Quiver`` caches: its nonempty blocks, their starts in
+``arrows()``, the arrow ends, and the arrows grouped by source.
 """
 
 from __future__ import annotations
@@ -155,6 +157,16 @@ class Quiver:
         sources.flags.writeable = targets.flags.writeable = False
         return sources, targets
 
+    @cached_property
+    def _by_source(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positions in ``arrows()`` grouped by source, each group in
+        ``arrows_from`` order, and the n + 1 group bounds; read-only."""
+        sources = self._arrow_ends[0]
+        order = np.argsort(sources, kind="stable")
+        bounds = np.searchsorted(sources[order], np.arange(self.n + 1))
+        order.flags.writeable = bounds.flags.writeable = False
+        return order, bounds
+
     def block(self, target: int, source: int) -> list[Arrow]:
         """The arrows from ``source`` to ``target``, ordered by index."""
         return [Arrow(source, target, m) for m in range(self.count(target, source))]
@@ -284,28 +296,24 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     position ``last_arrow[r]`` of ``tuple(q.arrows())``.  ``lengths`` and
     ``targets`` hold every path's length and end vertex.  Each level lists
     the children of the level before it parent by parent, each parent's in
-    ``arrows_from`` order (a stable sort of ``arrows()`` by source), so the
-    children of all paths shorter than
-    ``max_len``, in path order, are the paths from position n on.  Graphs
-    with more than ``PATH_LIMIT`` such paths, or with more than
-    ``PATH_TOKEN_LIMIT`` arrows in them, are refused before any array is
-    built.
+    ``arrows_from`` order (``Quiver._by_source``), so the children of all
+    paths shorter than ``max_len``, in path order, are the paths from
+    position n on.  Graphs with more than ``PATH_LIMIT`` such paths, or with
+    more than ``PATH_TOKEN_LIMIT`` arrows in them, are refused before any
+    array is built.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     _path_count_check(q, max_len)
-    sources, targets = q.arrow_ends()
-    out_arrow = np.argsort(sources, kind="stable")
-    out_target = targets[out_arrow]
-    out_deg = np.bincount(sources, minlength=q.n)
-    out_start = np.cumsum(out_deg) - out_deg
+    out_arrow, out_start = q._by_source  # out_start[v]: the first arrow leaving v
+    out_target = q.arrow_ends()[1][out_arrow]
 
     ends = np.arange(q.n, dtype=np.intp)  # end vertices of the current level
     start = 0  # position of its first path
     none = np.zeros(0, dtype=np.intp)
     parent, last_arrow, lengths, targets = [none], [none], [np.zeros(q.n, dtype=np.intp)], [ends]
     for k in range(1, max_len + 1):
-        counts = out_deg[ends]
+        counts = out_start[ends + 1] - out_start[ends]
         size = int(counts.sum())
         if size == 0:
             break
@@ -340,12 +348,11 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
 
 def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
     """Relabel vertices: the result has ``c'[i][j] = c[tau[i]][tau[j]]``."""
-    tau = tuple(int(t) for t in tau)
-    if sorted(tau) != list(range(q.n)):
+    tau = tuple(int(t) if isinstance(t, np.integer) else t for t in tau)
+    # a bool, float or string entry is refused, not rounded or parsed
+    if any(type(t) is not int for t in tau) or sorted(tau) != list(range(q.n)):
         raise ValueError(f"not a permutation of 0..{q.n - 1}: {tau!r}")
-    return Quiver(
-        tuple(tuple(q.c[tau[i]][tau[j]] for j in range(q.n)) for i in range(q.n))
-    )
+    return Quiver([[q.c[t][u] for u in tau] for t in tau])
 
 
 def _vertex_signatures(c: tuple[tuple[int, ...], ...]) -> list[tuple]:

@@ -48,23 +48,24 @@ each arrow of that block; times V.T, this must give the batched row.  The
 benchmark's self-tests (``perfbench``) also count these products and
 ``rho_eval`` calls on a recovery request.
 
-The small dense linear algebra runs in batches.  ``scramble`` lists the
-nonempty blocks in (target, source) order, draws all their Gaussians with
-one ``standard_normal`` call (the stream of one real and then one imaginary
-(d, d) draw per block) and orthogonalizes them with one stacked QR per block
-size.  Every rank comes from one helper, ``_ranks``: one stacked SVD per
-matrix shape, counting the singular values above ``RANK_TOL`` as
-``np.linalg.matrix_rank`` does.  The constructor ranks all of the table's
-rows with one call, and ``recover`` builds the representation rows of every
-labelled pair before it ranks them with one call, so a family-test
-``RecoveryError`` at any pair is raised before a ``ProbeMismatchError``.
+The small dense linear algebra runs in batches.  ``scramble`` draws the
+Gaussians of all nonempty blocks with one ``_complex_gaussians`` call, the
+helper ``CorrespondenceElement.random`` uses too, and orthogonalizes them
+with one stacked QR per block size.  Every rank comes from one helper,
+``_ranks``: one stacked SVD per matrix shape, counting the singular values
+above ``RANK_TOL`` as ``np.linalg.matrix_rank`` does.  The constructor ranks
+all of the table's rows with one call, and ``recover`` builds the
+representation rows of every labelled pair before it ranks them with one
+call, so a family-test ``RecoveryError`` at any pair is raised before a
+``ProbeMismatchError``.
 
 Beyond the generators the code reads the hidden quiver in these places
 only: the vertex each idempotent names, its vertex count, and its
 multiplicity matrix ``c`` in the constructor's span check, which compares
-each pair's row count and rank with the block's size.  Neither the table
-nor the probes read ``c``: the rows are sized from the generators, and
-``TwoDimRep`` sizes the zero diagonal data itself.
+each pair's row count and rank with the block's size, and its nonempty
+blocks, which must each hold a generator.  Neither the table nor the probes
+read ``c``: the rows are sized from the generators, and ``TwoDimRep`` sizes
+the zero diagonal data itself.
 ``hidden_truth`` is read only by ``recover``, to refuse a presentation too
 large for the isomorphism search, to check the result against the source
 graph and to report the witness.
@@ -77,6 +78,7 @@ from typing import Optional
 
 import numpy as np
 
+from .correspondence import _complex_gaussians
 from .polynomials import PathPolynomial
 from .quiver import Arrow, Quiver, _check_iso_size, are_isomorphic, arrow_path
 from .reps import TwoDimRep, _check_contractive, rho_eval
@@ -201,9 +203,7 @@ class ScrambledPresentation:
                     f"{len(vecs)} generators of rank {rank}, need {q.c[i][j]}"
                 )
             self._by_label[(a, b)] = (ks, vecs, rank)
-        missing = [
-            (i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j] and (i, j) not in rows
-        ]
+        missing = [(i, j) for i, j, _ in q._nonempty_blocks if (i, j) not in rows]
         if missing:
             raise ValueError(f"no generators for nonempty blocks {missing}")
 
@@ -291,21 +291,16 @@ def _polynomial(q: Quiver, i: int, j: int, row: np.ndarray) -> PathPolynomial:
 
 def _haar_unitaries(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
     """One Haar unitary per entry of ``sizes``, in order: orthogonalized
-    complex Gaussians (QR with phase-fixed diagonal).  The Gaussians are one
-    draw, each unitary's real (d, d) part and then its imaginary part in
-    turn, which is the stream of two (d, d) draws per unitary; the QRs run
-    stacked, one per distinct size."""
-    if not sizes:
-        return []
-    ends = np.cumsum([2 * d * d for d in sizes])
-    z = rng.standard_normal(int(ends[-1]))
+    complex Gaussians (QR with phase-fixed diagonal) from one
+    ``_complex_gaussians`` draw; the QRs run stacked, one per distinct size."""
+    squares = [d * d for d in sizes]
+    gaussians = np.split(_complex_gaussians(rng, squares) / np.sqrt(2.0), np.cumsum(squares)[:-1])
     by_size: dict[int, list[int]] = {}
     for k, d in enumerate(sizes):
         by_size.setdefault(d, []).append(k)
     unitaries = [np.empty(0)] * len(sizes)
     for d, ks in by_size.items():
-        parts = z[ends[ks][:, None] - 2 * d * d + np.arange(2 * d * d)].reshape(-1, 2, d, d)
-        q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0))
+        q, r = np.linalg.qr(np.reshape([gaussians[k] for k in ks], (-1, d, d)))
         diag = np.diagonal(r, axis1=1, axis2=2).copy()
         diag[diag == 0] = 1.0
         for k, u in zip(ks, q * (diag / np.abs(diag))[:, None, :]):
@@ -321,7 +316,8 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     generator seeded with it.  Graphs whose unitaries would hold more than
     ``SCRAMBLE_LIMIT`` entries are refused before anything is drawn.
     """
-    entries = sum(d * d for row in q.c for d in row)
+    blocks = {(i, j): d for i, j, d in q._nonempty_blocks}
+    entries = sum(d * d for d in blocks.values())
     if entries > SCRAMBLE_LIMIT:
         raise ValueError(
             f"size limit exceeded: refusing to scramble {entries} > "
@@ -329,18 +325,15 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
         )
     rng = np.random.default_rng(seed)
     tau = tuple(int(v) for v in rng.permutation(q.n))
-    blocks = [(i, j) for i in range(q.n) for j in range(q.n) if q.c[i][j]]
-    unitaries = dict(zip(blocks, _haar_unitaries(rng, [q.c[i][j] for i, j in blocks])))
+    unitaries = dict(zip(blocks, _haar_unitaries(rng, list(blocks.values()))))
     # the generators, listed block by block, are the columns of the
     # unitaries; the one listed at p is handed out as generator position[p]
     position = np.argsort(rng.permutation(q.total_arrows()))
     rows = {}
-    start = 0
-    for block, u in unitaries.items():
-        ks = position[start : start + len(u)]
-        start += len(u)
+    for (i, j), u in unitaries.items():
+        ks = position[q.block_start(i, j):][: len(u)]
         by_index = np.argsort(ks)
-        rows[block] = (ks[by_index], u.T[by_index])
+        rows[(i, j)] = (ks[by_index], u.T[by_index])
     return ScrambledPresentation._of_rows(
         tuple(PathPolynomial.vertex(q, v) for v in tau),
         rows,

@@ -152,6 +152,16 @@ def reference_inner_product(xi_blocks, eta_blocks):
     )
 
 
+def reference_arrow_inner_product(xi, eta):
+    """Entry v: one ``np.vdot`` over the coefficients of the arrows leaving
+    v, taken in ``arrows()`` order."""
+    arrows = list(xi.quiver.arrows())
+    leaving = [
+        [k for k, a in enumerate(arrows) if a.source == v] for v in xi.quiver.vertices()
+    ]
+    return np.array([np.vdot(xi.vector[ks], eta.vector[ks]) for ks in leaving], dtype=complex)
+
+
 def reference_left_action(d, blocks):
     """Block (i, j) scaled by d_i."""
     return [[d[i] * b for b in row] for i, row in enumerate(blocks)]

@@ -18,6 +18,7 @@ from quiveralg import (  # noqa: E402
 )
 from helpers import (  # noqa: E402
     quivers,
+    reference_arrow_inner_product,
     reference_blocks,
     reference_inner_product,
     reference_left_action,
@@ -86,6 +87,8 @@ def test_actions_and_inner_product(q, seed):
     assert_same_blocks(reference_blocks(right_action(xi, d)), reference_right_action(bx, d))
     got = inner_product(xi, eta)
     assert np.max(np.abs(got - reference_inner_product(bx, by)), initial=0.0) <= 1e-12
+    # bit for bit: verify's golden covariance deviation depends on these bits
+    assert got.tobytes() == reference_arrow_inner_product(xi, eta).tobytes()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

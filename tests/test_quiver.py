@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import re
 import time
 
@@ -404,6 +406,15 @@ class TestApplyPermutation:
         with pytest.raises(ValueError, match="permutation"):
             apply_permutation(q, (0, 0))
 
+    @pytest.mark.parametrize(
+        "tau",
+        [(1.9, 0.2), (1.0, 0.0), (1, 0.0), ("1", "0"), (True, False), (np.True_, np.False_)],
+    )
+    def test_rejects_entries_that_are_not_integers(self, tau):
+        """An entry is not rounded, parsed or read as a bool."""
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\.1"):
+            apply_permutation(Quiver([[1, 2], [0, 1]]), tau)
+
 
 class TestAreIsomorphic:
     def test_self_gives_identity(self):
@@ -472,3 +483,129 @@ class TestAreIsomorphic:
         tau = (2, 0, 1)
         q2 = apply_permutation(q1, tau)
         assert are_isomorphic(q1, q2) == brute_force_witness(q1, q2)
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def matrix_walks(source: str) -> list[int]:
+    """Lines in ``source`` that walk a quiver's multiplicity matrix: every
+    ``.matrix()`` call, which builds all n^2 entries; every loop or
+    comprehension that iterates over the matrix or one of its rows; and every
+    one-entry read, ``X.c[i][j]`` or ``X.count(i, j)``, under two nested
+    loops or generators.  The matrix is a ``.c`` attribute or a name assigned
+    one (``c = q.c``) anywhere in ``source``.  A read of one entry under at
+    most one loop is not a walk."""
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                aliases |= {
+                    t.id for t, v in pairs
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "c"
+                }
+    found = []
+
+    def is_matrix(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "c") or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
+    def cell(node):  # X.c[i][j]
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Subscript)
+            and is_matrix(node.value.value)
+        )
+
+    def method_call(node, name, nargs):  # X.name(...) with nargs positional arguments
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+            and len(node.args) == nargs
+        )
+
+    def iterates_matrix(it):  # the matrix in the iterable, not read down to one entry
+        cells = {id(n.value.value) for n in ast.walk(it) if cell(n)}
+        return any(
+            (is_matrix(n) and id(n) not in cells) or method_call(n, "matrix", 0)
+            for n in ast.walk(it)
+        )
+
+    def visit(node, depth):
+        if method_call(node, "matrix", 0) or (
+            depth >= 2 and (cell(node) or method_call(node, "count", 2))
+        ):
+            found.append(node.lineno)
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            if iterates_matrix(node.iter):
+                found.append(node.lineno)
+            visit(node.iter, depth)
+            for child in [node.target, *node.body, *node.orelse]:
+                visit(child, depth + 1)
+        elif isinstance(node, ast.While):
+            for child in [node.test, *node.body, *node.orelse]:
+                visit(child, depth + 1)
+        elif isinstance(node, _COMPREHENSIONS):
+            for gen in node.generators:  # each generator's iterable runs under the ones before it
+                if iterates_matrix(gen.iter):
+                    found.append(gen.iter.lineno)
+                visit(gen.iter, depth)
+                depth += 1
+                for child in [gen.target, *gen.ifs]:
+                    visit(child, depth)
+            for child in [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]:
+                visit(child, depth)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, depth)
+
+    visit(tree, 0)
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize(
+    "source, walks",
+    [
+        ("for row in q.c:\n    pass", [1]),
+        ("for t, row in enumerate(self.quiver.c):\n    pass", [1]),
+        ("n = sum(d for d in q.c[0])", [1]),
+        ("n = sum(d * d for row in q.c for d in row)", [1]),
+        ("b = [(i, j) for i in r for j in r if q.c[i][j]]", [1]),
+        ("for i in r:\n    b = [j for j in r if q.c[i][j]]", [2]),
+        ("for i in r:\n    for j in r:\n        x = q.c[i][j]", [3]),
+        ("while i < n:\n    for j in r:\n        x = q.c[i][j]", [3]),
+        ("x = q.c[v][v]", []),
+        ("for v in r:\n    if q.c[v][v]:\n        pass", []),
+        ("ok = all(f(v) for v in r if q.c[v][v])", []),
+        ("for i, j in pairs:\n    for k in range(q.c[i][j]):\n        pass", []),
+        ("c = q.c\nfor row in c:\n    pass", [2]),
+        ("n, c = q.n, q.c\nb = [(i, j) for i in r for j in r if c[i][j]]", [2]),
+        ("c = q.c\nx = c[v][v]", []),
+        ("m = q.matrix()", [1]),
+        ("for row in q.matrix().tolist():\n    pass", [1]),
+        ("for i in r:\n    for j in r:\n        x = q.count(i, j)", [3]),
+        ("b = [(i, j) for i in r for j in r if q.count(i, j)]", [1]),
+        ("for i in r:\n    x = q.count(i, i)", []),
+        ("for i in r:\n    for j in r:\n        k = names.count(j)", []),
+    ],
+)
+def test_matrix_walk_finder(source, walks):
+    assert matrix_walks(source) == walks
+
+
+def test_only_quiver_walks_the_multiplicity_matrix():
+    """No other module walks the n x n matrix, in any of the forms
+    ``matrix_walks`` finds; they read the arrow layout a ``Quiver`` caches
+    (its nonempty blocks, block starts, arrow ends and arrows by source)."""
+    found = {
+        path.name: walks
+        for path in sorted(pathlib.Path(quiver.__file__).parent.glob("*.py"))
+        if path.name != "quiver.py" and (walks := matrix_walks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

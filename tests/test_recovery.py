@@ -9,6 +9,7 @@ import pytest
 
 from quiveralg import (
     Arrow,
+    CorrespondenceElement,
     HiddenTruth,
     PathPolynomial,
     Quiver,
@@ -16,8 +17,10 @@ from quiveralg import (
     TwoDimRep,
     apply_permutation,
     are_isomorphic,
+    inner_product,
     probe_character_dimension,
     probe_pair_dimension,
+    quiver_to_dict,
     recover,
     rho_eval,
     scramble,
@@ -618,6 +621,31 @@ def test_two_hundred_parallel_arrows_within_budget():
     """One off-diagonal block of 200 arrows: 200 generators, each a row of
     200 coefficients, scrambled and recovered in under 0.2 s."""
     assert scramble_and_recover_seconds(Quiver([[0, 200], [0, 0]]), runs=3) < 0.2
+
+
+def test_arrow_layout_reads_on_the_1024_vertex_cycle_within_budget():
+    """On the 1024-vertex cycle, ``scramble``, ``quiver_to_dict`` and five
+    ``inner_product`` calls take under 0.1 s together, best of three, each
+    run once untimed first: they read the quiver's cached arrow layout, so
+    none of them walks the 1,048,576 multiplicities or builds a mask per
+    vertex."""
+    n = 1024
+    q = Quiver([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
+    xi = CorrespondenceElement.random(q, np.random.default_rng(1))
+
+    def run():
+        scramble(q, seed=1)
+        quiver_to_dict(q)
+        for _ in range(5):
+            inner_product(xi, xi)
+
+    run()
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.1
 
 
 @pytest.mark.parametrize("n", [4, 12, 30])
