@@ -168,7 +168,7 @@ def _run_norms(args: argparse.Namespace) -> tuple[int, dict, str]:
     i, j = args.vertex_i - 1, args.vertex_j - 1
     if not (0 <= i < q.n and 0 <= j < q.n):
         raise ValueError(f"vertices must be in 1..{q.n}")
-    dims = q.c[i][i], q.c[j][j], q.c[i][j]
+    dims = q.count(i, i), q.count(j, j), q.count(i, j)
     if sum(dims) > PATH_LIMIT:  # arrows are the paths of length 1
         raise ValueError(
             f"size limit exceeded: the blocks at vertices {args.vertex_i} and {args.vertex_j} "
@@ -238,7 +238,9 @@ def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
     parent, last_arrow, lengths, _ = _path_tree(q, args.max_len)
     # a path's text is its last arrow's token before its parent's text; the
     # levels are contiguous, so each level is one object-array add
-    tokens = np.array([format_path(arrow_path(a)) for a in q.arrows()], dtype=object)
+    # no arrow is named at --max-len 0, where nothing bounds their number
+    arrows = q.arrows() if args.max_len else ()
+    tokens = np.array([format_path(arrow_path(a)) for a in arrows], dtype=object)
     starred = tokens + "*"
     names = np.empty(len(lengths), dtype=object)
     names[: q.n] = [format_path(vertex_path(v)) for v in q.vertices()]

@@ -305,8 +305,7 @@ def corner_shift_report(space: FockSpace, vertex: int) -> CornerReport:
       counts every row once for each loop whose range holds it.
     """
     q = space.quiver
-    q._check_vertex(vertex)
-    loops = q.c[vertex][vertex]
+    loops = q.count(vertex, vertex)
     if not loops:
         raise ValueError(f"vertex {vertex} carries no loops")
     if space.depth == 0:

@@ -8,7 +8,10 @@ Graph files are JSON documents with 1-based vertex numbers:
 ``from`` to ``to``; pairs without a record have count 0.  Duplicate
 (to, from) records and infinite counts are rejected, and so is any ``n``
 whose n x n multiplicity matrix would exceed ``quiver.PATH_LIMIT`` entries
-(n > 1024), before that matrix is built.
+(n > 1024), before that matrix is built.  The records are written straight
+into the int64 matrix, so a count past ``2**63 - 1`` is refused ("size limit
+exceeded") before it is written, and ``Quiver`` refuses more arrows than that
+in all.
 
 A correspondence element travels as a list of records
 
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 
 from .correspondence import CorrespondenceElement
-from .quiver import PATH_LIMIT, Quiver, _check_arrow_count
+from .quiver import _MAX_ARROWS, PATH_LIMIT, Quiver, _check_arrow_count
 
 #: version of the graph file schema (printed by the CLI --version flag)
 GRAPH_SCHEMA_VERSION = "1"
@@ -54,7 +58,7 @@ def parse_quiver_dict(doc) -> Quiver:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise _schema_error("'edges' must be a list")
-    c = [[0] * n for _ in range(n)]
+    c = np.zeros((n, n), dtype=np.int64)
     seen: set[tuple[int, int]] = set()
     for k, rec in enumerate(edges):
         if not isinstance(rec, dict) or set(rec) != {"from", "to", "count"}:
@@ -74,13 +78,15 @@ def parse_quiver_dict(doc) -> Quiver:
             raise _schema_error(
                 f"edge record {k}: 'count' must be a nonnegative integer, got {count!r}"
             )
+        if count > _MAX_ARROWS:
+            raise ValueError(f"size limit exceeded: edge record {k}: count {count} > {_MAX_ARROWS}")
         key = (dst, src)
         if key in seen:
             raise _schema_error(
                 f"duplicate edge record for to={dst}, from={src}"
             )
         seen.add(key)
-        c[dst - 1][src - 1] = count
+        c[dst - 1, src - 1] = count
     return Quiver(c)
 
 
@@ -106,11 +112,10 @@ def write_quiver_file(q: Quiver, path) -> None:
 
 def element_to_wire(xi: CorrespondenceElement) -> list[dict]:
     """One record per nonempty block, 1-based, complex entries as [re, im]."""
-    n, starts = xi.quiver.n, xi.quiver._block_starts
-    pairs = xi.vector.view(float).reshape(-1, 2).tolist()  # [re, im] per arrow
+    pairs = iter(xi.vector.view(float).reshape(-1, 2).tolist())  # [re, im] per arrow
     return [
-        {"to": i + 1, "from": j + 1, "vector": pairs[starts[i * n + j] : starts[i * n + j + 1]]}
-        for i, j, _ in xi.quiver._nonempty_blocks
+        {"to": i + 1, "from": j + 1, "vector": list(islice(pairs, d))}
+        for i, j, d in xi.quiver._nonempty_blocks
     ]
 
 

@@ -1,9 +1,9 @@
 """Directed multigraphs with arrow multiplicities and their paths.
 
-The multiplicity matrix is indexed (target, source): ``c[i][j]`` counts the
-arrows from vertex ``j`` to vertex ``i``.  Vertices and arrow indices are
-0-based throughout the Python API; the graph file format is 1-based (see
-:mod:`quiveralg.graphio`).
+The multiplicity matrix is one read-only ``np.int64`` array indexed (target,
+source): ``c[i, j]`` counts the arrows from vertex ``j`` to vertex ``i``.
+Vertices and arrow indices are 0-based throughout the Python API; the graph
+file format is 1-based (see :mod:`quiveralg.graphio`).
 
 Composition convention: ``compose(p, r)`` is "p after r".  A path stores its
 arrows in traversal order (``arrows[0]`` is walked first), so the word a path
@@ -11,17 +11,21 @@ spells in an operator product reads right to left.  This matches the shift
 operators the paths label (see :mod:`quiveralg.fock`).
 
 All values here are immutable after construction and safe to share across
-threads.  Only this module walks the multiplicity matrix; the others read
-the arrow layout a ``Quiver`` caches: its nonempty blocks, their starts in
-``arrows()``, the arrow ends, and the arrows grouped by source.
+threads.  Only this module walks the multiplicity matrix: a ``Quiver``
+checks it once as a whole array and reads its arrow layout off one
+``nonzero`` and one running sum.  The other modules read one entry
+``c[i][j]`` at a time or the layout a ``Quiver`` caches: its nonempty
+blocks, their starts in ``arrows()``, the arrow ends, and the arrows grouped
+by source.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -41,26 +45,56 @@ PATH_LIMIT = 2**20
 #: their lengths) than this, counted before any path is built.
 PATH_TOKEN_LIMIT = 2**24
 
+#: the most arrows a ``Quiver`` holds in all: arrow positions are int64
+_MAX_ARROWS = 2**63 - 1
 
-def _as_count(value) -> int:
-    if type(value) is int and value >= 0:
-        return value
+
+def _check_count(value) -> None:
+    """Refuse one matrix entry unless it is an integer or an integral float
+    in 0..``_MAX_ARROWS``."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError("multiplicities must be integers, got a bool")
-    if isinstance(value, (float, np.floating)):
-        if math.isinf(value):
-            raise ValueError(
-                "infinite multiplicities are not supported; all arrow counts "
-                "must be finite nonnegative integers"
-            )
-        if not float(value).is_integer():  # NaN included
-            raise ValueError(f"multiplicities must be integers, got {value!r}")
-    elif not isinstance(value, (int, np.integer)):
+    if isinstance(value, (float, np.floating)) and math.isinf(value):
+        raise ValueError(
+            "infinite multiplicities are not supported; all arrow counts "
+            "must be finite nonnegative integers"
+        )
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()  # NaN is not
+    if not (integral or isinstance(value, (int, np.integer))):
         raise ValueError(f"multiplicities must be integers, got {value!r}")
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"multiplicities must be nonnegative, got {count}")
-    return count
+    if int(value) < 0:
+        raise ValueError(f"multiplicities must be nonnegative, got {int(value)}")
+    if int(value) > _MAX_ARROWS:
+        raise ValueError(f"size limit exceeded: a multiplicity of {int(value)} > {_MAX_ARROWS}")
+
+
+def _entries(c):
+    """The entries of ``c`` row by row, as given (an array's as Python values)."""
+    return chain.from_iterable(c.tolist() if isinstance(c, np.ndarray) else c)
+
+
+def _as_counts(c) -> np.ndarray:
+    """``c`` as a new int64 matrix, checked as one array; ``Quiver`` checks
+    the signs and the total on its nonzero entries.  Only when a check fails
+    are the entries read one by one, to name the first that is refused."""
+    try:
+        a = np.array(c)
+    except ValueError as exc:  # rows of different lengths
+        raise ValueError("multiplicity matrix must be square") from exc
+    if a.shape[:1] == (0,):
+        raise ValueError("a quiver needs at least one vertex")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("multiplicity matrix must be square")
+    kind = a.dtype.kind
+    # NaN fails ==, and 2**63 is exact as a float, unlike _MAX_ARROWS
+    integral = kind != "f" or ((np.floor(a) == a) & (abs(a) < 2.0**63)).all()
+    # numpy reads a bool among numbers as 0 or 1, so a nested list is searched for one
+    no_bools = isinstance(c, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, _entries(c)))
+    if kind not in "iuf" or not (integral and no_bools):
+        for value in _entries(c):
+            _check_count(value)
+    # a uint64 count past _MAX_ARROWS wraps to a negative one here
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -76,37 +110,58 @@ class Arrow:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quiver:
-    """A finite directed multigraph, given by its multiplicity matrix."""
+    """A finite directed multigraph, given by its multiplicity matrix.
 
-    c: tuple[tuple[int, ...], ...]
+    ``c`` is a read-only ``np.int64`` array indexed (target, source), built
+    from a square nested sequence or array of integers or integral floats.
+    Bools and NaN, infinite, fractional and negative entries are refused, and
+    so ("size limit exceeded") is a matrix of more than ``2**63 - 1`` arrows.
+    Quivers are equal, and hash equally, when their matrices are.
+    """
+
+    c: np.ndarray
 
     def __init__(self, c) -> None:
-        if type(c) is np.ndarray:
-            # numpy scalars would miss _as_count's plain-int fast path, and a
-            # bool array reads as Python bools, which are refused
-            c = c.tolist()
-        rows = tuple(tuple(_as_count(x) for x in row) for row in c)
-        if len(rows) == 0:
-            raise ValueError("a quiver needs at least one vertex")
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("multiplicity matrix must be square")
-        object.__setattr__(self, "c", rows)
+        counts = _as_counts(c)
+        counts.setflags(write=False)
+        # the nonempty blocks, target * n + source, ascending (a bool mask is
+        # searched several times faster than the int64 matrix)
+        keys = (counts != 0).ravel().nonzero()[0]
+        starts = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.add.accumulate(counts.ravel()[keys], out=starts[1:])
+        # the running total rises at every nonempty block unless a count is
+        # negative or the total has wrapped past _MAX_ARROWS
+        if (starts[1:] < starts[:-1]).any():
+            for value in _entries(c):
+                _check_count(value)
+            raise ValueError(f"size limit exceeded: refusing more than {_MAX_ARROWS} arrows in all")
+        # frozen: the fields are set once, here; _starts holds the position in
+        # arrows() of each nonempty block's first arrow, then the total
+        vars(self).update(c=counts, n=len(counts), _keys=keys, _starts=starts)
 
-    @property
-    def n(self) -> int:
-        return len(self.c)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quiver):
+            return NotImplemented
+        same_shape = self.c.shape == other.c.shape
+        return other is self or (same_shape and self.c.tobytes() == other.c.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.c.shape, self.c.tobytes()))
+
+    def __reduce__(self):  # a pickled or deep-copied quiver is rebuilt, with a read-only c
+        return Quiver, (self.c,)
 
     def matrix(self) -> np.ndarray:
         """The multiplicity matrix as a fresh int array."""
-        return np.array(self.c, dtype=np.int64)
+        return self.c.copy()
 
     def count(self, target: int, source: int) -> int:
         """Number of arrows from ``source`` to ``target``."""
         self._check_vertex(target)
         self._check_vertex(source)
-        return self.c[target][source]
+        return self.c.item(target, source)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -114,8 +169,8 @@ class Quiver:
     def arrows_from(self, source: int) -> Iterator[Arrow]:
         """All arrows leaving ``source``, ordered by (target, index)."""
         self._check_vertex(source)
-        for target in range(self.n):
-            for index in range(self.c[target][source]):
+        for target, count in enumerate(self.c[:, source].tolist()):
+            for index in range(count):
                 yield Arrow(source, target, index)
 
     def arrows(self) -> Iterator[Arrow]:
@@ -127,33 +182,29 @@ class Quiver:
     @cached_property
     def _nonempty_blocks(self) -> tuple[tuple[int, int, int], ...]:
         """``(target, source, count)`` of every block that holds an arrow, in
-        (target, source) order; the rows are scanned in C, so a walk over the
-        blocks costs the number of blocks, not n^2."""
-        sources = range(self.n)
-        return tuple((t, s, row[s]) for t, row in enumerate(self.c) for s in compress(sources, row))
+        (target, source) order, as Python ints; a walk over the blocks costs
+        the number of blocks, not n^2."""
+        targets, sources = divmod(self._keys, self.n)
+        return tuple(zip(targets.tolist(), sources.tolist(), self.c.ravel()[self._keys].tolist()))
 
     def block_start(self, target: int, source: int) -> int:
         """Position in ``arrows()`` of the first arrow from ``source`` to
         ``target``; the rest of that block follows it in index order."""
         self._check_vertex(target)
         self._check_vertex(source)
-        return self._block_starts[target * self.n + source]
-
-    @cached_property
-    def _block_starts(self) -> list[int]:
-        """``block_start`` of every block, row-major: the prefix sums of the
-        flattened multiplicity matrix."""
-        return list(accumulate(chain.from_iterable(self.c), initial=0))
+        # (target, source) sorts before its own block's triple and after every earlier one
+        return self._starts.item(bisect_left(self._nonempty_blocks, (target, source)))
 
     def arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The (sources, targets) of all arrows as read-only int arrays, in
-        ``arrows()`` order; built once per quiver."""
+        ``arrows()`` order; built once per quiver, and refused past
+        ``PATH_LIMIT`` arrows."""
         return self._arrow_ends
 
     @cached_property
     def _arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        blocks = np.repeat(np.arange(self.n * self.n), self.matrix().reshape(-1))
-        targets, sources = np.divmod(blocks, self.n)
+        _check_arrow_count(self.total_arrows())
+        targets, sources = divmod(np.repeat(self._keys, self.c.ravel()[self._keys]), self.n)
         sources.flags.writeable = targets.flags.writeable = False
         return sources, targets
 
@@ -175,11 +226,11 @@ class Quiver:
         return (
             0 <= a.target < self.n
             and 0 <= a.source < self.n
-            and 0 <= a.index < self.c[a.target][a.source]
+            and 0 <= a.index < self.c.item(a.target, a.source)
         )
 
     def total_arrows(self) -> int:
-        return self._block_starts[-1]
+        return self._starts.item(-1)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -305,8 +356,9 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     _path_count_check(q, max_len)
-    out_arrow, out_start = q._by_source  # out_start[v]: the first arrow leaving v
-    out_target = q.arrow_ends()[1][out_arrow]
+    if max_len:  # only then has _path_count_check bounded the arrows
+        out_arrow, out_start = q._by_source  # out_start[v]: the first arrow leaving v
+        out_target = q.arrow_ends()[1][out_arrow]
 
     ends = np.arange(q.n, dtype=np.intp)  # end vertices of the current level
     start = 0  # position of its first path
@@ -338,7 +390,7 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     in them, are refused.
     """
     parent, last_arrow, _, _ = _path_tree(q, max_len)
-    arrows = tuple(q.arrows())
+    arrows = tuple(q.arrows()) if max_len else ()
     out = [Path(v) for v in q.vertices()]
     for p, a in zip(parent.tolist(), last_arrow.tolist()):
         head = out[p]
@@ -352,22 +404,19 @@ def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
     # a bool, float or string entry is refused, not rounded or parsed
     if any(type(t) is not int for t in tau) or sorted(tau) != list(range(q.n)):
         raise ValueError(f"not a permutation of 0..{q.n - 1}: {tau!r}")
-    return Quiver([[q.c[t][u] for u in tau] for t in tau])
+    # rows, then columns: two takes gather about twice as fast as one np.ix_ index
+    return Quiver(q.c.take(tau, axis=0).take(tau, axis=1))
 
 
-def _vertex_signatures(c: tuple[tuple[int, ...], ...]) -> list[tuple]:
+def _vertex_signatures(c: np.ndarray) -> list[tuple]:
     """Per vertex: its loop count and the sorted multisets of its off-diagonal
-    out- and in-multiplicities.  A vertex permutation carrying one graph onto
-    another maps every vertex to one of equal signature."""
-    n = len(c)
-    return [
-        (
-            c[v][v],
-            tuple(sorted(c[w][v] for w in range(n) if w != v)),
-            tuple(sorted(c[v][w] for w in range(n) if w != v)),
-        )
-        for v in range(n)
-    ]
+    out- and in-multiplicities (its column and its row without the loop).  A
+    vertex permutation carrying one graph onto another maps every vertex to
+    one of equal signature."""
+    m = c.copy()
+    m.flat[:: len(c) + 1] = -1  # below every count: the loops sort first and are dropped
+    outs, ins = (np.sort(x)[:, 1:].tolist() for x in (m.T, m))
+    return list(zip(c.diagonal().tolist(), map(tuple, outs), map(tuple, ins)))
 
 
 def _check_iso_size(n: int) -> None:
@@ -406,10 +455,10 @@ def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     if q1.n != q2.n:
         return None
     _check_iso_size(q1.n)
-    n, c1, c2 = q1.n, q1.c, q2.c
-    sig1, sig2 = _vertex_signatures(c1), _vertex_signatures(c2)
+    sig1, sig2 = _vertex_signatures(q1.c), _vertex_signatures(q2.c)
     if sorted(sig1) != sorted(sig2):
         return None
+    n, c1, c2 = q1.n, q1.c.tolist(), q2.c.tolist()  # the search reads one entry at a time
     candidates = [[v for v in range(n) if sig1[v] == sig2[k]] for k in range(n)]
     tau: list[int] = []
     used = [False] * n

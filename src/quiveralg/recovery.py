@@ -197,10 +197,11 @@ class ScrambledPresentation:
         ranks = _ranks([vecs for _, _, _, vecs in table.values()])
         self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
         for ((a, b), (i, j, ks, vecs)), rank in zip(table.items(), ranks):
-            if len(vecs) != q.c[i][j] or rank != q.c[i][j]:
+            d = q.c[i, j]
+            if len(vecs) != d or rank != d:
                 raise ValueError(
                     f"generators do not span block ({i}, {j}): "
-                    f"{len(vecs)} generators of rank {rank}, need {q.c[i][j]}"
+                    f"{len(vecs)} generators of rank {rank}, need {d}"
                 )
             self._by_label[(a, b)] = (ks, vecs, rank)
         missing = [(i, j) for i, j, _ in q._nonempty_blocks if (i, j) not in rows]

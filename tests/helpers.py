@@ -6,6 +6,8 @@ precision, so algebraic laws (multiplicativity, linearity) can be asserted
 with literal equality instead of a tolerance.
 """
 
+from itertools import accumulate, chain, compress
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -15,6 +17,7 @@ except ImportError:  # only the property modules draw quivers, and they skip wit
     st = None
 
 from quiveralg import (
+    Arrow,
     CornerReport,
     CorrespondenceElement,
     Path,
@@ -324,6 +327,71 @@ def signature_multiset(q):
         )
         for v in range(n)
     )
+
+
+class ReferenceLayout:
+    """A quiver's arrow layout as it was read off a tuple-of-tuples matrix,
+    entry by entry: the nonempty blocks, the n^2 + 1 block starts (row-major
+    prefix sums), the arrows and arrows by source, the arrow ends and the
+    by-source order with its group bounds."""
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        n = self.n = len(self.rows)
+        self.blocks = tuple((t, s, row[s]) for t, row in enumerate(self.rows) for s in compress(range(n), row))
+        self.starts = list(accumulate(chain.from_iterable(self.rows), initial=0))
+        self.arrows = [Arrow(s, t, k) for t, s, d in self.blocks for k in range(d)]
+        self.arrows_from = [
+            [Arrow(s, t, k) for t in range(n) for k in range(self.rows[t][s])] for s in range(n)
+        ]
+        blocks = np.repeat(np.arange(n * n), np.array(self.rows, dtype=np.int64).reshape(-1))
+        targets, sources = np.divmod(blocks, n)
+        self.arrow_ends = (sources, targets)
+        order = np.argsort(sources, kind="stable")
+        self.by_source = (order, np.searchsorted(sources[order], np.arange(n + 1)))
+
+    def permuted(self, tau):
+        """The rows of ``apply_permutation``: c'[i][j] = c[tau[i]][tau[j]]."""
+        return [[self.rows[t][u] for u in tau] for t in tau]
+
+    def signatures(self):
+        c, n = self.rows, self.n
+        return [
+            (
+                c[v][v],
+                tuple(sorted(c[w][v] for w in range(n) if w != v)),
+                tuple(sorted(c[v][w] for w in range(n) if w != v)),
+            )
+            for v in range(n)
+        ]
+
+
+def reference_are_isomorphic(rows1, rows2):
+    """The least tau with rows2[i][j] == rows1[tau[i]][tau[j]], or None, by
+    the signature-pruned backtracking over tuple matrices."""
+    r1, r2 = ReferenceLayout(rows1), ReferenceLayout(rows2)
+    if r1.n != r2.n:
+        return None
+    n, c1, c2 = r1.n, r1.rows, r2.rows
+    sig1, sig2 = r1.signatures(), r2.signatures()
+    if sorted(sig1) != sorted(sig2):
+        return None
+    candidates = [[v for v in range(n) if sig1[v] == sig2[k]] for k in range(n)]
+    tau = []
+
+    def extend(k):
+        if k == n:
+            return True
+        for v in candidates[k]:
+            if v in tau or any(c1[t][v] != c2[i][k] or c1[v][t] != c2[k][i] for i, t in enumerate(tau)):
+                continue
+            tau.append(v)
+            if extend(k + 1):
+                return True
+            tau.pop()
+        return False
+
+    return tuple(tau) if extend(0) else None
 
 
 def reference_rep_rows(s, reps):

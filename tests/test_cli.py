@@ -51,7 +51,7 @@ def dense3(tmp_path):
 class TestGraphFileParsing:
     def test_minimal_one_vertex(self, tmp_path):
         q = parse_quiver_file(graph_file(tmp_path, "g.json", {"n": 1}))
-        assert q.c == ((0,),)
+        assert q.c.tolist() == [[0]]
 
     def test_single_loop_pair(self, tmp_path):
         q = parse_quiver_file(
@@ -59,7 +59,7 @@ class TestGraphFileParsing:
                 tmp_path, "g.json", {"n": 1, "edges": [{"from": 1, "to": 1, "count": 2}]}
             )
         )
-        assert q.c == ((2,),)
+        assert q.c.tolist() == [[2]]
 
     def test_duplicate_record_rejected(self):
         doc = {
@@ -120,6 +120,35 @@ class TestGraphFileParsing:
 
     def test_largest_n_accepted(self):
         assert parse_quiver_dict({"n": 1024}).n == 1024
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [([2**63], "count 9223372036854775808 > 9223372036854775807"), ([2**62, 2**62], "arrows in all")],
+    )
+    def test_counts_past_int64_refused(self, counts, match):
+        edges = [{"from": 1, "to": k + 1, "count": d} for k, d in enumerate(counts)]
+        with pytest.raises(ValueError, match=f"^size limit exceeded: .*{match}"):
+            parse_quiver_dict({"n": 2, "edges": edges})
+        edges[0]["count"] -= 1
+        assert parse_quiver_dict({"n": 2, "edges": edges}).total_arrows() == sum(counts) - 1
+
+    def test_cycle_1024_parse_views_and_permutation_within_budget(self):
+        """Parsing the 1024-vertex cycle, every arrow-layout view and one
+        relabelling take under 20 ms together, best of three: the records
+        are written into one int64 array, which is checked as a whole, and
+        the layout is read off its nonzero entries."""
+        n = 1024
+        doc = {"n": n, "edges": [{"from": v + 1, "to": (v + 1) % n + 1, "count": 1} for v in range(n)]}
+        tau = np.random.default_rng(0).permutation(n).tolist()
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            q = parse_quiver_dict(doc)
+            q._nonempty_blocks, q.arrow_ends(), q._by_source, q.total_arrows(), q.block_start(1, 0)
+            r = quiver.apply_permutation(q, tau)
+            times.append(time.perf_counter() - t0)
+        assert r.total_arrows() == n and r.c[tau.index(1), tau.index(0)] == 1
+        assert min(times) < 0.02
 
     def test_oversized_n_exits_1(self, tmp_path, capsys):
         g = graph_file(tmp_path, "big.json", {"n": 1025})
@@ -528,6 +557,41 @@ class TestPaths:
         assert json.loads(out.read_text())["count"] == 5
         assert main(["paths", "--graph", one_loop, "--max-len", "5"]) == 1
         assert "arrow tokens" in capsys.readouterr().err
+
+
+#: two-vertex files with counts past what any per-arrow array can hold:
+#: 2^40 fits int64 (every per-arrow array is refused), 2^64 does not, and
+#: two counts of 2^62 do not fit int64 together
+OVERSIZED_COUNTS = {"2^40": [2**40], "2^64": [2**64], "2x2^62": [2**62, 2**62]}
+
+
+@pytest.mark.parametrize("counts", sorted(OVERSIZED_COUNTS))
+@pytest.mark.parametrize(
+    "argv, exit_at_2_40",
+    [
+        (["verify", "--graph", "{g}", "--depth", "0"], 1),
+        (["paths", "--graph", "{g}", "--max-len", "0"], 0),
+        (["norms", "--graph", "{g}", "--i", "1", "--j", "2"], 1),
+        (["recover", "--graph", "{g}"], 1),
+        (["iso", "{g}", "{g}"], 0),
+    ],
+    ids=["verify", "paths", "norms", "recover", "iso"],
+)
+def test_oversized_counts_exit_without_raising(counts, argv, exit_at_2_40, tmp_path, capsys):
+    """No exception escapes ``main`` on counts that no int64 array or no
+    per-arrow array holds, and every refusal names the size limit.  Only the
+    2^40 file is a ``Quiver``; ``paths --max-len 0`` on it lists its 2
+    vertices, and ``iso`` finds the identity."""
+    edges = [{"from": 2, "to": 1, "count": OVERSIZED_COUNTS[counts][0]}]
+    edges += [{"from": 1, "to": 1, "count": d} for d in OVERSIZED_COUNTS[counts][1:]]
+    g = graph_file(tmp_path, "big.json", {"n": 2, "edges": edges})
+    code = main([a.format(g=g) for a in argv])
+    captured = capsys.readouterr()
+    assert code == (exit_at_2_40 if counts == "2^40" else 1)
+    if code == 1:
+        assert captured.out == "" and "size limit exceeded" in captured.err
+    elif argv[0] == "paths":
+        assert json.loads(captured.out)["paths"] == ["v1", "v2"]
 
 
 @pytest.mark.parametrize(

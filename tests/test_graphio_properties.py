@@ -13,4 +13,4 @@ from helpers import quivers  # noqa: E402
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(quivers(8, 3))
 def test_dict_round_trip(q):
-    assert parse_quiver_dict(quiver_to_dict(q)).c == q.c
+    assert parse_quiver_dict(quiver_to_dict(q)) == q

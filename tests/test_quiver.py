@@ -1,6 +1,8 @@
 import ast
+import copy
 import itertools
 import pathlib
+import pickle
 import re
 import time
 
@@ -105,7 +107,7 @@ class TestQuiverConstruction:
     def test_basic(self):
         q = Quiver([[1, 2], [0, 1]])
         assert q.n == 2
-        assert q.c == ((1, 2), (0, 1))
+        assert q.c.tolist() == [[1, 2], [0, 1]]
         assert q.count(0, 1) == 2
         assert q.total_arrows() == 4
 
@@ -139,11 +141,14 @@ class TestQuiverConstruction:
             ([[3 + 0j]], 3 + 0j),
             ([[float("nan")]], float("nan")),
             ([[np.float64("nan")]], np.float64("nan")),
+            ([[True, 0], [0, 0]], True),  # numpy alone would read it as 1
+            ([[1, "3"], [0, 0]], "3"),  # numpy makes every entry a string; "3" is the one named
         ],
     )
     def test_rejects_what_is_not_a_number_naming_it(self, c, bad):
         # only ints, numpy integers and integral floats are counts
-        with pytest.raises(ValueError, match=f"^multiplicities must be integers, got {re.escape(repr(bad))}$"):
+        named = "a bool" if isinstance(bad, bool) else re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"^multiplicities must be integers, got {named}$"):
             Quiver(c)
 
     def test_rejects_a_numpy_bool_in_a_list(self):
@@ -152,7 +157,7 @@ class TestQuiverConstruction:
 
     def test_accepts_integral_floats_and_numpy(self):
         q = Quiver(np.array([[2.0, 0.0], [1.0, 0.0]]))
-        assert q.c == ((2, 0), (1, 0))
+        assert q.c.tolist() == [[2, 0], [1, 0]]
 
     def test_rejects_a_bool_array(self):
         # as a Python True is refused, so is an np.bool_ entry
@@ -160,30 +165,54 @@ class TestQuiverConstruction:
             Quiver(np.array([[True, False], [False, True]]))
 
     def test_int_array_within_budget(self):
-        # an int64 array is read through plain ints, as fast as nested lists
+        # an int64 array is checked as one array and copied once
         c = np.zeros((1024, 1024), dtype=np.int64)
         c[0, 1] = 2
         t0 = time.perf_counter()
         q = Quiver(c)
         assert time.perf_counter() - t0 < 0.3
-        assert q.total_arrows() == 2 and type(q.c[0][1]) is int
+        assert q.total_arrows() == 2 and type(q.count(0, 1)) is int
+        assert q.c.dtype == np.int64 and not q.c.flags.writeable
+        c[0, 1] = 3  # the caller's array is not shared
+        assert q.count(0, 1) == 2
 
     def test_exact_ints_take_no_type_checks(self, monkeypatch):
-        """An all-int matrix is read without one ``isinstance`` call in
-        ``quiver``; every other entry still takes the checked route."""
+        """A matrix of counts, as a list, an int array or an integral float
+        array, is checked as one array without one per-entry check; only a
+        refused matrix is read entry by entry, to name the first bad one."""
         calls = []
-
-        def counting(value, kind):
-            calls.append(kind)
-            return isinstance(value, kind)
-
-        monkeypatch.setattr(quiver, "isinstance", counting, raising=False)
+        check = quiver._check_count
+        monkeypatch.setattr(quiver, "_check_count", lambda value: (calls.append(value), check(value)))
         c = [[(i + j) % 3 for j in range(64)] for i in range(64)]
-        assert Quiver(c).c == tuple(map(tuple, c)) and calls == []
-        assert Quiver([[np.int64(2)]]).c == ((2,),) and calls
+        for given in (c, np.array(c), np.array(c, dtype=float)):
+            assert Quiver(given).c.tolist() == c and calls == []
         for bad, match in ((True, "bool"), (-1, "nonnegative")):
             with pytest.raises(ValueError, match=match):
-                Quiver([[bad]])
+                Quiver([[0, bad], [0, 0]])
+        assert calls == [0, True, 0, -1]
+
+    @pytest.mark.parametrize(
+        "c", [[[2**63]], [[2.0**63]], [[2**70, 0], [0, 0]], np.array([[2**63]], dtype=np.uint64), [[2**62, 2**62], [0, 0]]]
+    )
+    def test_refuses_more_arrows_than_int64_holds(self, c):
+        # checked before anything wraps: one count, or the total, past 2^63 - 1
+        with pytest.raises(ValueError, match="^size limit exceeded"):
+            Quiver(c)
+
+    def test_largest_counts_accepted_and_per_arrow_views_refused(self):
+        q = Quiver([[2**62, 2**62 - 1], [0, 0]])
+        assert q.total_arrows() == 2**63 - 1 and q.block_start(0, 1) == 2**62
+        assert _path_tree(q, 0)[0].tolist() == []  # no level of arrows, no arrow view
+        with pytest.raises(ValueError, match="size limit exceeded: refusing a vector over"):
+            q.arrow_ends()
+
+    def test_equal_and_hashed_by_value(self):
+        q = Quiver([[1, 2], [0, 1]])
+        same = (Quiver(q.c), Quiver(np.array([[1.0, 2.0], [0.0, 1.0]])), Quiver(((1, 2), (0, 1))))
+        assert all(r == q and hash(r) == hash(q) for r in same)
+        assert q != Quiver([[1, 2], [1, 1]]) and q != Quiver([[1]]) and q != q.c.tolist()
+        for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+            assert r == q and not r.c.flags.writeable
 
     def test_arrow_iteration_order(self):
         q = Quiver([[1, 2], [0, 1]])
@@ -209,14 +238,12 @@ class TestQuiverConstruction:
 
 
 class TestArrowEnds:
-    def test_built_once_per_quiver_and_read_only(self, monkeypatch):
-        calls = []
-        matrix = Quiver.matrix
-        monkeypatch.setattr(Quiver, "matrix", lambda self: (calls.append(self), matrix(self))[1])
+    def test_built_once_per_quiver_and_read_only(self):
         q, r = Quiver([[1, 2], [0, 1]]), Quiver([[0, 1], [1, 0]])
+        first = q.arrow_ends(), r.arrow_ends()
         for _ in range(5):
-            assert q.arrow_ends()[0].tolist() == [0, 1, 1, 1] and r.arrow_ends()[1].tolist() == [0, 1]
-        assert calls == [q, r]
+            assert q.arrow_ends() is first[0] and r.arrow_ends() is first[1]
+        assert first[0][0].tolist() == [0, 1, 1, 1] and first[1][1].tolist() == [0, 1]
         assert not any(a.flags.writeable for a in q.arrow_ends() + r.arrow_ends())
 
 
@@ -391,7 +418,7 @@ class TestApplyPermutation:
     def test_swap(self):
         # index substitution c'[i][j] = c[tau(i)][tau(j)], checked by hand
         q = Quiver([[1, 2], [0, 1]])
-        assert apply_permutation(q, (1, 0)).c == ((1, 0), (2, 1))
+        assert apply_permutation(q, (1, 0)).c.tolist() == [[1, 0], [2, 1]]
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -490,37 +517,45 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
 def matrix_walks(source: str) -> list[int]:
     """Lines in ``source`` that walk a quiver's multiplicity matrix: every
-    ``.matrix()`` call, which builds all n^2 entries; every loop or
-    comprehension that iterates over the matrix or one of its rows; and every
-    one-entry read, ``X.c[i][j]`` or ``X.count(i, j)``, under two nested
-    loops or generators.  The matrix is a ``.c`` attribute or a name assigned
-    one (``c = q.c``) anywhere in ``source``.  A read of one entry under at
-    most one loop is not a walk."""
+    ``.matrix()`` call, which builds all n^2 entries; every use of the matrix
+    but a one-entry read, ``X.c[i][j]`` or ``X.c[i, j]`` (so a loop over it,
+    a row or column of it, and any numpy call on it); and every one-entry
+    read, or ``X.count(i, j)``, under two nested loops or generators.  The
+    matrix is a ``.c`` attribute or a name assigned one (``c = q.c``)
+    anywhere in ``source``; that assignment is not a use.  A read of one
+    entry under at most one loop is not a walk."""
     tree = ast.parse(source)
-    aliases = set()
+    aliases, allowed = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 pairs = [(target, node.value)]
                 if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
                     pairs = zip(target.elts, node.value.elts)
-                aliases |= {
-                    t.id for t, v in pairs
-                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "c"
-                }
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "c":
+                        aliases.add(t.id)
+                        allowed.add(id(v))
     found = []
 
     def is_matrix(node):
         return (isinstance(node, ast.Attribute) and node.attr == "c") or (
-            isinstance(node, ast.Name) and node.id in aliases
+            isinstance(node, ast.Name) and node.id in aliases and isinstance(node.ctx, ast.Load)
         )
 
-    def cell(node):  # X.c[i][j]
-        return (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Subscript)
-            and is_matrix(node.value.value)
-        )
+    def cell(node):  # X.c[i][j] or X.c[i, j]; returns the matrix node read
+        if not isinstance(node, ast.Subscript):
+            return None
+        if isinstance(node.value, ast.Subscript) and is_matrix(node.value.value):
+            if not any(isinstance(i, (ast.Slice, ast.Tuple)) for i in (node.slice, node.value.slice)):
+                return node.value.value
+        index = node.slice
+        if is_matrix(node.value) and isinstance(index, ast.Tuple) and len(index.elts) == 2:
+            if not any(isinstance(i, ast.Slice) for i in index.elts):
+                return node.value
+        return None
+
+    allowed |= {id(cell(n)) for n in ast.walk(tree) if cell(n) is not None}
 
     def method_call(node, name, nargs):  # X.name(...) with nargs positional arguments
         return (
@@ -530,21 +565,12 @@ def matrix_walks(source: str) -> list[int]:
             and len(node.args) == nargs
         )
 
-    def iterates_matrix(it):  # the matrix in the iterable, not read down to one entry
-        cells = {id(n.value.value) for n in ast.walk(it) if cell(n)}
-        return any(
-            (is_matrix(n) and id(n) not in cells) or method_call(n, "matrix", 0)
-            for n in ast.walk(it)
-        )
-
     def visit(node, depth):
-        if method_call(node, "matrix", 0) or (
-            depth >= 2 and (cell(node) or method_call(node, "count", 2))
+        if method_call(node, "matrix", 0) or (is_matrix(node) and id(node) not in allowed) or (
+            depth >= 2 and (cell(node) is not None or method_call(node, "count", 2))
         ):
             found.append(node.lineno)
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            if iterates_matrix(node.iter):
-                found.append(node.lineno)
             visit(node.iter, depth)
             for child in [node.target, *node.body, *node.orelse]:
                 visit(child, depth + 1)
@@ -553,8 +579,6 @@ def matrix_walks(source: str) -> list[int]:
                 visit(child, depth + 1)
         elif isinstance(node, _COMPREHENSIONS):
             for gen in node.generators:  # each generator's iterable runs under the ones before it
-                if iterates_matrix(gen.iter):
-                    found.append(gen.iter.lineno)
                 visit(gen.iter, depth)
                 depth += 1
                 for child in [gen.target, *gen.ifs]:
@@ -593,6 +617,13 @@ def matrix_walks(source: str) -> list[int]:
         ("b = [(i, j) for i in r for j in r if q.count(i, j)]", [1]),
         ("for i in r:\n    x = q.count(i, i)", []),
         ("for i in r:\n    for j in r:\n        k = names.count(j)", []),
+        ("n = q.c.sum()", [1]),
+        ("b = np.nonzero(q.c)", [1]),
+        ("col = q.c[:, j]", [1]),
+        ("rows = q.c.tolist()", [1]),
+        ("x = q.c[i, j]", []),
+        ("c = q.c\nm = c[i, :]", [2]),
+        ("for i in r:\n    for j in r:\n        x = q.c[i, j]", [3]),
     ],
 )
 def test_matrix_walk_finder(source, walks):

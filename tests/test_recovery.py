@@ -523,7 +523,7 @@ class TestRecover:
     def test_identity_scramble_recovers_exactly(self):
         q = Quiver([[1, 2], [0, 1]])
         report = recover(manual_presentation(q, range(q.n)))
-        assert report.c_recovered == q.c
+        assert Quiver(report.c_recovered) == q
         assert report.witness == (0, 1)
 
     def test_explicit_swap(self):
