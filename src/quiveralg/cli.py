@@ -12,7 +12,8 @@ Subcommands:
 * ``norms``   -- tabulate {k, closed, direct, bound} for the compressed-map
   norms of a two-dimensional representation.
 * ``recover`` -- scramble a graph, reconstruct its multiplicity matrix, and
-  report the witness permutation; ``--expect`` compares against a reference.
+  report the certified witness permutation; ``--expect`` compares against a
+  reference by isomorphism search.
 * ``iso``     -- the lexicographically least isomorphism witness between two
   graph files, found by signature-pruned backtracking.
 * ``paths``   -- enumerate the paths of a graph up to a length.
@@ -26,11 +27,11 @@ covariance deviation and both sides of each norm check are closed-form.
 
 ``paths`` and ``verify`` refuse, before they build any path, graphs whose
 paths hold more than ``quiver.PATH_TOKEN_LIMIT`` arrow tokens in all, or
-more than ``quiver.PATH_LIMIT`` paths; ``recover`` refuses graphs past
-``quiver.ISO_VERTEX_LIMIT`` vertices before it scrambles them, and
-``scramble`` refuses graphs past ``recovery.SCRAMBLE_LIMIT`` unitary entries
-before it draws anything; ``norms`` refuses blocks (i, i), (j, j) and (i, j)
-with more than ``quiver.PATH_LIMIT`` arrows in all before it builds a vector.
+more than ``quiver.PATH_LIMIT`` paths; ``recover --expect`` refuses a search
+past ``quiver.ISO_VERTEX_LIMIT`` vertices before it scrambles, ``scramble``
+refuses graphs past ``recovery.SCRAMBLE_LIMIT`` unitary entries before it
+draws anything, and ``norms`` refuses blocks (i, i), (j, j) and (i, j) with
+more than ``quiver.PATH_LIMIT`` arrows in all before it builds a vector.
 
 ``build_parser`` is the one place where a subcommand and its options, with
 their defaults, are declared; each subcommand sets ``run`` to its runner,
@@ -198,8 +199,10 @@ def _run_norms(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 def _run_recover(args: argparse.Namespace) -> tuple[int, dict, str]:
     q = parse_quiver_file(args.graph)
-    # recover refuses such graphs too, but only after the costly scramble
-    _check_iso_size(q.n)
+    # the reference is read, and its search refused if too large, before the costly scramble
+    expected = None if args.expect is None else parse_quiver_file(args.expect)
+    if expected is not None and expected.n == q.n:
+        _check_iso_size(q.n)
     presentation = scramble(q, args.seed)
     result = recover(presentation)
     report = {
@@ -213,9 +216,9 @@ def _run_recover(args: argparse.Namespace) -> tuple[int, dict, str]:
         "seed": args.seed,
     }
     code = EXIT_OK
-    if args.expect is not None:
+    if expected is not None:
         # None also when the vertex counts differ
-        match = are_isomorphic(Quiver(result.c_recovered), parse_quiver_file(args.expect))
+        match = are_isomorphic(Quiver(result.c_recovered), expected)
         report["expect_met"] = match is not None
         if match is None:
             code = EXIT_MISMATCH

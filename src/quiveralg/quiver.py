@@ -30,9 +30,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-#: ``are_isomorphic`` refuses graphs with more vertices than this.  It is an
-#: input guard, not a cost cap: the search backtracks over signature classes
-#: (see ``are_isomorphic``) and stays far from exhaustive on graphs this size.
+#: ``are_isomorphic``, which ``iso`` and ``recover --expect`` run, refuses
+#: graphs with more vertices than this.  It is an input guard, not a cost cap:
+#: the search backtracks over signature classes and stays far from exhaustive.
 ISO_VERTEX_LIMIT = 64
 
 #: ``enumerate_paths`` and ``FockSpace`` refuse graphs with more paths than

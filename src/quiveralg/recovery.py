@@ -66,9 +66,10 @@ each pair's row count and rank with the block's size, and its nonempty
 blocks, which must each hold a generator.  Neither the table nor the probes
 read ``c``: the rows are sized from the generators, and ``TwoDimRep`` sizes
 the zero diagonal data itself.
-``hidden_truth`` is read only by ``recover``, to refuse a presentation too
-large for the isomorphism search, to check the result against the source
-graph and to report the witness.
+``hidden_truth`` is read only by ``recover``: the label a names the vertex
+tau(a), so its witness is tau^-1, the argsort of the labels' vertices,
+certified with one ``apply_permutation`` comparison against the source
+graph.  No isomorphism search runs, so ``recover`` caps no vertex count.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ import numpy as np
 
 from .correspondence import _complex_gaussians
 from .polynomials import PathPolynomial
-from .quiver import Arrow, Quiver, _check_iso_size, are_isomorphic, arrow_path
+from .quiver import Arrow, Quiver, apply_permutation, arrow_path
 from .reps import TwoDimRep, _check_contractive, rho_eval
 
-# re-exported for perfbench/tracing.py, which wraps recovery.membership_G;
-# its self-tests expect every wrapped name to exist
+# re-exported for perfbench/tracing.py, which wraps both names here; its
+# self-tests expect every wrapped name to exist
+from .quiver import are_isomorphic  # noqa: F401
 from .reps import membership_G  # noqa: F401
 
 #: singular values below this count as numerical zero in rank computations
@@ -244,6 +246,7 @@ class PairEvidence:
 class RecoveryReport:
     n_recovered: int
     c_recovered: tuple[tuple[int, ...], ...]
+    #: tau^-1 read off the labels, certified against the hidden source graph
     witness: Optional[tuple[int, ...]]
     evidence: tuple[PairEvidence, ...]
 
@@ -392,11 +395,6 @@ def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
     (rep_dim,) = _ranks([_rep_rows(s, a, b)])
-    return _agreed(s, a, b, rep_dim)
-
-
-def _agreed(s: ScrambledPresentation, a: int, b: int, rep_dim: int) -> int:
-    """The span probe's count at (a, b), once it equals ``rep_dim``."""
     span_dim = s._by_label.get((a, b), _UNLABELLED)[2]
     if span_dim != rep_dim:
         raise ProbeMismatchError(
@@ -413,43 +411,41 @@ def _check_label(s: ScrambledPresentation, a: int) -> None:
 def recover(s: ScrambledPresentation) -> RecoveryReport:
     """Assemble the multiplicity matrix from the probes.
 
-    Diagonal entries come from the character probe, off-diagonal entries from
-    the pair probe (whose two mechanisms must agree).  When the withheld
-    scramble data is available, the result is checked to be a vertex
-    relabelling of the source graph and the witness permutation is reported;
-    a presentation too large for that isomorphism search is refused before
-    any probe runs.
+    Every entry is the span rank of its label pair; off the diagonal the
+    representation probe must count the same, or ProbeMismatchError names
+    the first pair, in row-major order, where the two differ.  When the
+    withheld scramble data is available, the witness is the labels' own
+    relabelling tau^-1, certified with one ``apply_permutation`` comparison
+    against the source graph; no isomorphism search runs.
     """
     n = s.n
-    if s.hidden_truth is not None:
-        _check_iso_size(n)
-    c = [[0] * n for _ in range(n)]
-    evidence = []
-    for a in range(n):
-        d = probe_character_dimension(s, a)
-        c[a][a] = d
-        evidence.append(PairEvidence(a=a, b=a, span_dim=d, rep_dim=None))
+    span = np.zeros((n, n), dtype=np.int64)
+    for (a, b), (_, _, rank) in s._by_label.items():
+        span[a, b] = rank
+    # only the span probe applies on the diagonal
+    rep = np.diag(span.diagonal())
     # every labelled pair's representation rows first, then one rank call
     pairs = sorted((a, b) for a, b in s._by_label if a != b)
     rows = [_rep_rows(s, a, b) for a, b in pairs]
-    rep_dims = dict(zip(pairs, _ranks(rows)))
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            d = _agreed(s, a, b, rep_dims.get((a, b), 0))
-            evidence.append(PairEvidence(a=a, b=b, span_dim=d, rep_dim=d))
-            c[a][b] = d
+    for (a, b), rank in zip(pairs, _ranks(rows)):
+        rep[a, b] = rank
+    differ = np.argwhere(span != rep)
+    if len(differ):
+        a, b = differ[0].tolist()
+        raise ProbeMismatchError(
+            f"probes disagree at pair ({a}, {b}): span {span[a, b]}, rep {rep[a, b]}"
+        )
     if pairs:
         _spot_check(s, *pairs[0], rows[0][0])
-    recovered = Quiver(c)
+    c = span.tolist()
+    evidence = [PairEvidence(a, a, c[a][a], None) for a in range(n)] + [
+        PairEvidence(a, b, d, d) for a, row in enumerate(c) for b, d in enumerate(row) if a != b
+    ]
     witness = None
     if s.hidden_truth is not None:
-        witness = are_isomorphic(recovered, s.hidden_truth.quiver)
-        if witness is None:
-            raise RecoveryError(
-                "recovered matrix is not a vertex relabelling of the source graph"
-            )
+        witness = tuple(np.argsort(s._vertex).tolist())
+        if apply_permutation(Quiver(span), witness) != s.hidden_truth.quiver:
+            raise RecoveryError("recovered matrix is not a vertex relabelling of the source graph")
     return RecoveryReport(
         n_recovered=n,
         c_recovered=tuple(map(tuple, c)),

@@ -406,7 +406,8 @@ class TestRecoverCommand:
     def test_late_witness_within_budget(self, tmp_path):
         # a graph without automorphisms whose scramble at seed 3 puts the
         # witness in the last eighth of the lexicographic order (it starts
-        # with vertex 8); a sweep over permutations tries 7/8 of 8! first
+        # with vertex 8); recover reads it off the labels, and a sweep over
+        # permutations for --expect would try 7/8 of 8! first
         edges = [{"from": v, "to": v % 8 + 1, "count": 1} for v in range(1, 9)]
         edges += [{"from": 1, "to": 1, "count": 1}, {"from": 1, "to": 4, "count": 2},
                   {"from": 3, "to": 6, "count": 1}]
@@ -426,9 +427,13 @@ class TestRecoverCommand:
         assert code == 3
         assert report["expect_met"] is False
 
-    def test_oversized_graph_refused_before_scramble(self, tmp_path, monkeypatch, capsys):
-        # a random 0/1 graph on 70 > ISO_VERTEX_LIMIT vertices, whose scramble
-        # alone takes most of a second
+    def test_oversized_graph_recovers_and_its_expect_is_refused_before_scramble(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a random 0/1 graph on 70 > ISO_VERTEX_LIMIT vertices: recover reads
+        # its witness off the labels, but --expect against a 70-vertex
+        # reference needs the isomorphism search, which is refused before
+        # the scramble, whose cost is most of a second
         rng = np.random.default_rng(70)
         edges = [
             {"from": s, "to": t, "count": 1}
@@ -437,15 +442,31 @@ class TestRecoverCommand:
             if rng.random() < 0.5
         ]
         g = graph_file(tmp_path, "g70.json", {"n": 70, "edges": edges})
+        out = tmp_path / "recover.json"
+        assert main(["recover", "--graph", g, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["n_recovered"] == 70
+        capsys.readouterr()
 
         def no_scramble(*args, **kwargs):
             raise AssertionError("scramble ran")
 
         monkeypatch.setattr(cli, "scramble", no_scramble)
         t0 = time.perf_counter()
-        assert main(["recover", "--graph", g]) == 1
+        assert main(["recover", "--graph", g, "--expect", g]) == 1
         assert time.perf_counter() - t0 < 0.2
         assert "size limit exceeded" in capsys.readouterr().err
+
+    def test_unreadable_expect_refused_before_scramble(self, reference, tmp_path, monkeypatch, capsys):
+        def no_scramble(*args, **kwargs):
+            raise AssertionError("scramble ran")
+
+        monkeypatch.setattr(cli, "scramble", no_scramble)
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{")
+        for expect in (str(tmp_path / "missing.json"), str(malformed)):
+            assert main(["recover", "--graph", reference, "--expect", expect]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_oversized_blocks_refused_before_any_draw(self, tmp_path, monkeypatch, capsys):
         # one vertex with 513 loops: a 513 x 513 unitary, 263,169 entries

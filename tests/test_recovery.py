@@ -25,7 +25,7 @@ from quiveralg import (
     rho_eval,
     scramble,
 )
-from quiveralg import recovery
+from quiveralg import quiver, recovery
 from quiveralg.cli import main
 from quiveralg.quiver import ISO_VERTEX_LIMIT
 from quiveralg.recovery import (
@@ -609,10 +609,10 @@ def test_thirty_vertices_within_budget():
 
 
 def test_sixty_four_vertices_within_budget():
-    """The same on 64 vertices, the isomorphism search's limit (4,103
-    generators on about 2,700 blocks), also takes under 0.3 s.  This budget
-    and the next take the best of three runs: with threaded BLAS a single
-    stacked QR has been seen to stall for about 1 s on a 2-vCPU machine."""
+    """The same on 64 vertices (4,103 generators on about 2,700 blocks)
+    also takes under 0.3 s.  This budget and the next take the best of
+    three runs: with threaded BLAS a single stacked QR has been seen to
+    stall for about 1 s on a 2-vCPU machine."""
     q = Quiver(np.random.default_rng(1).integers(0, 3, size=(64, 64)).tolist())
     assert scramble_and_recover_seconds(q, runs=3) < 0.3
 
@@ -698,22 +698,57 @@ def test_rank_inputs_no_wider_than_their_pair(monkeypatch):
     assert all(cols <= rows for rows, cols in shapes)
 
 
-def test_oversized_recovery_refused_before_probing(tmp_path, monkeypatch):
-    """A presentation too large for the witness check is refused with the
-    isomorphism search's size-limit error before any probe runs."""
+def test_sixty_five_vertex_cycle_recovers_with_the_labels_witness(tmp_path):
+    """Past ``ISO_VERTEX_LIMIT`` vertices the presentation is recovered: the
+    witness is the labels' relabelling, the argsort of tau, with no search
+    to refuse the size; the CLI recovers the same graph."""
     n = ISO_VERTEX_LIMIT + 1
     q = Quiver([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
-
-    def fail(s, a):
-        raise AssertionError("a probe ran")
-
-    monkeypatch.setattr(recovery, "probe_character_dimension", fail)
-    with pytest.raises(ValueError, match="size limit exceeded"):
-        recover(scramble(q, seed=1))
+    s = scramble(q, seed=1)
+    report = recover(s)
+    assert report.witness == tuple(np.argsort(s.hidden_truth.tau).tolist())
+    assert apply_permutation(Quiver(report.c_recovered), report.witness) == q
     g = tmp_path / "cycle.json"
     edges = [{"from": v, "to": v % n + 1, "count": 1} for v in range(1, n + 1)]
     g.write_text(json.dumps({"n": n, "edges": edges}))
-    assert main(["recover", "--graph", str(g)]) == 1
+    assert main(["recover", "--graph", str(g), "--output", str(tmp_path / "out.json")]) == 0
+
+
+def test_witness_is_the_labels_relabelling_not_the_least():
+    """On the directed 3-cycle, whose rotations are automorphisms, the seed-0
+    scramble recovers the cycle itself: the least witness is the identity,
+    while ``recover`` reports tau^-1, a rotation."""
+    q = Quiver([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    s = scramble(q, seed=0)
+    report = recover(s)
+    assert s.hidden_truth.tau == (2, 0, 1)
+    assert Quiver(report.c_recovered) == q
+    assert are_isomorphic(q, q) == (0, 1, 2)
+    assert report.witness == (1, 2, 0)
+    assert apply_permutation(q, report.witness) == q
+
+
+def test_recover_runs_no_isomorphism_search(monkeypatch):
+    calls = []
+
+    def counting(q1, q2):
+        calls.append((q1, q2))
+        return are_isomorphic(q1, q2)
+
+    monkeypatch.setattr(quiver, "are_isomorphic", counting)
+    monkeypatch.setattr(recovery, "are_isomorphic", counting)
+    q = Quiver(np.random.default_rng(4).integers(0, 3, size=(6, 6)).tolist())
+    assert recover(scramble(q, seed=4)).witness is not None
+    assert calls == []
+
+
+def test_two_hundred_vertices_within_budget():
+    """A random 0/1/2 graph on 200 vertices, 30 % of its blocks nonempty
+    (about 18,000 generators), is scrambled and recovered in under 1 s, best
+    of three."""
+    rng = np.random.default_rng(200)
+    c = rng.integers(1, 3, size=(200, 200)) * (rng.random((200, 200)) < 0.3)
+    assert scramble_and_recover_seconds(Quiver(c), runs=3) < 1.0
 
 
 def test_probes_read_no_multiplicity_matrix():
@@ -723,7 +758,7 @@ def test_probes_read_no_multiplicity_matrix():
     and spot check, reads an attribute ``c`` or calls ``block``."""
     tree = ast.parse(inspect.getsource(recovery))
     names = {
-        "_block_support", "_rep_rows", "_spot_check", "_ranks", "_agreed",
+        "_block_support", "_rep_rows", "_spot_check", "_ranks",
         "probe_character_dimension", "probe_pair_dimension", "recover",
     }
     found = {}

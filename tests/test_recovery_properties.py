@@ -1,6 +1,7 @@
 """Property tests of recovery (need hypothesis): invariance under vertex
 relabelling, and one generator table from either input of a presentation."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -24,16 +25,36 @@ def relabelled_quivers(draw):
     return q, draw(st.permutations(range(q.n)))
 
 
+@st.composite
+def doubled_quivers(draw):
+    """Two disjoint copies of a quiver: swapping them is an automorphism."""
+    c = draw(quivers(3, 2)).c
+    z = np.zeros_like(c)
+    return Quiver(np.block([[c, z], [z, c]]))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(relabelled_quivers(), st.integers(0, 2**32 - 1))
 def test_recovery_is_invariant_under_relabelling(q_tau, seed):
     q, tau = q_tau
     hidden = apply_permutation(q, tau)
-    report = recover(scramble(hidden, seed))
+    s = scramble(hidden, seed)
+    report = recover(s)
     recovered = Quiver(report.c_recovered)
-    assert report.witness is not None
+    assert report.witness == tuple(np.argsort(s.hidden_truth.tau).tolist())
     assert apply_permutation(recovered, report.witness) == hidden
     assert are_isomorphic(recovered, q) is not None
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(doubled_quivers(), st.integers(0, 2**32 - 1))
+def test_witness_is_tau_inverse_under_automorphisms(q, seed):
+    """With automorphisms several witnesses exist; ``recover`` reports the
+    labels' tau^-1, which the search need not return."""
+    s = scramble(q, seed)
+    report = recover(s)
+    assert report.witness == tuple(np.argsort(s.hidden_truth.tau).tolist())
+    assert apply_permutation(Quiver(report.c_recovered), report.witness) == q
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
