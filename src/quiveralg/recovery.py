@@ -30,9 +30,9 @@ Two independent probes count each off-diagonal entry:
   representation with zero diagonal data and the normalized row as gamma.
   The family test of ``reps`` must accept every gamma, and the upper-right
   entries of the representations on the generators labelled (a, b) are
-  conj(Gamma) @ V.T, one product per pair, with Gamma the normalized rows.
-  With zero diagonal data at the vertices (i, j) a representation sees only
-  the arrows j -> i, so it vanishes on every other generator.
+  conj(Gamma) @ V.T, with Gamma the normalized rows.  With zero diagonal
+  data at the vertices (i, j) a representation sees only the arrows
+  j -> i, so it vanishes on every other generator.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank of the rows at (a, a)
@@ -48,16 +48,16 @@ each arrow of that block; times V.T, this must give the batched row.  The
 benchmark's self-tests (``perfbench``) also count these products and
 ``rho_eval`` calls on a recovery request.
 
-The small dense linear algebra runs in batches.  ``scramble`` draws the
-Gaussians of all nonempty blocks with one ``_complex_gaussians`` call, the
-helper ``CorrespondenceElement.random`` uses too, and orthogonalizes them
-with one stacked QR per block size.  Every rank comes from one helper,
-``_ranks``: one stacked SVD per matrix shape, counting the singular values
-above ``RANK_TOL`` as ``np.linalg.matrix_rank`` does.  The constructor ranks
-all of the table's rows with one call, and ``recover`` builds the
-representation rows of every labelled pair before it ranks them with one
-call, so a family-test ``RecoveryError`` at any pair is raised before a
-``ProbeMismatchError``.
+The small dense linear algebra runs once per matrix shape: ``_stacked``
+groups matrices by shape and dtype, calls a function on each group's stack
+and returns the results in input order.  Through it ``scramble``
+orthogonalizes the Gaussians of all nonempty blocks, drawn with one
+``_complex_gaussians`` call, with one QR per block size; ``_ranks`` takes one
+SVD per shape, counting singular values above ``RANK_TOL`` as
+``np.linalg.matrix_rank`` does; ``recover`` builds every labelled pair's
+representation rows with one family test and one product per row shape,
+before one ``_ranks`` call, so a family-test ``RecoveryError`` at any pair
+is raised before a ``ProbeMismatchError``.
 
 Beyond the generators the code reads the hidden quiver in these places
 only: the vertex each idempotent names, its vertex count, and its
@@ -97,7 +97,7 @@ RANK_TOL = 1e-8
 _SPOT_TOL = 1e-10
 
 #: the table entry of a label pair that no generator carries
-_UNLABELLED: tuple = ((), (), 0)
+_UNLABELLED: tuple = ((), np.zeros((0, 0), dtype=complex), 0)
 
 #: ``scramble`` refuses graphs whose block unitaries hold more entries than
 #: this (the sum of c[i][j]^2), before it draws anything
@@ -251,20 +251,26 @@ class RecoveryReport:
     evidence: tuple[PairEvidence, ...]
 
 
+def _stacked(matrices: list[np.ndarray], fn) -> list:
+    """``fn`` of each matrix, in input order, from one call of ``fn`` per
+    distinct shape and dtype (in order of first occurrence) on their stack."""
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(matrices):
+        groups.setdefault((m.shape, m.dtype), []).append(k)
+    results: list = [None] * len(matrices)
+    for ks in groups.values():
+        for k, r in zip(ks, fn(np.stack([matrices[k] for k in ks]))):
+            results[k] = r
+    return results
+
+
 def _ranks(matrices: list[np.ndarray]) -> list[int]:
     """``np.linalg.matrix_rank(m, tol=RANK_TOL)`` of each matrix, from one
     stacked SVD per distinct shape and dtype; a matrix without entries has
     rank 0."""
-    ranks = [0] * len(matrices)
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(matrices):
-        if m.size:
-            groups.setdefault((m.shape, m.dtype), []).append(k)
-    for ks in groups.values():
-        s = np.linalg.svd(np.stack([matrices[k] for k in ks]), compute_uv=False)
-        for k, rank in zip(ks, np.count_nonzero(s > RANK_TOL, axis=-1).tolist()):
-            ranks[k] = rank
-    return ranks
+    return _stacked(
+        matrices, lambda m: (np.linalg.svd(m, compute_uv=False) > RANK_TOL).sum(-1).tolist()
+    )
 
 
 def _idempotent_vertex(p: PathPolynomial) -> int:
@@ -299,17 +305,14 @@ def _haar_unitaries(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarr
     ``_complex_gaussians`` draw; the QRs run stacked, one per distinct size."""
     squares = [d * d for d in sizes]
     gaussians = np.split(_complex_gaussians(rng, squares) / np.sqrt(2.0), np.cumsum(squares)[:-1])
-    by_size: dict[int, list[int]] = {}
-    for k, d in enumerate(sizes):
-        by_size.setdefault(d, []).append(k)
-    unitaries = [np.empty(0)] * len(sizes)
-    for d, ks in by_size.items():
-        q, r = np.linalg.qr(np.reshape([gaussians[k] for k in ks], (-1, d, d)))
+
+    def orthogonalized(z):
+        q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=1, axis2=2).copy()
         diag[diag == 0] = 1.0
-        for k, u in zip(ks, q * (diag / np.abs(diag))[:, None, :]):
-            unitaries[k] = u
-    return unitaries
+        return q * (diag / np.abs(diag))[:, None, :]
+
+    return _stacked([z.reshape(d, d) for z, d in zip(gaussians, sizes)], orthogonalized)
 
 
 def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
@@ -352,31 +355,31 @@ def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     return s._by_label.get((a, a), _UNLABELLED)[2]
 
 
-def _rep_rows(s: ScrambledPresentation, a: int, b: int) -> np.ndarray:
-    """The upper-right entries of the representations of the pair (a, b) on
-    the generators labelled (a, b), one row per representation (they vanish
-    on every other generator): with V the rows at (a, b) and Gamma those rows
-    normalized, every gamma must pass the family test, and the entries are
-    conj(Gamma) @ V.T."""
-    vecs = s._by_label.get((a, b), _UNLABELLED)[1]
-    if not len(vecs):
-        return np.zeros((0, 0))
-    gammas = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+def _rep_rows(vecs: np.ndarray) -> np.ndarray:
+    """The upper-right entries of a label pair's representations on the
+    generators it labels, one row per representation (they vanish on every
+    other generator): with V the pair's rows, (d, w) or a stack (m, d, w),
+    and Gamma those rows normalized, each divided by its largest modulus
+    first so that no finite row's norm overflows, every gamma must pass the
+    family test, and the entries are conj(Gamma) @ V.T."""
+    scaled = vecs / np.abs(vecs).max(axis=-1, keepdims=True, initial=0.0)
+    gammas = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
     try:
-        _check_contractive(np.linalg.norm(gammas, axis=1) ** 2, 0.0)
+        _check_contractive(np.linalg.norm(gammas, axis=-1) ** 2, 0.0)
     except ValueError as exc:
         raise RecoveryError(f"normalized compression rejected by the family test: {exc}") from exc
-    return gammas.conj() @ vecs.T
+    return gammas.conj() @ vecs.swapaxes(-1, -2)
 
 
 def _spot_check(s: ScrambledPresentation, a: int, b: int, batched: np.ndarray) -> None:
     """``rho_eval`` of the representation built from the first row at (a, b),
-    on each arrow of that block, times the rows' transpose: it must give
-    ``batched``, the first row of ``_rep_rows(s, a, b)``, or
-    ProbeMismatchError is raised."""
+    normalized as in ``_rep_rows``, on each arrow of that block, times the
+    rows' transpose: it must give ``batched``, the first row of ``_rep_rows``
+    at (a, b), or ProbeMismatchError is raised."""
     vecs = s._by_label[(a, b)][1]
     i, j = s._vertex[a], s._vertex[b]
-    r = TwoDimRep(s.quiver, i, j, gamma=vecs[0] / np.linalg.norm(vecs[0]))
+    row = vecs[0] / np.abs(vecs[0]).max()
+    r = TwoDimRep(s.quiver, i, j, gamma=row / np.linalg.norm(row))
     arrows = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
     spot = np.array([rho_eval(r, x)[0, 1] for x in arrows]) @ vecs.T
     if np.abs(spot - batched).max() > _SPOT_TOL * np.abs(vecs).max():
@@ -388,14 +391,15 @@ def _spot_check(s: ScrambledPresentation, a: int, b: int, batched: np.ndarray) -
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     """Dimension of the off-diagonal parameter space at the label pair (a, b):
     the span probe reads the table's rank of the rows at (a, b), the
-    representation probe ranks the rows of ``_rep_rows``; raises
-    ProbeMismatchError if they disagree."""
+    representation probe ranks ``_rep_rows`` of them, as ``recover`` does;
+    both count 0 at an unlabelled pair.  Raises ProbeMismatchError if they
+    disagree."""
     _check_label(s, a)
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    (rep_dim,) = _ranks([_rep_rows(s, a, b)])
-    span_dim = s._by_label.get((a, b), _UNLABELLED)[2]
+    _, vecs, span_dim = s._by_label.get((a, b), _UNLABELLED)
+    (rep_dim,) = _ranks([_rep_rows(vecs)])
     if span_dim != rep_dim:
         raise ProbeMismatchError(
             f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"
@@ -426,7 +430,7 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
     rep = np.diag(span.diagonal())
     # every labelled pair's representation rows first, then one rank call
     pairs = sorted((a, b) for a, b in s._by_label if a != b)
-    rows = [_rep_rows(s, a, b) for a, b in pairs]
+    rows = _stacked([s._by_label[p][1] for p in pairs], _rep_rows)
     for (a, b), rank in zip(pairs, _ranks(rows)):
         rep[a, b] = rank
     differ = np.argwhere(span != rep)
@@ -446,9 +450,4 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
         witness = tuple(np.argsort(s._vertex).tolist())
         if apply_permutation(Quiver(span), witness) != s.hidden_truth.quiver:
             raise RecoveryError("recovered matrix is not a vertex relabelling of the source graph")
-    return RecoveryReport(
-        n_recovered=n,
-        c_recovered=tuple(map(tuple, c)),
-        witness=witness,
-        evidence=tuple(evidence),
-    )
+    return RecoveryReport(n, tuple(map(tuple, c)), witness, tuple(evidence))
