@@ -209,10 +209,6 @@ def _run_recover(args: argparse.Namespace) -> tuple[int, dict, str]:
         "n_recovered": result.n_recovered,
         "c_recovered": [list(row) for row in result.c_recovered],
         "witness": None if result.witness is None else [t + 1 for t in result.witness],
-        "evidence": [
-            {"a": e.a + 1, "b": e.b + 1, "span_dim": e.span_dim, "rep_dim": e.rep_dim}
-            for e in result.evidence
-        ],
         "seed": args.seed,
     }
     code = EXIT_OK
@@ -254,6 +250,13 @@ def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
     return EXIT_OK, {"count": len(names), "paths": names.tolist()}, f"{len(names)} paths"
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: numpy's generators take non-negative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises usage errors as ValueError, so that ``main`` returns
     EXIT_VALIDATION instead of argparse's exit status 2."""
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="consistency checks on the truncated shifts")
     p.add_argument("--graph", required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p, _run_verify)
 
     p = sub.add_parser("norms", help="compressed-map norm table for a 2-dim representation")
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="scramble a graph and reconstruct it")
     p.add_argument("--graph", required=True)
     p.add_argument("--expect")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p, _run_recover)
 
     p = sub.add_parser("iso", help="least isomorphism witness between two graph files (backtracking search)")

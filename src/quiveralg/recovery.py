@@ -232,23 +232,11 @@ class ScrambledPresentation:
 
 
 @dataclass
-class PairEvidence:
-    """Dimension counts for one label pair; rep_dim is None on the diagonal,
-    where only the character-style probe applies."""
-
-    a: int
-    b: int
-    span_dim: int
-    rep_dim: Optional[int]
-
-
-@dataclass
 class RecoveryReport:
     n_recovered: int
     c_recovered: tuple[tuple[int, ...], ...]
     #: tau^-1 read off the labels, certified against the hidden source graph
     witness: Optional[tuple[int, ...]]
-    evidence: tuple[PairEvidence, ...]
 
 
 def _stacked(matrices: list[np.ndarray], fn) -> list:
@@ -336,9 +324,10 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     # the generators, listed block by block, are the columns of the
     # unitaries; the one listed at p is handed out as generator position[p]
     position = np.argsort(rng.permutation(q.total_arrows()))
+    # each block's arrows follow the previous block's, in block order
+    listed = np.split(position, np.cumsum(list(blocks.values()))[:-1])
     rows = {}
-    for (i, j), u in unitaries.items():
-        ks = position[q.block_start(i, j):][: len(u)]
+    for ((i, j), u), ks in zip(unitaries.items(), listed):
         by_index = np.argsort(ks)
         rows[(i, j)] = (ks[by_index], u.T[by_index])
     return ScrambledPresentation._of_rows(
@@ -441,13 +430,9 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
         )
     if pairs:
         _spot_check(s, *pairs[0], rows[0][0])
-    c = span.tolist()
-    evidence = [PairEvidence(a, a, c[a][a], None) for a in range(n)] + [
-        PairEvidence(a, b, d, d) for a, row in enumerate(c) for b, d in enumerate(row) if a != b
-    ]
     witness = None
     if s.hidden_truth is not None:
         witness = tuple(np.argsort(s._vertex).tolist())
         if apply_permutation(Quiver(span), witness) != s.hidden_truth.quiver:
             raise RecoveryError("recovered matrix is not a vertex relabelling of the source graph")
-    return RecoveryReport(n, tuple(map(tuple, c)), witness, tuple(evidence))
+    return RecoveryReport(n, tuple(map(tuple, span.tolist())), witness)

@@ -76,6 +76,15 @@ RUNS = {
     # blocks of 1, 2 and 3 arrows alternating in (target, source) order
     "recover4_mixed_expect": _recover("recover4_mixed", 9, "2, 4, 3, 1"),
     "recover12_expect": _recover("recover12", 12, "8, 2, 10, 9, 1, 6, 5, 7, 12, 4, 3, 11"),
+    # past ISO_VERTEX_LIMIT, so no --expect: the 65-cycle with a loop at
+    # vertex 1 and 2 arrows 4 -> 11 (blocks of 1 and 2 arrows)
+    "recover65": _run(
+        "recover --graph @recover65 --seed 65", 0,
+        "recover: recovered 65 vertices, witness [31, 20, 23, 3, 13, 62, 7, 29, 52, 41, 26, 4, 51, 44, "
+        "15, 10, 53, 38, 19, 45, 46, 28, 61, 54, 17, 18, 27, 59, 40, 56, 8, 21, 39, 50, 16, 64, 6, 30, "
+        "9, 5, 63, 34, 2, 22, 58, 48, 32, 36, 65, 49, 55, 1, 14, 37, 24, 47, 11, 43, 60, 12, 35, 57, 25, "
+        "42, 33] -- OK",
+    ),
     "verify_two_loops_d10": _run(
         "verify --graph @two_loops --depth 10 --seed 3", 0,
         "verify: dim 2047, max covariance deviation 2.220e-16, 4 norm checks -- OK",

@@ -28,6 +28,8 @@ from quiveralg import (
     compose,
     enumerate_paths,
     inner_product,
+    probe_character_dimension,
+    probe_pair_dimension,
     rho_eval,
 )
 
@@ -314,6 +316,15 @@ def reference_compressions(s, a, b):
             vec[p.arrows[0].index] = coeff
         vecs.append(vec)
     return (va, vb), dim, vecs
+
+
+def single_pair_probes(s):
+    """Every label pair's count from the probes that take one pair: the
+    character probe on the diagonal and the pair probe off it, row by row."""
+    return [
+        [probe_character_dimension(s, a) if a == b else probe_pair_dimension(s, a, b) for b in range(s.n)]
+        for a in range(s.n)
+    ]
 
 
 def signature_multiset(q):

@@ -35,6 +35,7 @@ from helpers import (
     random_contractive_params,
     random_element,
     random_quiver,
+    single_pair_probes,
     two_block_quiver,
 )
 
@@ -269,13 +270,17 @@ def test_criterion_7_recovery_sweep():
     probe_disagreements = 0
     for q in quivers:
         for seed in range(5):
-            report = recover(scramble(q, seed))
+            s = scramble(q, seed)
+            report = recover(s)
             recoveries += 1
             if report.witness is None:
                 witness_failures += 1
-            for ev in report.evidence:
-                if ev.rep_dim is not None and ev.span_dim != ev.rep_dim:
-                    probe_disagreements += 1
+            # the single-pair probes against recover's batched route
+            probe_disagreements += sum(
+                single != batched
+                for singles, row in zip(single_pair_probes(s), report.c_recovered)
+                for single, batched in zip(singles, row)
+            )
 
     rng = np.random.default_rng(708)
     separated = 0

@@ -389,9 +389,8 @@ class TestRecoverCommand:
         assert report["expect_met"] is True
         assert report["witness"] is not None
         assert report["n_recovered"] == 2
-        for ev in report["evidence"]:
-            if ev["a"] != ev["b"]:
-                assert ev["span_dim"] == ev["rep_dim"]
+        # each count is stated once, in c_recovered: no per-pair list
+        assert set(report) == {"n_recovered", "c_recovered", "witness", "seed", "expect_met"}
 
     def test_nine_cycle_expectation_met(self, tmp_path):
         # past the old 8-vertex isomorphism cap
@@ -687,6 +686,15 @@ class TestMainEntry:
         assert main(["verify"]) == 1
         _, err = capsys.readouterr()
         assert "required: --graph" in err and "usage:" in err
+
+    @pytest.mark.parametrize("subcommand", ["verify", "recover"])
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_exits_1_naming_the_option(self, subcommand, seed, two_loop, capsys):
+        # refused by the parser, before numpy's "expected non-negative integer"
+        assert main([subcommand, "--graph", two_loop, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
 
     def test_malformed_option_exits_1(self, two_loop, capsys):
         assert main(["paths", "--max-len", "abc"]) == 1

@@ -39,6 +39,7 @@ from helpers import (
     reference_compressions,
     reference_rep_rows,
     reference_scramble,
+    single_pair_probes,
 )
 
 
@@ -572,12 +573,10 @@ class TestRecover:
         for a in range(2):
             assert report.c_recovered[a][a] == q.c[tau[a]][tau[a]]
 
-    def test_probe_evidence_agrees_entrywise(self):
+    def test_single_pair_probes_agree_with_batched_route(self):
         q = Quiver([[1, 2], [2, 1]])
-        report = recover(scramble(q, seed=33))
-        for ev in report.evidence:
-            if ev.a != ev.b:
-                assert ev.span_dim == ev.rep_dim
+        s = scramble(q, seed=33)
+        assert single_pair_probes(s) == [list(row) for row in recover(s).c_recovered]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seed_invariance_up_to_relabelling(self, seed):
