@@ -35,18 +35,17 @@ Two independent probes count each off-diagonal entry:
   j -> i, so it vanishes on every other generator.
 
 They must agree entrywise; a mismatch is an internal inconsistency, not a
-recoverable state.  A diagonal entry is the rank of the rows at (a, a)
-alone.
+recoverable state.  A diagonal entry is the rank at (a, a) alone.
 
 Two spot routes run on the algebra itself, once per presentation each, as
 independent checks of the vector routes; their cost does not grow with the
 generator count.  The constructor multiplies one generator by its label
 pair's idempotents, p_a * g * p_b == g, through ``PathPolynomial``.  Once
-the probes agree, ``recover`` builds the ``TwoDimRep`` of the first row of
-the first labelled off-diagonal pair and evaluates it with ``rho_eval`` on
-each arrow of that block; times V.T, this must give the batched row.  The
-benchmark's self-tests (``perfbench``) also count these products and
-``rho_eval`` calls on a recovery request.
+the counts match the graph, ``recover`` builds the ``TwoDimRep`` of the
+first row of the first labelled off-diagonal pair and evaluates it with
+``rho_eval`` on each arrow of that block; times V.T, this must give the
+batched row.  The benchmark's self-tests (``perfbench``) also count these
+products and ``rho_eval`` calls on a recovery request.
 
 The small dense linear algebra runs once per matrix shape: ``_stacked``
 groups matrices by shape and dtype, calls a function on each group's stack
@@ -54,22 +53,18 @@ and returns the results in input order.  Through it ``scramble``
 orthogonalizes the Gaussians of all nonempty blocks, drawn with one
 ``_complex_gaussians`` call, with one QR per block size; ``_ranks`` takes one
 SVD per shape, counting singular values above ``RANK_TOL`` as
-``np.linalg.matrix_rank`` does; ``recover`` builds every labelled pair's
-representation rows with one family test and one product per row shape,
-before one ``_ranks`` call, so a family-test ``RecoveryError`` at any pair
-is raised before a ``ProbeMismatchError``.
+``np.linalg.matrix_rank`` does; ``_counts``, which counts for ``recover``
+and the pair probe, builds all representation rows, one family test and
+one product per row shape, before one ``_ranks`` call, so a family-test
+``RecoveryError`` at any pair comes before a ``ProbeMismatchError``.
 
-Beyond the generators the code reads the hidden quiver in these places
-only: the vertex each idempotent names, its vertex count, and its
-multiplicity matrix ``c`` in the constructor's span check, which compares
-each pair's row count and rank with the block's size, and its nonempty
-blocks, which must each hold a generator.  Neither the table nor the probes
-read ``c``: the rows are sized from the generators, and ``TwoDimRep`` sizes
-the zero diagonal data itself.
-``hidden_truth`` is read only by ``recover``: the label a names the vertex
-tau(a), so its witness is tau^-1, the argsort of the labels' vertices,
-certified with one ``apply_permutation`` comparison against the source
-graph.  No isomorphism search runs, so ``recover`` caps no vertex count.
+The counts meet the graph once, in ``recover``: relabelled by tau^-1, the
+argsort of the labels' vertices (label a names tau(a)), they must give the
+presentation's quiver, or ``RecoveryError`` is raised, so a generating set
+that misses or does not span a block is refused there.  Beyond that the
+code reads of the graph only the vertex each idempotent names and the
+vertex count.  ``hidden_truth`` only decides whether tau^-1 is reported as
+the witness; no isomorphism search runs, so ``recover`` caps no vertex count.
 """
 
 from __future__ import annotations
@@ -130,7 +125,7 @@ class ScrambledPresentation:
     on a single arrow block (i, j); the presentation holds each as that block
     and a coefficient row over its arrow indices.  The constructor takes the
     generators as degree-1 polynomials, and ``generators`` gives them back as
-    polynomials.
+    polynomials.  It compares nothing with the graph; ``recover`` does.
     """
 
     def __init__(self, idempotents, generators, hidden_truth: Optional[HiddenTruth] = None):
@@ -180,7 +175,6 @@ class ScrambledPresentation:
         label pair (a, b) -> the indices of the generators labelled (a, b),
         their coefficient rows and their rank, in the order of each pair's
         first generator."""
-        q = self.quiver
         label = {v: a for a, v in enumerate(self._vertex)}
         # each row is a finite vector in one block (i, j), and it is labelled
         # by the labels of i and j
@@ -193,22 +187,13 @@ class ScrambledPresentation:
         if table:
             # the polynomial route, on generator 0: p_a * g * p_b == g
             (a, b), (i, j, _, vecs) = next(iter(table.items()))
-            g = _polynomial(q, i, j, vecs[0])
+            g = _polynomial(self.quiver, i, j, vecs[0])
             if self.idempotents[a] * g * self.idempotents[b] != g:
                 raise RecoveryError(f"generator 0 is not fixed by the idempotents of ({a}, {b})")
         ranks = _ranks([vecs for _, _, _, vecs in table.values()])
-        self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        for ((a, b), (i, j, ks, vecs)), rank in zip(table.items(), ranks):
-            d = q.c[i, j]
-            if len(vecs) != d or rank != d:
-                raise ValueError(
-                    f"generators do not span block ({i}, {j}): "
-                    f"{len(vecs)} generators of rank {rank}, need {d}"
-                )
-            self._by_label[(a, b)] = (ks, vecs, rank)
-        missing = [(i, j) for i, j, _ in q._nonempty_blocks if (i, j) not in rows]
-        if missing:
-            raise ValueError(f"no generators for nonempty blocks {missing}")
+        self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {
+            pair: (ks, vecs, rank) for (pair, (_, _, ks, vecs)), rank in zip(table.items(), ranks)
+        }
 
     @property
     def generators(self) -> tuple[PathPolynomial, ...]:
@@ -377,23 +362,32 @@ def _spot_check(s: ScrambledPresentation, a: int, b: int, batched: np.ndarray) -
         )
 
 
+def _counts(s: ScrambledPresentation, pairs: list[tuple[int, int]]) -> tuple[list[int], list]:
+    """The span rank of each label pair in ``pairs`` (0 if unlabelled), and
+    the ``_rep_rows`` of the off-diagonal ones, all built before one
+    ``_ranks`` call; ProbeMismatchError names the first pair whose
+    representation probe counts differently."""
+    entries = [s._by_label.get(p, _UNLABELLED) for p in pairs]
+    off = [k for k, (a, b) in enumerate(pairs) if a != b]
+    rows = _stacked([entries[k][1] for k in off], _rep_rows)
+    for k, rep in zip(off, _ranks(rows)):
+        if rep != entries[k][2]:
+            raise ProbeMismatchError(
+                f"probes disagree at pair {pairs[k]}: span {entries[k][2]}, rep {rep}"
+            )
+    return [rank for _, _, rank in entries], rows
+
+
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
-    """Dimension of the off-diagonal parameter space at the label pair (a, b):
-    the span probe reads the table's rank of the rows at (a, b), the
-    representation probe ranks ``_rep_rows`` of them, as ``recover`` does;
-    both count 0 at an unlabelled pair.  Raises ProbeMismatchError if they
-    disagree."""
+    """Dimension of the off-diagonal parameter space at the label pair (a, b),
+    counted by ``_counts`` as in ``recover``: the span and representation
+    probes must agree, or ProbeMismatchError is raised."""
     _check_label(s, a)
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    _, vecs, span_dim = s._by_label.get((a, b), _UNLABELLED)
-    (rep_dim,) = _ranks([_rep_rows(vecs)])
-    if span_dim != rep_dim:
-        raise ProbeMismatchError(
-            f"probes disagree at pair ({a}, {b}): span {span_dim}, rep {rep_dim}"
-        )
-    return span_dim
+    (count,), _ = _counts(s, [(a, b)])
+    return count
 
 
 def _check_label(s: ScrambledPresentation, a: int) -> None:
@@ -406,33 +400,21 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
 
     Every entry is the span rank of its label pair; off the diagonal the
     representation probe must count the same, or ProbeMismatchError names
-    the first pair, in row-major order, where the two differ.  When the
-    withheld scramble data is available, the witness is the labels' own
-    relabelling tau^-1, certified with one ``apply_permutation`` comparison
-    against the source graph; no isomorphism search runs.
+    the first pair, in row-major order, where the two differ.  Relabelled by
+    tau^-1, the argsort of the labels' vertices, the matrix must be the
+    presentation's quiver, or RecoveryError is raised; only then does the
+    ``rho_eval`` spot check run.  tau^-1 is the witness when the withheld
+    scramble data is available.
     """
-    n = s.n
-    span = np.zeros((n, n), dtype=np.int64)
-    for (a, b), (_, _, rank) in s._by_label.items():
-        span[a, b] = rank
-    # only the span probe applies on the diagonal
-    rep = np.diag(span.diagonal())
-    # every labelled pair's representation rows first, then one rank call
-    pairs = sorted((a, b) for a, b in s._by_label if a != b)
-    rows = _stacked([s._by_label[p][1] for p in pairs], _rep_rows)
-    for (a, b), rank in zip(pairs, _ranks(rows)):
-        rep[a, b] = rank
-    differ = np.argwhere(span != rep)
-    if len(differ):
-        a, b = differ[0].tolist()
-        raise ProbeMismatchError(
-            f"probes disagree at pair ({a}, {b}): span {span[a, b]}, rep {rep[a, b]}"
-        )
-    if pairs:
-        _spot_check(s, *pairs[0], rows[0][0])
-    witness = None
-    if s.hidden_truth is not None:
-        witness = tuple(np.argsort(s._vertex).tolist())
-        if apply_permutation(Quiver(span), witness) != s.hidden_truth.quiver:
-            raise RecoveryError("recovered matrix is not a vertex relabelling of the source graph")
-    return RecoveryReport(n, tuple(map(tuple, span.tolist())), witness)
+    pairs = sorted(s._by_label)
+    counts, rows = _counts(s, pairs)
+    matrix = np.zeros((s.n, s.n), dtype=np.int64)
+    matrix[[a for a, _ in pairs], [b for _, b in pairs]] = counts
+    witness = tuple(np.argsort(s._vertex).tolist())
+    if apply_permutation(Quiver(matrix), witness) != s.quiver:
+        raise RecoveryError("recovered matrix is not a vertex relabelling of the source graph")
+    if rows:
+        _spot_check(s, *next(p for p in pairs if p[0] != p[1]), rows[0][0])
+    if s.hidden_truth is None:
+        witness = None
+    return RecoveryReport(s.n, tuple(map(tuple, matrix.tolist())), witness)

@@ -95,13 +95,16 @@ class TestScramble:
             assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12)
 
     def test_presentation_validation_rejects_non_spanning(self):
+        # the constructor compares nothing with the graph; the rank 1 count
+        # of a block of 2 arrows is refused by recover's one comparison
         q = Quiver([[2]])
         a = PathPolynomial.arrow(q, Arrow(0, 0, 0))
-        with pytest.raises(ValueError, match="span"):
-            ScrambledPresentation(
-                idempotents=(PathPolynomial.vertex(q, 0),),
-                generators=(a, a),  # rank 1, need 2
-            )
+        s = ScrambledPresentation(
+            idempotents=(PathPolynomial.vertex(q, 0),),
+            generators=(a, a),  # rank 1, need 2
+        )
+        with pytest.raises(RecoveryError, match="not a vertex relabelling"):
+            recover(s)
 
     def test_presentation_validation_rejects_non_finite_coefficients(self):
         q = Quiver([[2]])
@@ -153,16 +156,19 @@ class TestScramble:
             ScrambledPresentation(idempotents=idempotents, generators=generators)
 
     def test_presentation_validation_rejects_missing_block(self):
+        # a nonempty block without generators counts 0, which recover's one
+        # comparison refuses
         q = Quiver([[1, 1], [0, 0]])
         gens = (PathPolynomial.arrow(q, Arrow(0, 0, 0)),)
-        with pytest.raises(ValueError, match="no generators"):
-            ScrambledPresentation(
-                idempotents=(
-                    PathPolynomial.vertex(q, 0),
-                    PathPolynomial.vertex(q, 1),
-                ),
-                generators=gens,
-            )
+        s = ScrambledPresentation(
+            idempotents=(
+                PathPolynomial.vertex(q, 0),
+                PathPolynomial.vertex(q, 1),
+            ),
+            generators=gens,
+        )
+        with pytest.raises(RecoveryError, match="not a vertex relabelling"):
+            recover(s)
 
 
 class TestProbes:
@@ -818,22 +824,66 @@ def test_recover_two_hundred_vertices_within_budget():
     assert min(times) < 0.2
 
 
+@pytest.mark.parametrize("c", [[[0, 2], [0, 0]], [[2]]], ids=["off_diagonal", "loops"])
+def test_degenerate_and_redundant_generating_sets(c):
+    """Generators x and x + eps * y on a block of two arrows build a
+    presentation whatever eps is; ``recover`` counts them and compares the
+    counts with the graph.  At eps = 1e-3 they span the block.  At
+    eps <= 1e-8 the rank falls to 1 and the comparison refuses, as it does
+    for x alone; the redundant set (x, y, x + y) spans the block."""
+    q = Quiver(c)
+    x, y = (PathPolynomial.arrow(q, arrow) for arrow in q.block(0, q.n - 1))
+    idempotents = tuple(PathPolynomial.vertex(q, v) for v in range(q.n))
+
+    for generators in [(x, x + 1e-3 * y), (x, y, x + y)]:
+        s = ScrambledPresentation(idempotents, generators)
+        assert recover(s).c_recovered == tuple(map(tuple, c))
+    for generators in [(x, x + eps * y) for eps in (1e-8, 1e-9, 1e-12)] + [(x,)]:
+        s = ScrambledPresentation(idempotents, generators)
+        with pytest.raises(RecoveryError, match="not a vertex relabelling"):
+            recover(s)
+
+
+#: the functions and ``ScrambledPresentation`` methods that must read no
+#: multiplicity matrix, and the attributes they may not read
+_GRAPH_BLIND = {
+    "_block_support", "_rep_rows", "_spot_check", "_ranks", "_stacked", "_counts",
+    "probe_character_dimension", "probe_pair_dimension", "recover",
+    "__init__", "_of_rows", "_label", "_tabulate",
+}
+_GRAPH_ATTRIBUTES = ("c", "block", "_nonempty_blocks")
+
+
+def _graph_reads(source):
+    """Name -> the banned attributes read by each ``_GRAPH_BLIND`` function
+    of the module body or of the ``ScrambledPresentation`` class body."""
+    tree = ast.parse(source)
+    (cls,) = (
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ScrambledPresentation"
+    )
+    return {
+        fn.name: [
+            node.attr
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr in _GRAPH_ATTRIBUTES
+        ]
+        for fn in (*tree.body, *cls.body)
+        if isinstance(fn, ast.FunctionDef) and fn.name in _GRAPH_BLIND
+    }
+
+
 def test_probes_read_no_multiplicity_matrix():
     """The probes get their vectors from the generator table, whose rows
     ``scramble`` writes from the block unitaries and ``_block_support`` reads
-    off each polynomial generator: none of the probes, their batched rows
-    and spot check, reads an attribute ``c`` or calls ``block``."""
-    tree = ast.parse(inspect.getsource(recovery))
-    names = {
-        "_block_support", "_rep_rows", "_spot_check", "_ranks", "_stacked",
-        "probe_character_dimension", "probe_pair_dimension", "recover",
-    }
-    found = {}
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in names:
-            found[fn.name] = [
-                node.attr
-                for node in ast.walk(fn)
-                if isinstance(node, ast.Attribute) and node.attr in ("c", "block")
-            ]
-    assert found == {name: [] for name in names}
+    off each polynomial generator, and the constructor that builds the table
+    compares nothing with the graph: none of them reads an attribute ``c``
+    or ``_nonempty_blocks`` or calls ``block``.  The counts meet the graph
+    only in ``recover``'s comparison of whole quivers.  The walker itself
+    must flag a read of ``self.quiver.c`` put into ``_tabulate``."""
+    source = inspect.getsource(recovery)
+    assert _graph_reads(source) == {name: [] for name in _GRAPH_BLIND}
+    marker = "        label = {v: a for a, v in enumerate(self._vertex)}\n"
+    assert source.count(marker) == 1
+    mutated = source.replace(marker, marker + "        self.quiver.c\n")
+    assert _graph_reads(mutated)["_tabulate"] == ["c"]
