@@ -9,19 +9,19 @@ multiplicity matrix is known to be invariant, so recovering it from the
 presentation mechanizes that invariance.
 
 A generator is a degree-1 element: a vector in the arrow space of one block
-(i, j).  The presentation holds each generator as that block and one
-coefficient row over the block's arrow indices.  ``scramble`` writes the
-rows straight from the columns of the block unitaries; the public
-constructor reads degree-1 polynomials into rows with ``_block_support``.
-Both then go through one table build: label pair (a, b) -> the indices of the
-generators labelled (a, b), their coefficient rows and the rank of those
-rows.  A generator's label pair is read off the idempotents: a and b are the
-labels whose idempotents are the vertices i and j, so p_a * g * p_b = g and
-every other pair compresses g to zero.  The rows are checked as vectors:
-each is finite and is filed under the one block its labels are read from.
-A row is as wide as the largest arrow index of the pair's generators, plus
-one.  ``generators`` returns the polynomials, built from the rows on first
-access when the presentation came from ``scramble``.
+(i, j), held as that block and a coefficient row over its arrow indices (as
+wide as the largest arrow index of its label pair's generators, plus one).
+The generator table has one record per row shape (k generators x w arrows):
+the label pairs (m, 2) whose rows have that shape, in row-major order, their
+blocks (m, 2), generator indices (m, k), ascending, rows (m, k, w) and ranks
+(m,).  One ``searchsorted`` over the sorted pair keys a * n + b finds a
+pair's record and slot.  ``scramble`` fills a record per block size from one
+stacked QR; the public constructor reads polynomials into rows with
+``_block_support`` and groups its blocks by row shape.  One table build then
+reads a block's label pair (a, b) off the idempotents, whose vertices are i
+and j, so p_a * g * p_b = g and every other pair compresses g to zero, and
+takes one ``isfinite`` and one stacked SVD per record (singular values above
+``RANK_TOL`` count, as in ``np.linalg.matrix_rank``).
 
 Two independent probes count each off-diagonal entry:
 
@@ -37,46 +37,31 @@ Two independent probes count each off-diagonal entry:
 They must agree entrywise; a mismatch is an internal inconsistency, not a
 recoverable state.  A diagonal entry is the rank at (a, a) alone.
 
-Two spot routes run on the algebra itself, once per presentation each, as
-independent checks of the vector routes; their cost does not grow with the
-generator count.  The constructor multiplies one generator by its label
-pair's idempotents, p_a * g * p_b == g, through ``PathPolynomial``.  Once
-the counts match the graph, ``recover`` builds the ``TwoDimRep`` of the
-first row of the first labelled off-diagonal pair and evaluates it with
-``rho_eval`` on each arrow of that block; times V.T, this must give the
-batched row.  The benchmark's self-tests (``perfbench``) also count these
-products and ``rho_eval`` calls on a recovery request.
+Two spot routes on the algebra check the vector routes once per presentation:
+the constructor multiplies generator 0 by its pair's idempotents, p_a * g *
+p_b == g, and ``recover`` evaluates with ``rho_eval`` the ``TwoDimRep`` of the
+first row at the first labelled off-diagonal pair on each arrow of its block;
+times V.T, this must give the batched row.  ``perfbench`` counts both.
 
-The small dense linear algebra runs once per matrix shape: ``_stacked``
-groups matrices by shape and dtype, calls a function on each group's stack
-and returns the results in input order.  Through it ``scramble``
-orthogonalizes the Gaussians of all nonempty blocks, drawn with one
-``_complex_gaussians`` call, with one QR per block size; ``_ranks`` takes one
-SVD per shape, counting singular values above ``RANK_TOL`` as
-``np.linalg.matrix_rank`` does; ``_counts``, which counts for ``recover``
-and the pair probe, builds all representation rows, one family test and
-one product per row shape, before one ``_ranks`` call, so a family-test
-``RecoveryError`` at any pair comes before a ``ProbeMismatchError``.
-
-The counts meet the graph once, in ``recover``: relabelled by tau^-1, the
-argsort of the labels' vertices (label a names tau(a)), they must give the
-presentation's quiver, or ``RecoveryError`` is raised, so a generating set
-that misses or does not span a block is refused there.  Beyond that the
-code reads of the graph only the vertex each idempotent names and the
-vertex count.  ``hidden_truth`` only decides whether tau^-1 is reported as
-the witness; no isomorphism search runs, so ``recover`` caps no vertex count.
+The counts meet the graph once, in ``_check_counts``: filed under the blocks
+their label pairs name (relabelled by tau^-1; label a names tau(a)), they
+must be the quiver's block sizes, or ``RecoveryError`` names the first block,
+in row-major order, that differs.  Beyond that the code reads of the graph
+only the vertex each idempotent names and the vertex count.  No isomorphism
+search runs, so ``recover`` caps no vertex count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .correspondence import _complex_gaussians
 from .polynomials import PathPolynomial
-from .quiver import Arrow, Quiver, apply_permutation, arrow_path
+from .quiver import Arrow, Quiver, arrow_path
 from .reps import TwoDimRep, _check_contractive, rho_eval
 
 # re-exported for perfbench/tracing.py, which wraps both names here; its
@@ -90,9 +75,6 @@ RANK_TOL = 1e-8
 #: the rho_eval spot check's largest admitted difference from the batched
 #: representation row, relative to the largest coefficient of the pair's rows
 _SPOT_TOL = 1e-10
-
-#: the table entry of a label pair that no generator carries
-_UNLABELLED: tuple = ((), np.zeros((0, 0), dtype=complex), 0)
 
 #: ``scramble`` refuses graphs whose block unitaries hold more entries than
 #: this (the sum of c[i][j]^2), before it draws anything
@@ -117,6 +99,20 @@ class HiddenTruth:
     unitaries: dict[tuple[int, int], np.ndarray]
 
 
+class _Record(NamedTuple):
+    """The label pairs whose rows have one shape (k, w), in row-major order."""
+
+    pairs: np.ndarray  # (m, 2) label pairs (a, b)
+    blocks: np.ndarray  # (m, 2) the blocks (i, j) they name
+    gens: np.ndarray  # (m, k) generator indices, ascending in each slot
+    rows: np.ndarray  # (m, k, w) the generators' coefficient rows
+    ranks: np.ndarray  # (m,) the rank of each slot's rows
+
+    def take(self, slots) -> "_Record":
+        """The record of these slots: an index array, a mask or a slice."""
+        return _Record(*(x[slots] for x in self))
+
+
 class ScrambledPresentation:
     """What the recovery algorithm is allowed to see.
 
@@ -137,24 +133,23 @@ class ScrambledPresentation:
         for k, g in enumerate(generators):
             block, coeffs = _block_support(g)
             by_block.setdefault(block, []).append((k, coeffs))
-        rows = {}
+        by_shape: dict[tuple[int, int], list] = {}
         for block, kcs in by_block.items():
             width = 1 + max(m for _, coeffs in kcs for m in coeffs)
             vecs = np.zeros((len(kcs), width), dtype=complex)
             for row, (_, coeffs) in zip(vecs, kcs):
                 row[list(coeffs)] = list(coeffs.values())
-            rows[block] = (np.array([k for k, _ in kcs]), vecs)
-        self._tabulate(rows)
+            by_shape.setdefault(vecs.shape, []).append((block, [k for k, _ in kcs], vecs))
+        # (blocks, generator indices, rows) stacked per row shape
+        self._tabulate([tuple(map(np.array, zip(*group))) for group in by_shape.values()])
         self._generators: Optional[tuple[PathPolynomial, ...]] = generators
 
     @classmethod
-    def _of_rows(cls, idempotents, rows, hidden_truth: HiddenTruth) -> "ScrambledPresentation":
-        """The presentation whose generators are given by block: (i, j) ->
-        (their indices, ascending; their coefficient rows over the arrows of
-        (i, j)).  Its polynomials are built on first use of ``generators``."""
+    def _of_rows(cls, idempotents, groups, hidden_truth: HiddenTruth) -> "ScrambledPresentation":
+        """The presentation of generators given as ``_tabulate`` takes them."""
         s = cls.__new__(cls)
         s._label(idempotents, hidden_truth)
-        s._tabulate(rows)
+        s._tabulate(groups)
         s._generators = None
         return s
 
@@ -170,40 +165,45 @@ class ScrambledPresentation:
         if len(set(vertex)) != self.n:
             raise ValueError("duplicate idempotent label")
 
-    def _tabulate(self, rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]) -> None:
-        """The generator table, from the generators' indices and rows by block:
-        label pair (a, b) -> the indices of the generators labelled (a, b),
-        their coefficient rows and their rank, in the order of each pair's
-        first generator."""
-        label = {v: a for a, v in enumerate(self._vertex)}
-        # each row is a finite vector in one block (i, j), and it is labelled
-        # by the labels of i and j
-        table = {}
-        for i, j in sorted(rows, key=lambda block: rows[block][0][0]):
-            ks, vecs = rows[(i, j)]
-            if not np.isfinite(vecs).all():
+    def _tabulate(self, groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """The table of a record per group (blocks (m, 2), generator indices
+        (m, k), rows (m, k, w)), the records in row-major order of first pairs."""
+        n, label = self.n, np.argsort(self._vertex)  # label[v] names the vertex v
+        records = []
+        for blocks, gens, rows in groups:
+            # each row is a finite vector in one block, labelled by its ends' labels
+            if not np.isfinite(rows).all():
                 raise ValueError("generator coefficients must be finite")
-            table[(label[i], label[j])] = (i, j, ks, vecs)
-        if table:
-            # the polynomial route, on generator 0: p_a * g * p_b == g
-            (a, b), (i, j, _, vecs) = next(iter(table.items()))
-            g = _polynomial(self.quiver, i, j, vecs[0])
-            if self.idempotents[a] * g * self.idempotents[b] != g:
-                raise RecoveryError(f"generator 0 is not fixed by the idempotents of ({a}, {b})")
-        ranks = _ranks([vecs for _, _, _, vecs in table.values()])
-        self._by_label: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {
-            pair: (ks, vecs, rank) for (pair, (_, _, ks, vecs)), rank in zip(table.items(), ranks)
-        }
+            pairs = label[blocks]
+            records.append(_Record(pairs, blocks, gens, rows, _ranks(rows)).take(np.argsort(pairs @ (n, 1))))
+        records.sort(key=lambda r: r.pairs[0].tolist())
+        # the polynomial route, on generator 0: p_a * g * p_b == g
+        for r in records:
+            for slot in np.flatnonzero(r.gens[:, 0] == 0).tolist():
+                (a, b), (i, j) = r.pairs[slot].tolist(), r.blocks[slot].tolist()
+                g = _polynomial(self.quiver, i, j, r.rows[slot, 0])
+                if self.idempotents[a] * g * self.idempotents[b] != g:
+                    raise RecoveryError(f"generator 0 is not fixed by the idempotents of ({a}, {b})")
+        self._records = records
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """Each label pair's key a * n + b, record and slot, sorted by key."""
+        where = np.concatenate([np.zeros((0, 3), np.int64)] + [
+            np.column_stack([r.pairs @ (self.n, 1), np.full(len(r.pairs), t), np.arange(len(r.pairs))])
+            for t, r in enumerate(self._records)
+        ])
+        return where[np.argsort(where[:, 0])].T
 
     @property
     def generators(self) -> tuple[PathPolynomial, ...]:
         """The generators as degree-1 polynomials, in order."""
         if self._generators is None:
-            gens: list = [None] * sum(len(ks) for ks, _, _ in self._by_label.values())
-            for (a, b), (ks, vecs, _) in self._by_label.items():
-                i, j = self._vertex[a], self._vertex[b]
-                for k, row in zip(ks.tolist(), vecs):
-                    gens[k] = _polynomial(self.quiver, i, j, row)
+            gens: list = [None] * sum(r.gens.size for r in self._records)
+            for r in self._records:
+                for (i, j), ks, vecs in zip(r.blocks.tolist(), r.gens.tolist(), r.rows):
+                    for k, row in zip(ks, vecs):
+                        gens[k] = _polynomial(self.quiver, i, j, row)
             self._generators = tuple(gens)
         return self._generators
 
@@ -224,26 +224,17 @@ class RecoveryReport:
     witness: Optional[tuple[int, ...]]
 
 
-def _stacked(matrices: list[np.ndarray], fn) -> list:
-    """``fn`` of each matrix, in input order, from one call of ``fn`` per
-    distinct shape and dtype (in order of first occurrence) on their stack."""
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(matrices):
-        groups.setdefault((m.shape, m.dtype), []).append(k)
-    results: list = [None] * len(matrices)
-    for ks in groups.values():
-        for k, r in zip(ks, fn(np.stack([matrices[k] for k in ks]))):
-            results[k] = r
-    return results
+def _ranks(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.matrix_rank(m, tol=RANK_TOL)`` of each m of a stack, by one SVD."""
+    return (np.linalg.svd(stack, compute_uv=False) > RANK_TOL).sum(-1)
 
 
-def _ranks(matrices: list[np.ndarray]) -> list[int]:
-    """``np.linalg.matrix_rank(m, tol=RANK_TOL)`` of each matrix, from one
-    stacked SVD per distinct shape and dtype; a matrix without entries has
-    rank 0."""
-    return _stacked(
-        matrices, lambda m: (np.linalg.svd(m, compute_uv=False) > RANK_TOL).sum(-1).tolist()
-    )
+def _find(s: ScrambledPresentation, a: int, b: int) -> Optional[_Record]:
+    """The one-slot record of the label pair (a, b); None if it labels nothing."""
+    keys, record, slot = s._index
+    k = int(np.searchsorted(keys, a * s.n + b))
+    if keys[k:k + 1].tolist() == [a * s.n + b]:
+        return s._records[record[k]].take(slot[k:k + 1])
 
 
 def _idempotent_vertex(p: PathPolynomial) -> int:
@@ -267,25 +258,23 @@ def _block_support(g: PathPolynomial) -> tuple[tuple[int, int], dict[int, comple
 def _polynomial(q: Quiver, i: int, j: int, row: np.ndarray) -> PathPolynomial:
     """The degree-1 polynomial with the coefficient row ``row`` over the
     arrows of block (i, j), in arrow index order."""
-    return PathPolynomial._of_valid_paths(
-        q, {arrow_path(Arrow(j, i, m)): z for m, z in enumerate(row.tolist())}
-    )
+    return PathPolynomial._of_valid_paths(q, {arrow_path(Arrow(j, i, m)): z for m, z in enumerate(row.tolist())})
 
 
-def _haar_unitaries(rng: np.random.Generator, sizes: list[int]) -> list[np.ndarray]:
-    """One Haar unitary per entry of ``sizes``, in order: orthogonalized
-    complex Gaussians (QR with phase-fixed diagonal) from one
-    ``_complex_gaussians`` draw; the QRs run stacked, one per distinct size."""
-    squares = [d * d for d in sizes]
-    gaussians = np.split(_complex_gaussians(rng, squares) / np.sqrt(2.0), np.cumsum(squares)[:-1])
-
-    def orthogonalized(z):
-        q, r = np.linalg.qr(z)
+def _haar_unitaries(rng: np.random.Generator, sizes: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Haar unitaries for blocks of these sizes from one ``_complex_gaussians``
+    draw, by one stacked QR per size with R's diagonal phase-fixed: size d ->
+    (the positions of the blocks of size d, ascending; their (m, d, d) unitaries)."""
+    squares = sizes * sizes
+    z, starts = _complex_gaussians(rng, squares) / np.sqrt(2.0), np.cumsum(squares) - squares
+    unitaries = {}
+    for d in np.bincount(sizes).nonzero()[0].tolist():
+        where = np.flatnonzero(sizes == d)
+        q, r = np.linalg.qr(z[starts[where, None] + np.arange(d * d)].reshape(-1, d, d))
         diag = np.diagonal(r, axis1=1, axis2=2).copy()
         diag[diag == 0] = 1.0
-        return q * (diag / np.abs(diag))[:, None, :]
-
-    return _stacked([z.reshape(d, d) for z, d in zip(gaussians, sizes)], orthogonalized)
+        unitaries[d] = where, q * (diag / np.abs(diag))[:, None, :]
+    return unitaries
 
 
 def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
@@ -296,46 +285,44 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     generator seeded with it.  Graphs whose unitaries would hold more than
     ``SCRAMBLE_LIMIT`` entries are refused before anything is drawn.
     """
-    blocks = {(i, j): d for i, j, d in q._nonempty_blocks}
-    entries = sum(d * d for d in blocks.values())
+    sizes = np.diff(q._starts)
+    # squared as Python ints: an int64 square of a size past 2**31 wraps
+    entries = sum(d * d for d in sizes.tolist())
     if entries > SCRAMBLE_LIMIT:
-        raise ValueError(
-            f"size limit exceeded: refusing to scramble {entries} > "
-            f"{SCRAMBLE_LIMIT} unitary entries"
-        )
+        raise ValueError(f"size limit exceeded: refusing to scramble {entries} > {SCRAMBLE_LIMIT} unitary entries")
     rng = np.random.default_rng(seed)
     tau = tuple(int(v) for v in rng.permutation(q.n))
-    unitaries = dict(zip(blocks, _haar_unitaries(rng, list(blocks.values()))))
+    draws = _haar_unitaries(rng, sizes)
     # the generators, listed block by block, are the columns of the
     # unitaries; the one listed at p is handed out as generator position[p]
     position = np.argsort(rng.permutation(q.total_arrows()))
-    # each block's arrows follow the previous block's, in block order
-    listed = np.split(position, np.cumsum(list(blocks.values()))[:-1])
-    rows = {}
-    for ((i, j), u), ks in zip(unitaries.items(), listed):
-        by_index = np.argsort(ks)
-        rows[(i, j)] = (ks[by_index], u.T[by_index])
-    return ScrambledPresentation._of_rows(
-        tuple(PathPolynomial.vertex(q, v) for v in tau),
-        rows,
-        HiddenTruth(quiver=q, tau=tau, unitaries=unitaries),
-    )
+    blocks = np.stack(divmod(q._keys, q.n), axis=1)
+    groups, listed = [], {}
+    for d, (where, u) in draws.items():
+        # each block's arrows follow the previous block's, in block order
+        ks = position[q._starts[where, None] + np.arange(d)]
+        by_index = np.arange(len(where))[:, None], np.argsort(ks, axis=1)
+        groups.append((blocks[where], ks[by_index], u.swapaxes(1, 2)[by_index]))
+        listed.update(zip(where.tolist(), u))
+    unitaries = {block: listed[k] for k, block in enumerate(map(tuple, blocks.tolist()))}
+    idempotents = tuple(PathPolynomial.vertex(q, v) for v in tau)
+    return ScrambledPresentation._of_rows(idempotents, groups, HiddenTruth(q, tau, unitaries))
 
 
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     """Dimension of the character-parameter ball at the label a: the rank of
     the doubly-compressed generators p_a * g * p_a."""
     _check_label(s, a)
-    return s._by_label.get((a, a), _UNLABELLED)[2]
+    found = _find(s, a, a)
+    return 0 if found is None else found.ranks.item()
 
 
 def _rep_rows(vecs: np.ndarray) -> np.ndarray:
     """The upper-right entries of a label pair's representations on the
-    generators it labels, one row per representation (they vanish on every
-    other generator): with V the pair's rows, (d, w) or a stack (m, d, w),
-    and Gamma those rows normalized, each divided by its largest modulus
-    first so that no finite row's norm overflows, every gamma must pass the
-    family test, and the entries are conj(Gamma) @ V.T."""
+    generators it labels (zero on every other generator), one row each: with
+    V the pair's rows, (d, w) or a stack (m, d, w), and Gamma those rows normalized
+    (each first divided by its largest modulus, so no finite norm overflows),
+    every gamma must pass the family test; the entries are conj(Gamma) @ V.T."""
     scaled = vecs / np.abs(vecs).max(axis=-1, keepdims=True, initial=0.0)
     gammas = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
     try:
@@ -345,54 +332,66 @@ def _rep_rows(vecs: np.ndarray) -> np.ndarray:
     return gammas.conj() @ vecs.swapaxes(-1, -2)
 
 
-def _spot_check(s: ScrambledPresentation, a: int, b: int, batched: np.ndarray) -> None:
-    """``rho_eval`` of the representation built from the first row at (a, b),
-    normalized as in ``_rep_rows``, on each arrow of that block, times the
-    rows' transpose: it must give ``batched``, the first row of ``_rep_rows``
-    at (a, b), or ProbeMismatchError is raised."""
-    vecs = s._by_label[(a, b)][1]
-    i, j = s._vertex[a], s._vertex[b]
+def _spot_check(s: ScrambledPresentation, pick: _Record, batched: np.ndarray) -> None:
+    """``rho_eval`` of the representation of the first row at ``pick``'s first
+    pair (a, b), normalized as in ``_rep_rows``, on each arrow of its block,
+    times the rows' transpose, must give ``batched``, the first row of
+    ``_rep_rows`` at (a, b), or ProbeMismatchError is raised."""
+    (a, b), (i, j), vecs = pick.pairs[0].tolist(), pick.blocks[0].tolist(), pick.rows[0]
     row = vecs[0] / np.abs(vecs[0]).max()
-    r = TwoDimRep(s.quiver, i, j, gamma=row / np.linalg.norm(row))
+    rep = TwoDimRep(s.quiver, i, j, gamma=row / np.linalg.norm(row))
     arrows = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
-    spot = np.array([rho_eval(r, x)[0, 1] for x in arrows]) @ vecs.T
+    spot = np.array([rho_eval(rep, x)[0, 1] for x in arrows]) @ vecs.T
     if np.abs(spot - batched).max() > _SPOT_TOL * np.abs(vecs).max():
-        raise ProbeMismatchError(
-            f"rho_eval disagrees with the batched representation rows at pair ({a}, {b})"
-        )
+        raise ProbeMismatchError(f"rho_eval disagrees with the batched representation rows at pair ({a}, {b})")
 
 
-def _counts(s: ScrambledPresentation, pairs: list[tuple[int, int]]) -> tuple[list[int], list]:
-    """The span rank of each label pair in ``pairs`` (0 if unlabelled), and
-    the ``_rep_rows`` of the off-diagonal ones, all built before one
-    ``_ranks`` call; ProbeMismatchError names the first pair whose
-    representation probe counts differently."""
-    entries = [s._by_label.get(p, _UNLABELLED) for p in pairs]
-    off = [k for k, (a, b) in enumerate(pairs) if a != b]
-    rows = _stacked([entries[k][1] for k in off], _rep_rows)
-    for k, rep in zip(off, _ranks(rows)):
-        if rep != entries[k][2]:
-            raise ProbeMismatchError(
-                f"probes disagree at pair {pairs[k]}: span {entries[k][2]}, rep {rep}"
-            )
-    return [rank for _, _, rank in entries], rows
+def _counts(picks: list[_Record]) -> list[np.ndarray]:
+    """The ``_rep_rows`` of each record in ``picks``, all built before any is
+    ranked; ProbeMismatchError names the first pair, row-major, they miscount."""
+    reps = [_rep_rows(r.rows) for r in picks]
+    mismatches = []
+    for r, rep in zip(picks, reps):
+        ranks = _ranks(rep)
+        for k in np.flatnonzero(ranks != r.ranks)[:1].tolist():
+            mismatches.append((tuple(r.pairs[k].tolist()), r.ranks[k], ranks[k]))
+    if mismatches:
+        pair, span, rep = min(mismatches)
+        raise ProbeMismatchError(f"probes disagree at pair {pair}: span {span}, rep {rep}")
+    return reps
 
 
 def probe_pair_dimension(s: ScrambledPresentation, a: int, b: int) -> int:
     """Dimension of the off-diagonal parameter space at the label pair (a, b),
-    counted by ``_counts`` as in ``recover``: the span and representation
-    probes must agree, or ProbeMismatchError is raised."""
+    counted as in ``recover``: the probes must agree, or ProbeMismatchError."""
     _check_label(s, a)
     _check_label(s, b)
     if a == b:
         raise ValueError("the pair probe needs two distinct labels")
-    (count,), _ = _counts(s, [(a, b)])
-    return count
+    if (found := _find(s, a, b)) is None:
+        return 0
+    _counts([found])
+    return found.ranks.item()
 
 
 def _check_label(s: ScrambledPresentation, a: int) -> None:
     if not 0 <= a < s.n:
         raise ValueError(f"label {a} out of range 0..{s.n - 1}")
+
+
+def _check_counts(s: ScrambledPresentation) -> None:
+    """Refuse span ranks that, filed under the blocks their pairs name, differ
+    from the quiver's block sizes; name the first such block and both sizes."""
+    q = s.quiver
+    counted, expected = np.zeros((2, q.n * q.n), dtype=np.int64)
+    for r in s._records:
+        counted[r.blocks @ (q.n, 1)] = r.ranks
+    expected[q._keys] = np.diff(q._starts)
+    for k in np.flatnonzero(counted != expected)[:1].tolist():
+        raise RecoveryError(
+            "recovered matrix is not a vertex relabelling of the source graph: "
+            f"block {divmod(k, q.n)} counted {counted[k]}, expected {expected[k]}"
+        )
 
 
 def recover(s: ScrambledPresentation) -> RecoveryReport:
@@ -402,19 +401,19 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
     representation probe must count the same, or ProbeMismatchError names
     the first pair, in row-major order, where the two differ.  Relabelled by
     tau^-1, the argsort of the labels' vertices, the matrix must be the
-    presentation's quiver, or RecoveryError is raised; only then does the
-    ``rho_eval`` spot check run.  tau^-1 is the witness when the withheld
-    scramble data is available.
+    graph's, as ``_check_counts`` tests, before the ``rho_eval`` spot check
+    runs.  tau^-1 is the witness when the withheld scramble data is there.
     """
-    pairs = sorted(s._by_label)
-    counts, rows = _counts(s, pairs)
+    offs = [r.take(r.pairs[:, 0] != r.pairs[:, 1]) for r in s._records]
+    picks = [r for r in offs if len(r.pairs)]
+    reps = _counts(picks)
     matrix = np.zeros((s.n, s.n), dtype=np.int64)
-    matrix[[a for a, _ in pairs], [b for _, b in pairs]] = counts
-    witness = tuple(np.argsort(s._vertex).tolist())
-    if apply_permutation(Quiver(matrix), witness) != s.quiver:
-        raise RecoveryError("recovered matrix is not a vertex relabelling of the source graph")
-    if rows:
-        _spot_check(s, *next(p for p in pairs if p[0] != p[1]), rows[0][0])
-    if s.hidden_truth is None:
-        witness = None
+    for r in s._records:
+        matrix[r.pairs[:, 0], r.pairs[:, 1]] = r.ranks
+    _check_counts(s)
+    if picks:
+        # the first labelled off-diagonal pair, in row-major order
+        first, rep = min(zip(picks, reps), key=lambda pick: pick[0].pairs[0].tolist())
+        _spot_check(s, first, rep[0, 0])
+    witness = None if s.hidden_truth is None else tuple(np.argsort(s._vertex).tolist())
     return RecoveryReport(s.n, tuple(map(tuple, matrix.tolist())), witness)

@@ -411,6 +411,19 @@ def reference_rep_rows(s, reps):
     return np.array([[rho_eval(r, g)[0, 1] for g in s.generators] for r in reps])
 
 
+def generator_table(s):
+    """A presentation's generator table as label pair -> (the indices of the
+    generators labelled with the pair, their coefficient rows, the rank of
+    those rows), pairs in row-major order."""
+    return dict(
+        sorted(
+            (tuple(pair), (ks, rows, rank))
+            for r in s._records
+            for pair, ks, rows, rank in zip(r.pairs.tolist(), r.gens, r.rows, r.ranks.tolist())
+        )
+    )
+
+
 def reference_product(p, r):
     """The product of two polynomials by the double loop over their terms."""
     terms = {}

@@ -1,5 +1,6 @@
 """Property tests of recovery (need hypothesis): invariance under vertex
-relabelling, and one generator table from either input of a presentation."""
+relabelling, one generator table from either input of a presentation, and
+the table ``scramble`` fills equal to its draws made block by block."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from quiveralg import (  # noqa: E402
     recover,
     scramble,
 )
-from helpers import quivers  # noqa: E402
+from helpers import generator_table, quivers, reference_scramble  # noqa: E402
 
 
 @st.composite
@@ -67,10 +68,36 @@ def test_polynomial_constructor_builds_the_scramble_table(q, seed):
     rebuilt = ScrambledPresentation(
         idempotents=s.idempotents, generators=s.generators, hidden_truth=s.hidden_truth
     )
-    assert list(rebuilt._by_label) == list(s._by_label)
-    for pair, (ks, vecs, rank) in s._by_label.items():
-        ks2, vecs2, rank2 = rebuilt._by_label[pair]
+    table, rebuilt_table = generator_table(s), generator_table(rebuilt)
+    assert list(rebuilt_table) == list(table)
+    for pair, (ks, vecs, rank) in table.items():
+        ks2, vecs2, rank2 = rebuilt_table[pair]
         assert ks2.tolist() == ks.tolist() and rank2 == rank
         assert vecs2.dtype == vecs.dtype and vecs2.shape == vecs.shape
         assert vecs2.tobytes() == vecs.tobytes()
     assert recover(rebuilt) == recover(s)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(quivers(6, 3), st.integers(0, 2**32 - 1))
+def test_scramble_table_equals_per_block_draws(q, seed):
+    """``scramble`` draws per block size and fills its table record by
+    record; tau, every unitary (in block order) and each generator's index
+    and row equal ``reference_scramble``'s block-by-block draws bit for bit."""
+    s = scramble(q, seed)
+    tau, unitaries, generators = reference_scramble(q, seed)
+    assert s.hidden_truth.tau == tau
+    got = s.hidden_truth.unitaries
+    assert list(got) == list(unitaries)
+    for block, u in unitaries.items():
+        assert got[block].shape == u.shape and got[block].tobytes() == u.tobytes()
+    seen = []
+    for (a, b), (ks, rows, _) in generator_table(s).items():
+        for k, row in zip(ks.tolist(), rows):
+            paths, coeffs = zip(*generators[k])
+            assert [(p.target, p.source, p.arrows[0].index) for p in paths] == [
+                (tau[a], tau[b], m) for m in range(len(row))
+            ]
+            assert np.array(coeffs).tobytes() == row.tobytes()
+            seen.append(k)
+    assert sorted(seen) == list(range(len(generators)))
