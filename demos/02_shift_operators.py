@@ -44,7 +44,7 @@ print(f"covariance deviation on the untruncated block: {dev:.3e}")
 
 print("\ncorner shifts at each vertex with loops:")
 for v in q.vertices():
-    if q.c[v][v]:
+    if q.count(v, v):
         report = corner_shift_report(space, v)
         print(
             f"  vertex {v + 1}: {report.loop_count} loop(s), "

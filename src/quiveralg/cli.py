@@ -124,7 +124,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
 
     corner_ok = True
     for v in q.vertices():
-        if q.c[v][v] >= 1:
+        if q.count(v, v) >= 1:
             corner_ok = corner_ok and corner_shift_report(space, v).ok
 
     # a basis element has module norm 1 and is named by its arrow's token

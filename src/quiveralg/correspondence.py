@@ -62,7 +62,7 @@ class CorrespondenceElement:
     def block(self, target: int, source: int) -> np.ndarray:
         """The coefficients of the arrows from ``source`` to ``target``, by index."""
         start = self.quiver.block_start(target, source)
-        return self.vector[start:start + self.quiver.c[target][source]]
+        return self.vector[start:start + self.quiver.count(target, source)]
 
     def component(self, a: Arrow) -> complex:
         """The coefficient of the basis arrow ``a``."""
@@ -72,7 +72,7 @@ class CorrespondenceElement:
         """A copy with one block replaced; a replacement of another length
         is refused by the dimension check."""
         start = self.quiver.block_start(target, source)
-        end = start + self.quiver.c[target][source]
+        end = start + self.quiver.count(target, source)
         vector = np.concatenate([self.vector[:start], np.ravel(vec), self.vector[end:]])
         return CorrespondenceElement(self.quiver, vector)
 

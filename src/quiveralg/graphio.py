@@ -145,9 +145,9 @@ def element_from_wire(q: Quiver, records) -> CorrespondenceElement:
             raise ValueError(f"block record {k}: 'vector' must hold [re, im] number pairs") from exc
         if not np.isfinite(vec).all():
             raise ValueError(f"block record {k}: vector entries must be finite")
-        if vec.shape[0] != q.c[i][j]:
+        if vec.shape[0] != q.count(i, j):
             raise ValueError(
-                f"block record {k}: expected dimension {q.c[i][j]}, got {vec.shape[0]}"
+                f"block record {k}: expected dimension {q.count(i, j)}, got {vec.shape[0]}"
             )
         start = q.block_start(i, j)
         vector[start:start + len(vec)] = vec

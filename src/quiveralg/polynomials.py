@@ -250,10 +250,10 @@ def _parse_arrow_token(q: Quiver, token: str) -> Path:
     target, source, index = int(i) - 1, int(j) - 1, int(k) - 1
     if not (0 <= target < q.n and 0 <= source < q.n):
         raise ValueError(f"arrow token {token!r}: vertex out of range 1..{q.n}")
-    if not 0 <= index < q.c[target][source]:
+    if not 0 <= index < q.count(target, source):
         raise ValueError(
             f"arrow token {token!r}: index out of range, the quiver has "
-            f"{q.c[target][source]} arrows {source + 1} -> {target + 1}"
+            f"{q.count(target, source)} arrows {source + 1} -> {target + 1}"
         )
     return arrow_path(Arrow(source, target, index))
 

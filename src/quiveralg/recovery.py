@@ -9,19 +9,20 @@ multiplicity matrix is known to be invariant, so recovering it from the
 presentation mechanizes that invariance.
 
 A generator is a degree-1 element: a vector in the arrow space of one block
-(i, j), held as that block and a coefficient row over its arrow indices (as
-wide as the largest arrow index of its label pair's generators, plus one).
-The generator table has one record per row shape (k generators x w arrows):
-the label pairs (m, 2) whose rows have that shape, in row-major order, their
-blocks (m, 2), generator indices (m, k), ascending, rows (m, k, w) and ranks
-(m,).  One ``searchsorted`` over the sorted pair keys a * n + b finds a
-pair's record and slot.  ``scramble`` fills a record per block size from one
-stacked QR; the public constructor reads polynomials into rows with
-``_block_support`` and groups its blocks by row shape.  One table build then
-reads a block's label pair (a, b) off the idempotents, whose vertices are i
-and j, so p_a * g * p_b = g and every other pair compresses g to zero, and
-takes one ``isfinite`` and one stacked SVD per record (singular values above
-``RANK_TOL`` count, as in ``np.linalg.matrix_rank``).
+(i, j), held as a coefficient row over its arrow indices (as wide as the
+largest arrow index of its label pair's generators, plus one).  The
+generator table has one record per row shape (k generators x w arrows): the
+label pairs (m, 2) whose rows have that shape, in row-major order, their
+generator indices (m, k), ascending, rows (m, k, w) and ranks (m,).  One
+``searchsorted`` over the sorted pair keys a * n + b finds a pair's record
+and slot.  ``scramble`` fills a record per block size from one stacked QR,
+its rows the columns of the block unitaries; the public constructor reads
+polynomials into rows with ``_block_support`` and groups its blocks by row
+shape.  One table build then reads a block's label pair (a, b) off the
+idempotents, whose vertices are i and j, so p_a * g * p_b = g and every
+other pair compresses g to zero; the pair read back through those vertices
+is the block.  It takes one ``isfinite`` and one stacked SVD per record
+(singular values above ``RANK_TOL`` count, as in ``np.linalg.matrix_rank``).
 
 Two independent probes count each off-diagonal entry:
 
@@ -91,19 +92,16 @@ class ProbeMismatchError(RecoveryError):
 
 @dataclass(eq=False)
 class HiddenTruth:
-    """Withheld scramble data: the source quiver, the vertex permutation, and
-    the per-block unitaries.  For cross-checking only."""
+    """Withheld scramble data: the vertex permutation tau, the label a naming
+    the vertex tau(a).  For cross-checking only."""
 
-    quiver: Quiver
     tau: tuple[int, ...]
-    unitaries: dict[tuple[int, int], np.ndarray]
 
 
 class _Record(NamedTuple):
     """The label pairs whose rows have one shape (k, w), in row-major order."""
 
     pairs: np.ndarray  # (m, 2) label pairs (a, b)
-    blocks: np.ndarray  # (m, 2) the blocks (i, j) they name
     gens: np.ndarray  # (m, k) generator indices, ascending in each slot
     rows: np.ndarray  # (m, k, w) the generators' coefficient rows
     ranks: np.ndarray  # (m,) the rank of each slot's rows
@@ -118,10 +116,11 @@ class ScrambledPresentation:
 
     ``idempotents[a]`` is the vertex idempotent the label a names (as an
     algebra element).  The generators span the degree-1 part, each supported
-    on a single arrow block (i, j); the presentation holds each as that block
-    and a coefficient row over its arrow indices.  The constructor takes the
-    generators as degree-1 polynomials, and ``generators`` gives them back as
-    polynomials.  It compares nothing with the graph; ``recover`` does.
+    on a single arrow block (i, j); the presentation holds each as the label
+    pair of that block and a coefficient row over its arrow indices.  The
+    constructor takes the generators as degree-1 polynomials; ``generators``
+    builds them back from the rows.  It compares nothing with the graph;
+    ``recover`` does.
     """
 
     def __init__(self, idempotents, generators, hidden_truth: Optional[HiddenTruth] = None):
@@ -142,7 +141,6 @@ class ScrambledPresentation:
             by_shape.setdefault(vecs.shape, []).append((block, [k for k, _ in kcs], vecs))
         # (blocks, generator indices, rows) stacked per row shape
         self._tabulate([tuple(map(np.array, zip(*group))) for group in by_shape.values()])
-        self._generators: Optional[tuple[PathPolynomial, ...]] = generators
 
     @classmethod
     def _of_rows(cls, idempotents, groups, hidden_truth: HiddenTruth) -> "ScrambledPresentation":
@@ -150,7 +148,6 @@ class ScrambledPresentation:
         s = cls.__new__(cls)
         s._label(idempotents, hidden_truth)
         s._tabulate(groups)
-        s._generators = None
         return s
 
     def _label(self, idempotents, hidden_truth: Optional[HiddenTruth]) -> None:
@@ -161,8 +158,8 @@ class ScrambledPresentation:
         if self.n != self.quiver.n:
             raise ValueError("label count does not match the vertex count")
         # the vertex each label's idempotent names
-        vertex = self._vertex = tuple(_idempotent_vertex(p) for p in self.idempotents)
-        if len(set(vertex)) != self.n:
+        vertex = self._vertex = np.array([_idempotent_vertex(p) for p in self.idempotents])
+        if len(set(vertex.tolist())) != self.n:
             raise ValueError("duplicate idempotent label")
 
     def _tabulate(self, groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
@@ -175,12 +172,12 @@ class ScrambledPresentation:
             if not np.isfinite(rows).all():
                 raise ValueError("generator coefficients must be finite")
             pairs = label[blocks]
-            records.append(_Record(pairs, blocks, gens, rows, _ranks(rows)).take(np.argsort(pairs @ (n, 1))))
+            records.append(_Record(pairs, gens, rows, _ranks(rows)).take(np.argsort(pairs @ (n, 1))))
         records.sort(key=lambda r: r.pairs[0].tolist())
         # the polynomial route, on generator 0: p_a * g * p_b == g
         for r in records:
             for slot in np.flatnonzero(r.gens[:, 0] == 0).tolist():
-                (a, b), (i, j) = r.pairs[slot].tolist(), r.blocks[slot].tolist()
+                (a, b), (i, j) = r.pairs[slot].tolist(), self._vertex[r.pairs[slot]].tolist()
                 g = _polynomial(self.quiver, i, j, r.rows[slot, 0])
                 if self.idempotents[a] * g * self.idempotents[b] != g:
                     raise RecoveryError(f"generator 0 is not fixed by the idempotents of ({a}, {b})")
@@ -195,17 +192,15 @@ class ScrambledPresentation:
         ])
         return where[np.argsort(where[:, 0])].T
 
-    @property
+    @cached_property
     def generators(self) -> tuple[PathPolynomial, ...]:
-        """The generators as degree-1 polynomials, in order."""
-        if self._generators is None:
-            gens: list = [None] * sum(r.gens.size for r in self._records)
-            for r in self._records:
-                for (i, j), ks, vecs in zip(r.blocks.tolist(), r.gens.tolist(), r.rows):
-                    for k, row in zip(ks, vecs):
-                        gens[k] = _polynomial(self.quiver, i, j, row)
-            self._generators = tuple(gens)
-        return self._generators
+        """The generators as degree-1 polynomials, in order, read off the rows."""
+        gens: list = [None] * sum(r.gens.size for r in self._records)
+        for r in self._records:
+            for (i, j), ks, vecs in zip(self._vertex[r.pairs].tolist(), r.gens.tolist(), r.rows):
+                for k, row in zip(ks, vecs):
+                    gens[k] = _polynomial(self.quiver, i, j, row)
+        return tuple(gens)
 
     @property
     def n(self) -> int:
@@ -297,16 +292,14 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     # unitaries; the one listed at p is handed out as generator position[p]
     position = np.argsort(rng.permutation(q.total_arrows()))
     blocks = np.stack(divmod(q._keys, q.n), axis=1)
-    groups, listed = [], {}
+    groups = []
     for d, (where, u) in draws.items():
         # each block's arrows follow the previous block's, in block order
         ks = position[q._starts[where, None] + np.arange(d)]
         by_index = np.arange(len(where))[:, None], np.argsort(ks, axis=1)
         groups.append((blocks[where], ks[by_index], u.swapaxes(1, 2)[by_index]))
-        listed.update(zip(where.tolist(), u))
-    unitaries = {block: listed[k] for k, block in enumerate(map(tuple, blocks.tolist()))}
     idempotents = tuple(PathPolynomial.vertex(q, v) for v in tau)
-    return ScrambledPresentation._of_rows(idempotents, groups, HiddenTruth(q, tau, unitaries))
+    return ScrambledPresentation._of_rows(idempotents, groups, HiddenTruth(tau))
 
 
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
@@ -337,7 +330,7 @@ def _spot_check(s: ScrambledPresentation, pick: _Record, batched: np.ndarray) ->
     pair (a, b), normalized as in ``_rep_rows``, on each arrow of its block,
     times the rows' transpose, must give ``batched``, the first row of
     ``_rep_rows`` at (a, b), or ProbeMismatchError is raised."""
-    (a, b), (i, j), vecs = pick.pairs[0].tolist(), pick.blocks[0].tolist(), pick.rows[0]
+    (a, b), (i, j), vecs = pick.pairs[0].tolist(), s._vertex[pick.pairs[0]].tolist(), pick.rows[0]
     row = vecs[0] / np.abs(vecs[0]).max()
     rep = TwoDimRep(s.quiver, i, j, gamma=row / np.linalg.norm(row))
     arrows = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
@@ -385,7 +378,7 @@ def _check_counts(s: ScrambledPresentation) -> None:
     q = s.quiver
     counted, expected = np.zeros((2, q.n * q.n), dtype=np.int64)
     for r in s._records:
-        counted[r.blocks @ (q.n, 1)] = r.ranks
+        counted[s._vertex[r.pairs] @ (q.n, 1)] = r.ranks
     expected[q._keys] = np.diff(q._starts)
     for k in np.flatnonzero(counted != expected)[:1].tolist():
         raise RecoveryError(

@@ -49,7 +49,7 @@ def _as_vector(x) -> np.ndarray:
 def _block_vector(q: Quiver, target: int, source: int, x, name: str) -> tuple[np.ndarray, float]:
     """x checked against the arrow space of block (target, source), with its
     norm; None is the zero vector, whose norm is not computed."""
-    dim = q.c[target][source]
+    dim = q.count(target, source)
     _check_arrow_count(dim)
     if x is None:
         return np.zeros(dim, dtype=complex), 0.0
@@ -205,7 +205,7 @@ def t_tilde_k_matrix(q: Quiver, i: int, j: int, lam_i, lam_j, gamma, k: int) -> 
     if k < 1:
         raise ValueError("k must be at least 1")
     lam_i, lam_j, gamma = _as_vector(lam_i), _as_vector(lam_j), _as_vector(gamma)
-    if lam_i.shape[0] != q.c[i][i] or lam_j.shape[0] != q.c[j][j] or gamma.shape[0] != q.c[i][j]:
+    if lam_i.shape[0] != q.count(i, i) or lam_j.shape[0] != q.count(j, j) or gamma.shape[0] != q.count(i, j):
         raise ValueError("parameter dimensions do not match the quiver blocks")
     cols: dict[Path, np.ndarray] = {}
     for a in q.arrows():

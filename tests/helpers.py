@@ -448,17 +448,36 @@ def reference_haar_unitary(rng, d):
 def reference_scramble(q, seed):
     """``scramble``'s draws one block at a time: the vertex permutation, the
     unitary of each nonempty block in (target, source) order, then the
-    generator order.  Returns (tau, unitaries, generator terms), the terms of
-    each generator as a list of (path, coefficient)."""
+    generator order.  Returns (tau, unitaries, generator terms): unitaries
+    maps each block, in block order, to its unitary and the index of the
+    generator each of its columns is handed out as; the terms of each
+    generator are a list of (path, coefficient)."""
     rng = np.random.default_rng(seed)
     tau = tuple(int(v) for v in rng.permutation(q.n))
-    unitaries, generators = {}, []
+    listed, generators = {}, []
     for i in range(q.n):
         for j in range(q.n):
             d = q.c[i][j]
             if d:
-                u = unitaries[(i, j)] = reference_haar_unitary(rng, d)
+                u = reference_haar_unitary(rng, d)
+                listed[(i, j)] = u, range(len(generators), len(generators) + d)
                 paths = [arrow_path(a) for a in q.block(i, j)]
                 generators += [list(zip(paths, u[:, m])) for m in range(d)]
     order = rng.permutation(len(generators))
+    position = np.argsort(order)  # the generator listed at p is handed out as position[p]
+    unitaries = {block: (u, position[span].tolist()) for block, (u, span) in listed.items()}
     return tau, unitaries, [generators[k] for k in order]
+
+
+def assert_rows_are_unitary_columns(s, tau, unitaries):
+    """Every block of ``reference_scramble``'s unitaries has a label pair in
+    the table of ``s``, and each of that pair's rows is, bit for bit, the
+    column of the block's unitary handed out as the row's generator index."""
+    table = generator_table(s)
+    assert sorted((tau[a], tau[b]) for a, b in table) == list(unitaries)
+    for (a, b), (ks, rows, _) in table.items():
+        u, columns = unitaries[(tau[a], tau[b])]
+        assert sorted(ks.tolist()) == sorted(columns) and rows.shape == u.shape
+        for k, row in zip(ks.tolist(), rows):
+            column = u[:, columns.index(k)]
+            assert row.dtype == column.dtype and row.tobytes() == column.tobytes()

@@ -516,46 +516,11 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
 
 def matrix_walks(source: str) -> list[int]:
-    """Lines in ``source`` that walk a quiver's multiplicity matrix: every
-    ``.matrix()`` call, which builds all n^2 entries; every use of the matrix
-    but a one-entry read, ``X.c[i][j]`` or ``X.c[i, j]`` (so a loop over it,
-    a row or column of it, and any numpy call on it); and every one-entry
-    read, or ``X.count(i, j)``, under two nested loops or generators.  The
-    matrix is a ``.c`` attribute or a name assigned one (``c = q.c``)
-    anywhere in ``source``; that assignment is not a use.  A read of one
-    entry under at most one loop is not a walk."""
-    tree = ast.parse(source)
-    aliases, allowed = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                pairs = [(target, node.value)]
-                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                    pairs = zip(target.elts, node.value.elts)
-                for t, v in pairs:
-                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "c":
-                        aliases.add(t.id)
-                        allowed.add(id(v))
+    """Lines in ``source`` that read a quiver's multiplicity matrix: every
+    ``.c`` attribute and every ``.matrix()`` call, whatever is done with
+    them, and every ``X.count(i, j)`` under two nested loops or generators,
+    which walks the matrix one entry at a time."""
     found = []
-
-    def is_matrix(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "c") or (
-            isinstance(node, ast.Name) and node.id in aliases and isinstance(node.ctx, ast.Load)
-        )
-
-    def cell(node):  # X.c[i][j] or X.c[i, j]; returns the matrix node read
-        if not isinstance(node, ast.Subscript):
-            return None
-        if isinstance(node.value, ast.Subscript) and is_matrix(node.value.value):
-            if not any(isinstance(i, (ast.Slice, ast.Tuple)) for i in (node.slice, node.value.slice)):
-                return node.value.value
-        index = node.slice
-        if is_matrix(node.value) and isinstance(index, ast.Tuple) and len(index.elts) == 2:
-            if not any(isinstance(i, ast.Slice) for i in index.elts):
-                return node.value
-        return None
-
-    allowed |= {id(cell(n)) for n in ast.walk(tree) if cell(n) is not None}
 
     def method_call(node, name, nargs):  # X.name(...) with nargs positional arguments
         return (
@@ -566,8 +531,8 @@ def matrix_walks(source: str) -> list[int]:
         )
 
     def visit(node, depth):
-        if method_call(node, "matrix", 0) or (is_matrix(node) and id(node) not in allowed) or (
-            depth >= 2 and (cell(node) is not None or method_call(node, "count", 2))
+        if (isinstance(node, ast.Attribute) and node.attr == "c") or method_call(node, "matrix", 0) or (
+            depth >= 2 and method_call(node, "count", 2)
         ):
             found.append(node.lineno)
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -589,7 +554,7 @@ def matrix_walks(source: str) -> list[int]:
             for child in ast.iter_child_nodes(node):
                 visit(child, depth)
 
-    visit(tree, 0)
+    visit(ast.parse(source), 0)
     return sorted(set(found))
 
 
@@ -604,13 +569,14 @@ def matrix_walks(source: str) -> list[int]:
         ("for i in r:\n    b = [j for j in r if q.c[i][j]]", [2]),
         ("for i in r:\n    for j in r:\n        x = q.c[i][j]", [3]),
         ("while i < n:\n    for j in r:\n        x = q.c[i][j]", [3]),
-        ("x = q.c[v][v]", []),
-        ("for v in r:\n    if q.c[v][v]:\n        pass", []),
-        ("ok = all(f(v) for v in r if q.c[v][v])", []),
-        ("for i, j in pairs:\n    for k in range(q.c[i][j]):\n        pass", []),
-        ("c = q.c\nfor row in c:\n    pass", [2]),
-        ("n, c = q.n, q.c\nb = [(i, j) for i in r for j in r if c[i][j]]", [2]),
-        ("c = q.c\nx = c[v][v]", []),
+        # a one-entry read and a name bound to the matrix are reads too
+        ("x = q.c[v][v]", [1]),
+        ("for v in r:\n    if q.c[v][v]:\n        pass", [2]),
+        ("ok = all(f(v) for v in r if q.c[v][v])", [1]),
+        ("for i, j in pairs:\n    for k in range(q.c[i][j]):\n        pass", [2]),
+        ("c = q.c\nfor row in c:\n    pass", [1]),
+        ("n, c = q.n, q.c\nb = [(i, j) for i in r for j in r if c[i][j]]", [1]),
+        ("c = q.c\nx = c[v][v]", [1]),
         ("m = q.matrix()", [1]),
         ("for row in q.matrix().tolist():\n    pass", [1]),
         ("for i in r:\n    for j in r:\n        x = q.count(i, j)", [3]),
@@ -621,8 +587,8 @@ def matrix_walks(source: str) -> list[int]:
         ("b = np.nonzero(q.c)", [1]),
         ("col = q.c[:, j]", [1]),
         ("rows = q.c.tolist()", [1]),
-        ("x = q.c[i, j]", []),
-        ("c = q.c\nm = c[i, :]", [2]),
+        ("x = q.c[i, j]", [1]),
+        ("c = q.c\nm = c[i, :]", [1]),
         ("for i in r:\n    for j in r:\n        x = q.c[i, j]", [3]),
     ],
 )
@@ -631,9 +597,10 @@ def test_matrix_walk_finder(source, walks):
 
 
 def test_only_quiver_walks_the_multiplicity_matrix():
-    """No other module walks the n x n matrix, in any of the forms
-    ``matrix_walks`` finds; they read the arrow layout a ``Quiver`` caches
-    (its nonempty blocks, block starts, arrow ends and arrows by source)."""
+    """No other module reads the n x n matrix, in any of the forms
+    ``matrix_walks`` finds: they read one block size through ``count`` and
+    the arrow layout a ``Quiver`` caches (its nonempty blocks, block starts,
+    arrow ends and arrows by source)."""
     found = {
         path.name: walks
         for path in sorted(pathlib.Path(quiver.__file__).parent.glob("*.py"))

@@ -35,6 +35,7 @@ from quiveralg.recovery import (
     _rep_rows,
 )
 from helpers import (
+    assert_rows_are_unitary_columns,
     generator_table,
     random_quiver,
     reference_compressions,
@@ -56,7 +57,7 @@ def manual_presentation(q, tau):
     return ScrambledPresentation(
         idempotents=idempotents,
         generators=generators,
-        hidden_truth=HiddenTruth(quiver=q, tau=tuple(tau), unitaries={}),
+        hidden_truth=HiddenTruth(tau=tuple(tau)),
     )
 
 
@@ -90,10 +91,13 @@ class TestScramble:
         assert any(g1 != g3 for g1, g3 in zip(s1.generators, s3.generators))
 
     def test_unitaries_are_unitary(self):
+        # each block's rows are the columns of its unitary: V V* = I
         q = Quiver([[3, 2], [0, 2]])
         s = scramble(q, seed=11)
-        for u in s.hidden_truth.unitaries.values():
-            assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12)
+        table = generator_table(s)
+        assert len(table) == 3
+        for _, vecs, _ in table.values():
+            assert np.allclose(vecs @ vecs.conj().T, np.eye(vecs.shape[0]), atol=1e-12)
 
     def test_presentation_validation_rejects_non_spanning(self):
         # the constructor compares nothing with the graph; the rank 1 count
@@ -491,10 +495,7 @@ class TestBatchedLinearAlgebra:
         s = scramble(q, seed)
         tau, unitaries, generators = reference_scramble(q, seed)
         assert s.hidden_truth.tau == tau
-        got = s.hidden_truth.unitaries
-        assert list(got) == list(unitaries)
-        for block, u in unitaries.items():
-            assert got[block].shape == u.shape and got[block].tobytes() == u.tobytes()
+        assert_rows_are_unitary_columns(s, tau, unitaries)
         assert len(s.generators) == len(generators)
         for g, terms in zip(s.generators, generators):
             assert [(p, _bits(z)) for p, z in g.items()] == [(p, _bits(z)) for p, z in terms]
