@@ -301,12 +301,10 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
             else:  # a non-composable pair makes the term zero
                 path = reduce(lambda u, v: None if u is None else compose(u, v), paths)
                 term = [] if path is None else [(path, coeff)]
-            # summed as ``+`` sums polynomials, a sum that cancels dropped at once
+            # summed term by term; ``_of_valid_paths`` drops the sums that cancel
             for path, c in term:
                 if c != 0:
                     total[path] = total.get(path, 0j) + complex(sign) * c
-                    if total[path] == 0:
-                        del total[path]
             if kind is None:
                 break
             if kind != "op":

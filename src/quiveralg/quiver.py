@@ -32,7 +32,9 @@ import numpy as np
 
 #: ``are_isomorphic``, which ``iso`` and ``recover --expect`` run, refuses
 #: graphs with more vertices than this.  It is an input guard, not a cost cap:
-#: the search backtracks over signature classes and stays far from exhaustive.
+#: the search is exponential on regular graphs, where every vertex has the
+#: same signature (a 3-regular pair took 8.6 s at n = 24, and one at n = 30
+#: did not finish in about 14 minutes; see ROADMAP item 5).
 ISO_VERTEX_LIMIT = 64
 
 #: ``enumerate_paths`` and ``FockSpace`` refuse graphs with more paths than
@@ -399,13 +401,18 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
 
 
 def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
-    """Relabel vertices: the result has ``c'[i][j] = c[tau[i]][tau[j]]``."""
+    """Relabel vertices: the result has ``c'[i][j] = c[tau[i]][tau[j]]``; each
+    nonempty block (t, s) is written at (tau^-1(t), tau^-1(s)) of a zero matrix."""
     tau = tuple(int(t) if isinstance(t, np.integer) else t for t in tau)
     # a bool, float or string entry is refused, not rounded or parsed
     if any(type(t) is not int for t in tau) or sorted(tau) != list(range(q.n)):
         raise ValueError(f"not a permutation of 0..{q.n - 1}: {tau!r}")
-    # rows, then columns: two takes gather about twice as fast as one np.ix_ index
-    return Quiver(q.c.take(tau, axis=0).take(tau, axis=1))
+    n, inv = q.n, np.empty(q.n, dtype=np.intp)
+    inv.put(tau, range(n))  # tau^-1
+    targets, sources = divmod(q._keys, n)
+    c = np.zeros(n * n, dtype=np.int64)
+    c[inv[targets] * n + inv[sources]] = q._starts[1:] - q._starts[:-1]  # the blocks' counts
+    return Quiver(c.reshape(n, n))
 
 
 def _vertex_signatures(c: np.ndarray) -> list[tuple]:

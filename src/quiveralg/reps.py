@@ -16,10 +16,11 @@ and extends multiplicatively to monomials and linearly to polynomials.  The
 family is contractive exactly when ||gamma||^2 <= 1 - ||lam_i||^2; the
 compressed bimodule maps T~_k obey a two-term recursion whose closed-form
 norm and decay bound are implemented below.  Two independent routes
-cross-check the closed form: a per-vertex recursion of the 2 x 2 Gram
-matrix T~_k T~_k*, which costs O(k * arrows), and the explicit 2 x d
-matrix assembly, whose width grows like arrows^k and which serves as the
-test oracle.
+cross-check the closed form: a recursion of the Gram matrix T~_k T~_k* as
+two 2 x 2 blocks, one per end vertex i and j, which costs O(k * arrows),
+and the explicit 2 x d matrix assembly over the paths of
+``enumerate_paths``, whose width grows like arrows^k and which serves as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .polynomials import PathPolynomial, _evaluate
-from .quiver import Path, Quiver, _check_arrow_count, arrow_path
+from .quiver import Quiver, _check_arrow_count, enumerate_paths
 
 #: two squared norms closer than this are treated as an exactly degenerate
 #: pair in the closed-form geometric sum
@@ -194,40 +195,30 @@ def rho_eval(r: TwoDimRep, p: PathPolynomial) -> np.ndarray:
 def t_tilde_k_matrix(q: Quiver, i: int, j: int, lam_i, lam_j, gamma, k: int) -> np.ndarray:
     """The k-fold compressed map as an explicit 2 x d matrix.
 
-    For k = 1 the domain basis consists of the arrows whose source is i
-    (paired with the first coordinate) or j (paired with the second); all
-    other arrows are balanced away by the two-vertex diagonal action.  Longer
-    maps are built column by column from the recursion
-    T~_{k+1} = T~ (I (x) T~_k) on the balanced path basis, whose columns come
-    in canonical path order.  No contractivity is assumed, so this also
-    measures parameters outside the admissible family.
+    The columns are the length-k paths of ``enumerate_paths`` based at i or
+    j, in its order: T~_{k+1} = T~ (I (x) T~_k) on the balanced path basis,
+    all other bases balanced away by the two-vertex diagonal action.  A
+    path's column is its first arrow's matrix at the slot of its base (0
+    for i, 1 for j), multiplied on the left by its later arrows' matrices.
+    No contractivity is assumed, so this also measures parameters outside
+    the admissible family.  Like ``enumerate_paths``, it refuses graphs with
+    more than ``PATH_LIMIT`` paths of length <= k or more than
+    ``PATH_TOKEN_LIMIT`` arrows in them.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     lam_i, lam_j, gamma = _as_vector(lam_i), _as_vector(lam_j), _as_vector(gamma)
     if lam_i.shape[0] != q.count(i, i) or lam_j.shape[0] != q.count(j, j) or gamma.shape[0] != q.count(i, j):
         raise ValueError("parameter dimensions do not match the quiver blocks")
-    cols: dict[Path, np.ndarray] = {}
-    for a in q.arrows():
-        if a.source == i:
-            slot = 0
-        elif a.source == j:
-            slot = 1
-        else:
-            continue
-        cols[arrow_path(a)] = _arrow_matrix(i, j, lam_i, lam_j, gamma, a)[:, slot]
-    for _ in range(k - 1):
-        nxt: dict[Path, np.ndarray] = {}
-        for p, col in cols.items():
-            for a in q.arrows_from(p.target):
-                nxt[Path(p.base, p.arrows + (a,))] = (
-                    _arrow_matrix(i, j, lam_i, lam_j, gamma, a) @ col
-                )
-        cols = nxt
-    if not cols:
-        return np.zeros((2, 0), dtype=complex)
-    ordered = sorted(cols, key=Path.sort_key)
-    return np.column_stack([cols[p] for p in ordered])
+    cols = []
+    for p in enumerate_paths(q, k):
+        if p.length == k and p.base in (i, j):
+            first, *rest = (_arrow_matrix(i, j, lam_i, lam_j, gamma, a) for a in p.arrows)
+            col = first[:, 0 if p.base == i else 1]
+            for m in rest:
+                col = m @ col
+            cols.append(col)
+    return np.column_stack(cols) if cols else np.zeros((2, 0), dtype=complex)
 
 
 def t_tilde_product(r: TwoDimRep) -> np.ndarray:
@@ -263,42 +254,36 @@ def t_tilde_k_norm_closed(r: TwoDimRep, k: int) -> float:
 def t_tilde_k_norm_direct(r: TwoDimRep, k: int) -> float:
     """Norm of the k-fold compressed map from its Gram matrix T~_k T~_k*.
 
-    The columns of ``t_tilde_k_matrix`` are indexed by balanced paths; the
-    Gram matrix is kept as one 2 x 2 block per end vertex w of those paths.
-    It starts from G_1[w] = sum of c_a c_a* over the arrows a: v -> w with
-    v = i (column c_a = first column of M_a) or v = j (second column), and
-    grows by
+    The columns of ``t_tilde_k_matrix`` are balanced paths, which end at i
+    or j; the Gram matrix is one 2 x 2 block per end, at slot 0 for i and 1
+    for j.  With M_a the matrix of the representation on the arrow a and
+    c_a its column at the slot of a's source, it starts from G_1[w] = sum
+    of c_a c_a* over the arrows a: v -> w and grows by
 
-        G_{k+1}[w] = sum over arrows a: v -> w of M_a G_k[v] M_a*,
+        G_{k+1}[w] = sum over arrows a: v -> w of M_a G_k[v] M_a*.
 
-    with M_a the 2 x 2 matrix of the representation on the arrow a.  The
-    norm is the square root of the largest eigenvalue of sum_w G_k[w].
-    M_a is zero outside the blocks (i, i), (i, j) and (j, j), so only those
-    arrows are read, in ``arrows()`` order.  No column is built, so the
-    cost is O(k * (c_ii + c_ij + c_jj)) and does not grow with the rest of
-    the quiver; the route uses the arrow matrices only, never the closed
-    form in q1, q2 and t.
+    The norm is the square root of the largest eigenvalue of G_k[i] +
+    G_k[j].  M_a is zero outside the blocks (i, i), (i, j) and (j, j), so
+    only those arrows are read, in ``arrows()`` order, as one stack: the
+    cost is O(k * (c_ii + c_ij + c_jj)), whatever the rest of the quiver.
+    No column is built, and the closed form in q1, q2 and t is not used.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    arrows = [
-        (a.source, a.target, _arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a))
-        for target, source in sorted([(r.i, r.i), (r.i, r.j), (r.j, r.j)])
-        for a in r.quiver.block(target, source)
-    ]
-    gram: dict[int, np.ndarray] = {}
-    for v, w, m in arrows:
-        if v in (r.i, r.j):
-            col = m[:, 0 if v == r.i else 1]
-            gram[w] = gram.get(w, 0) + np.outer(col, col.conj())
+    blocks = sorted([(r.i, r.i), (r.i, r.j), (r.j, r.j)])
+    arrows = [a for target, source in blocks for a in r.quiver.block(target, source)]
+    mats = np.array([_arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a) for a in arrows])
+    mats = mats.reshape(-1, 2, 2)  # also when there is no arrow
+    src = np.array([a.source == r.j for a in arrows], dtype=np.intp)
+    dst = np.array([a.target == r.j for a in arrows], dtype=np.intp)
+    cols = mats[np.arange(len(arrows)), :, src]
+    gram = np.zeros((2, 2, 2), dtype=complex)
+    np.add.at(gram, dst, cols[:, :, None] * cols[:, None, :].conj())
     for _ in range(k - 1):
-        nxt: dict[int, np.ndarray] = {}
-        for v, w, m in arrows:
-            if v in gram:
-                nxt[w] = nxt.get(w, 0) + m @ gram[v] @ m.conj().T
+        nxt = np.zeros_like(gram)
+        np.add.at(nxt, dst, mats @ gram[src] @ mats.conj().transpose(0, 2, 1))
         gram = nxt
-    total = sum(gram.values(), np.zeros((2, 2), dtype=complex))
-    return float(np.sqrt(max(np.linalg.eigvalsh(total)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram.sum(0))[-1], 0.0)))
 
 
 def purity_bound(r: TwoDimRep, k: int) -> float:

@@ -95,6 +95,20 @@ class TestGraphFileParsing:
         with pytest.raises(ValueError, match="from/to/count"):
             parse_quiver_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([], "top level must be an object"),
+            ({"n": 1, "edges": {}}, "'edges' must be a list"),
+            ({"n": 1, "edges": [{"from": 1, "to": 1, "count": -1}]}, "'count' must be a nonnegative integer"),
+            ({"n": 1, "edges": [{"from": 1, "to": 1, "count": 1.5}]}, "'count' must be a nonnegative integer"),
+            ({"n": 1, "edges": [{"from": 1, "to": 1, "count": "2"}]}, "'count' must be a nonnegative integer"),
+        ],
+    )
+    def test_malformed_document_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=f"^malformed graph file: .*{match}"):
+            parse_quiver_dict(doc)
+
     def test_round_trip(self, tmp_path):
         q = Quiver([[1, 2], [0, 3]])
         path = tmp_path / "out.json"
@@ -357,6 +371,13 @@ class TestNorms:
     def test_bad_vector_rejected(self, reference):
         with pytest.raises(ValueError, match="entries"):
             run(["norms", "--graph", reference, "--i", "1", "--j", "2", "--lambda-i", "0.5,0.5"])
+        with pytest.raises(ValueError, match="^cannot parse gamma: "):
+            run(["norms", "--graph", reference, "--i", "1", "--j", "2", "--gamma", "0.5,abc"])
+
+    @pytest.mark.parametrize("i, j", [("0", "2"), ("3", "1"), ("1", "-1")])
+    def test_vertex_out_of_range_rejected(self, reference, i, j):
+        with pytest.raises(ValueError, match=r"^vertices must be in 1\.\.2$"):
+            run(["norms", "--graph", reference, "--i", i, "--j", j])
 
     def test_omitted_and_empty_vectors_are_zero(self, tmp_path):
         # an omitted or empty flag reaches TwoDimRep as None, its zero vector
@@ -681,6 +702,16 @@ class TestMainEntry:
         assert main(["verify", "--graph", missing]) == 1
         _, err = capsys.readouterr()
         assert "error" in err
+
+    def test_recovery_error_exits_2(self, reference, monkeypatch, capsys):
+        def fail(presentation):
+            raise recovery.RecoveryError("not a vertex relabelling")
+
+        monkeypatch.setattr(cli, "recover", fail)
+        assert main(["recover", "--graph", reference]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal check failed: not a vertex relabelling\n"
 
     def test_missing_option_exits_1(self, capsys):
         assert main(["verify"]) == 1

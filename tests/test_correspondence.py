@@ -289,6 +289,22 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="number pairs"):
             element_from_wire(Quiver([[1]]), [{"to": 1, "from": 1, "vector": vector}])
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ({"to": 1, "from": 1}, " must have the fields to/from/vector"),
+            ({"to": 1, "from": 1, "vector": [], "extra": 0}, " must have the fields to/from/vector"),
+            ([1, 1, []], " must have the fields to/from/vector"),
+            ({"to": 1.0, "from": 1, "vector": []}, ": 'to' must be an integer"),
+            ({"to": 1, "from": True, "vector": []}, ": 'from' must be an integer"),
+            ({"to": 0, "from": 1, "vector": []}, ": vertex out of range"),
+            ({"to": 1, "from": 3, "vector": []}, ": vertex out of range"),
+        ],
+    )
+    def test_from_wire_rejects_bad_record(self, record, match):
+        with pytest.raises(ValueError, match=f"^block record 0{match}$"):
+            element_from_wire(Quiver([[1, 0], [0, 0]]), [record])
+
     def test_from_wire_rejects_duplicates(self):
         q = Quiver([[1]])
         rec = {"to": 1, "from": 1, "vector": [[1.0, 0.0]]}

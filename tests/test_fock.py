@@ -216,6 +216,11 @@ class TestOperatorNorm:
         z = creation_operator(space, CorrespondenceElement.zeros(loop2))
         assert operator_norm(z) == 0.0
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix_has_norm_zero(self, shape):
+        assert operator_norm(np.zeros(shape)) == 0.0
+        assert operator_norm(sp.csr_matrix(shape)) == 0.0
+
     @pytest.mark.parametrize("seed", range(5))
     def test_unit_norm_element_gives_unit_operator(self, seed):
         # the truncated shift attains the module norm on the vertex level
@@ -336,6 +341,10 @@ class TestBimoduleCovariance:
 
 
 class TestCornerShifts:
+    def test_depth_zero_rejected(self, loop2):
+        with pytest.raises(ValueError, match="^depth too small: the corner check needs depth >= 1$"):
+            corner_shift_report(FockSpace(loop2, 0), 0)
+
     def test_two_loop_corner(self, loop2):
         space = FockSpace(loop2, 3)
         report = corner_shift_report(space, 0)

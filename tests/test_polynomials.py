@@ -56,6 +56,12 @@ class TestArithmetic:
         p, r = random_polynomial(q, rng), random_polynomial(q, rng)
         assert (p + r) - r == p
 
+    def test_rejects_a_path_off_the_quiver(self, q):
+        with pytest.raises(ValueError, match=r"^Arrow\(source=1, target=0, index=2\) is not an arrow of this quiver$"):
+            PathPolynomial(q, {arrow_path(Arrow(1, 0, 2)): 1.0})
+        with pytest.raises(ValueError, match="^path base 2 out of range$"):
+            PathPolynomial(q, {vertex_path(2): 1.0})
+
     def test_zero_coefficients_pruned(self, q):
         p = PathPolynomial(q, {vertex_path(0): 0.0})
         assert not p.terms
@@ -212,6 +218,20 @@ class TestTextForm:
     def test_parse_rejects_bad_vertex(self, q):
         with pytest.raises(ValueError, match="out of range"):
             parse_polynomial(q, "v3")
+
+    @pytest.mark.parametrize("text", ["3<1:1", "1<3:1", "0<1:1"])
+    def test_parse_rejects_arrow_token_out_of_range(self, q, text):
+        with pytest.raises(ValueError, match=rf"^arrow token '{text}': vertex out of range 1\.\.2$"):
+            parse_polynomial(q, text)
+
+    def test_parse_rejects_bad_complex_literal(self, q):
+        with pytest.raises(ValueError, match=r"^bad complex literal '\(abc\)'$"):
+            parse_polynomial(q, "(abc)*v1")
+
+    def test_parse_drops_a_sum_that_cancels(self, q):
+        arrow = PathPolynomial.monomial(q, arrow_path(Arrow(0, 0, 0)))
+        assert parse_polynomial(q, "1<1:1 - 1<1:1") == PathPolynomial.zero(q)
+        assert parse_polynomial(q, "1<1:1 - 1<1:1 + 1<1:1") == arrow
 
     def test_parse_rejects_garbage(self, q):
         with pytest.raises(ValueError, match="tokenize"):

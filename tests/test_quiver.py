@@ -118,6 +118,14 @@ class TestQuiverConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             Quiver([[1, 2]])
+        with pytest.raises(ValueError, match="^multiplicity matrix must be square$"):
+            Quiver([[1, 2], [3]])  # ragged
+
+    @pytest.mark.parametrize("target, source", [(2, 0), (0, 2), (-1, 0)])
+    def test_count_refuses_vertex_out_of_range(self, target, source):
+        bad = source if target == 0 else target
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for a 2-vertex quiver$"):
+            Quiver([[1, 2], [0, 1]]).count(target, source)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -24,8 +24,10 @@ from helpers import (
     dyadic_polynomial,
     random_contractive_params,
     random_polynomial,
+    random_quiver,
     random_rep,
     random_unit_vector,
+    reference_enumerate_paths,
     two_block_quiver,
 )
 
@@ -413,6 +415,50 @@ class TestNormRecursion:
         q = Quiver([[1, 1], [0, 1]])
         with pytest.raises(ValueError, match="dimensions"):
             t_tilde_k_matrix(q, 0, 1, [0.5, 3], [0.1], [0.2], 2)
+
+    def test_closed_norm_and_bound_reject_k_zero(self):
+        rep = random_rep(np.random.default_rng(6), 1, 1, 1)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="^k must be at least 1$"):
+                t_tilde_k_norm_closed(rep, k)
+            with pytest.raises(ValueError, match="^k must be at least 1$"):
+                purity_bound(rep, k)
+
+    def test_k_matrix_without_paths_is_empty(self):
+        # the one arrow leaves j = 1 and ends at i = 0, where no arrow leaves
+        q = Quiver([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        assert t_tilde_k_matrix(q, 0, 1, [], [], [0.5], 1).shape == (2, 1)
+        for i, j, k in [(0, 1, 2), (0, 1, 5), (1, 0, 3)]:
+            m = t_tilde_k_matrix(q, i, j, [], [], [0.5] if i == 0 else [], k)
+            assert m.shape == (2, 0) and m.dtype == complex
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_k_matrix_columns_are_path_images(self, seed):
+        # column p is rho(p) at the slot of p's base, over the length-k paths
+        # from i or j in reference order
+        rng = np.random.default_rng(1400 + seed)
+        q = random_quiver(rng, max_n=4, max_entry=2, min_n=2)
+        i, j = (int(v) for v in rng.choice(q.n, size=2, replace=False))
+        lam_i, lam_j, gamma = random_contractive_params(rng, q.count(i, i), q.count(i, j), q.count(j, j))
+        rep = TwoDimRep(q, i, j, lam_i, lam_j, gamma)
+        for k in range(1, 5):
+            paths = [p for p in reference_enumerate_paths(q, k) if p.length == k and p.base in (i, j)]
+            want = [rho_eval(rep, PathPolynomial.monomial(q, p))[:, 0 if p.base == i else 1] for p in paths]
+            got = t_tilde_k_matrix(q, i, j, lam_i, lam_j, gamma, k)
+            assert got.shape == (2, len(paths))
+            assert np.allclose(got, np.array(want).reshape(-1, 2).T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "c, k, match",
+        [
+            ([[2, 0], [0, 0]], 20, "paths"),  # 2**21 paths of length <= 20
+            ([[1, 0], [0, 1]], 6000, "arrow tokens"),  # about 3.6e7 tokens in 12,002 paths
+        ],
+    )
+    def test_k_matrix_refuses_past_the_path_limits(self, c, k, match):
+        q = Quiver(c)
+        with pytest.raises(ValueError, match=f"^size limit exceeded: refusing more than .* {match}"):
+            t_tilde_k_matrix(q, 0, 1, [0.5] * c[0][0], [0.5] * c[1][1], [], k)
 
 
 class TestPurityBound:
