@@ -17,8 +17,9 @@ family is contractive exactly when ||gamma||^2 <= 1 - ||lam_i||^2; the
 compressed bimodule maps T~_k obey a two-term recursion whose closed-form
 norm and decay bound are implemented below.  Two independent routes
 cross-check the closed form: a recursion of the Gram matrix T~_k T~_k* as
-two 2 x 2 blocks, one per end vertex i and j, which costs O(k * arrows),
-and the explicit 2 x d matrix assembly over the paths of
+two 2 x 2 blocks, one per end vertex i and j, whose table for k = 1..k_max
+is one recursion of k_max - 1 steps, O(k_max * (c_ii + c_ij + c_jj)) in
+all, and the explicit 2 x d matrix assembly over the paths of
 ``enumerate_paths``, whose width grows like arrows^k and which serves as
 the test oracle.
 """
@@ -231,6 +232,17 @@ def t_tilde_product(r: TwoDimRep) -> np.ndarray:
     return np.diag([q1 + t, q2]).astype(complex)
 
 
+def _closed_norm(q1: float, q2: float, t: float, k: int) -> float:
+    geometric = k * q1 ** (k - 1) if abs(q1 - q2) < DEGENERATE_EPS else (q1**k - q2**k) / (q1 - q2)
+    return float(np.sqrt(max(q1**k + t * geometric, q2**k)))
+
+
+def _bound(q1: float, q2: float, t: float, k: int) -> float:
+    if not (q1 < 1.0 and q2 < 1.0):
+        raise ValueError("not in the pure regime: both diagonal vectors must be interior")
+    return float(max(q1, q2) ** k + k * t * max(q1, q2) ** (k - 1))
+
+
 def t_tilde_k_norm_closed(r: TwoDimRep, k: int) -> float:
     """Closed-form norm of the k-fold compressed map:
 
@@ -243,12 +255,26 @@ def t_tilde_k_norm_closed(r: TwoDimRep, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    q1, q2, t = r.squared_params()
-    if abs(q1 - q2) < DEGENERATE_EPS:
-        geometric = k * q1 ** (k - 1)
-    else:
-        geometric = (q1**k - q2**k) / (q1 - q2)
-    return float(np.sqrt(max(q1**k + t * geometric, q2**k)))
+    return _closed_norm(*r.squared_params(), k)
+
+
+def _direct_norms(r: TwoDimRep, k_max: int) -> list[float]:
+    """The norms of ``t_tilde_k_norm_direct`` for k = 1..k_max, from one sweep."""
+    if k_max < 1:
+        raise ValueError("k must be at least 1")
+    # (target slot, source slot, values): the arrows into i in arrows() order, then j's loops
+    blocks = [(0, 0, r.lam_i), (0, 1, r.gamma)][:: 1 if r.i < r.j else -1] + [(1, 1, r.lam_j)]
+    dst, src = (np.repeat([b[slot] for b in blocks], [len(b[2]) for b in blocks]) for slot in (0, 1))
+    mats = np.zeros((len(dst), 2, 2), dtype=complex)
+    mats[np.arange(len(dst)), dst, src] = np.concatenate([b[2] for b in blocks]).conj()
+    adjoints = mats.conj().transpose(0, 2, 1)
+    n_i = len(dst) - len(r.lam_j)  # the arrows into i; each target's run is summed from 0 in order
+    sums = []
+    for k in range(k_max):  # G_1 sums c_a c_a* = M_a M_a*, as M_a is zero off the column at a's source
+        terms = mats @ gram[src] @ adjoints if k else mats @ adjoints
+        gram = np.stack([np.add.reduce(run, axis=0, initial=0) for run in (terms[:n_i], terms[n_i:])])
+        sums.append(gram.sum(0))
+    return [float(np.sqrt(max(e, 0.0))) for e in np.linalg.eigvalsh(np.array(sums))[:, -1]]
 
 
 def t_tilde_k_norm_direct(r: TwoDimRep, k: int) -> float:
@@ -263,27 +289,12 @@ def t_tilde_k_norm_direct(r: TwoDimRep, k: int) -> float:
         G_{k+1}[w] = sum over arrows a: v -> w of M_a G_k[v] M_a*.
 
     The norm is the square root of the largest eigenvalue of G_k[i] +
-    G_k[j].  M_a is zero outside the blocks (i, i), (i, j) and (j, j), so
-    only those arrows are read, in ``arrows()`` order, as one stack: the
-    cost is O(k * (c_ii + c_ij + c_jj)), whatever the rest of the quiver.
+    G_k[j], the last of a sweep over 1..k.  M_a is zero outside the blocks
+    (i, i), (i, j) and (j, j), so only their arrows are read, as one stack:
+    k_max - 1 steps, O(k_max * (c_ii + c_ij + c_jj)), give every k <= k_max.
     No column is built, and the closed form in q1, q2 and t is not used.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    blocks = sorted([(r.i, r.i), (r.i, r.j), (r.j, r.j)])
-    arrows = [a for target, source in blocks for a in r.quiver.block(target, source)]
-    mats = np.array([_arrow_matrix(r.i, r.j, r.lam_i, r.lam_j, r.gamma, a) for a in arrows])
-    mats = mats.reshape(-1, 2, 2)  # also when there is no arrow
-    src = np.array([a.source == r.j for a in arrows], dtype=np.intp)
-    dst = np.array([a.target == r.j for a in arrows], dtype=np.intp)
-    cols = mats[np.arange(len(arrows)), :, src]
-    gram = np.zeros((2, 2, 2), dtype=complex)
-    np.add.at(gram, dst, cols[:, :, None] * cols[:, None, :].conj())
-    for _ in range(k - 1):
-        nxt = np.zeros_like(gram)
-        np.add.at(nxt, dst, mats @ gram[src] @ mats.conj().transpose(0, 2, 1))
-        gram = nxt
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram.sum(0))[-1], 0.0)))
+    return _direct_norms(r, k)[-1]
 
 
 def purity_bound(r: TwoDimRep, k: int) -> float:
@@ -295,8 +306,10 @@ def purity_bound(r: TwoDimRep, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    q1, q2, t = r.squared_params()
-    q = max(q1, q2)
-    if not (q1 < 1.0 and q2 < 1.0):
-        raise ValueError("not in the pure regime: both diagonal vectors must be interior")
-    return float(q**k + k * t * q ** (k - 1))
+    return _bound(*r.squared_params(), k)
+
+
+def _norm_table(r: TwoDimRep, k_max: int) -> list[tuple[float, float, float]]:
+    """(closed, direct, bound) for k = 1..k_max from one sweep and one read of q1, q2, t."""
+    params = r.squared_params()
+    return [(_closed_norm(*params, k), d, _bound(*params, k)) for k, d in enumerate(_direct_norms(r, k_max), 1)]

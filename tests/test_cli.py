@@ -317,6 +317,16 @@ class TestNorms:
         assert code == 0
         assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 7))
         assert elapsed < 0.05
+        # the same run to k = 100 is one recursion of 99 steps, not one per
+        # row (4,950 steps in all); the later --k-max overrides the run's
+        argv = RUNS["norms_three_blocks_k6"].argv + ["--k-max", "100", "--output", str(out)]
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert main(argv) == 0
+            times.append(time.perf_counter() - t0)
+        assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 101))
+        assert min(times) < 0.025
 
     def test_oversized_blocks_refused_before_any_vector(self, tmp_path, capsys):
         # 10^15 loops at vertex 1: an omitted lambda-i would be a 14 PiB zero
@@ -696,6 +706,23 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_closed_stdout_pipe_exits_1_without_traceback(self, tmp_path):
+        # 32,767 paths, megabytes of report, far past a pipe's buffer: the
+        # reader takes one line and closes the pipe while the CLI still writes
+        g = quiver_file(tmp_path, "loops.json", [[2]])
+        relay = (
+            "import subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+            "child.stdout.readline()\n"
+            "child.stdout.close()\n"
+            "sys.stderr.write(child.stderr.read().decode())\n"
+            "sys.exit(child.wait())\n"
+        )
+        proc = python("-c", relay, sys.executable, "-m", "quiveralg", "paths", "--graph", g, "--max-len", "14")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
     def test_validation_error_exit_1(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -18,7 +18,7 @@ from quiveralg import (
     t_tilde_k_norm_direct,
     t_tilde_product,
 )
-from quiveralg.reps import TwoDimRep, _check_contractive
+from quiveralg.reps import TwoDimRep, _check_contractive, _norm_table
 from helpers import (
     dyadic_ball_vector,
     dyadic_polynomial,
@@ -397,6 +397,62 @@ class TestNormRecursion:
             m = t_tilde_k_matrix(q, i, j, lam_i, lam_j, gamma, k)
             sigma = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
             assert abs(t_tilde_k_norm_direct(rep, k) - sigma) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_norm_table_rows_are_the_single_k_values(self, seed):
+        # i < j on even seeds and i > j on odd ones; none or one of the blocks
+        # (i, i), (i, j), (j, j) emptied; lam_i == lam_j every third seed
+        rng = np.random.default_rng(1500 + seed)
+        n = 2 + seed % 3
+        empty = [None, (0, 0), (0, 1), (1, 1)][seed // 2 % 4]
+        while True:
+            c = rng.choice(3, size=(n, n), p=[0.5, 0.35, 0.15])
+            i, j = sorted((int(v) for v in rng.choice(n, size=2, replace=False)), reverse=seed % 2 == 1)
+            if empty is not None:
+                c[(i, j)[empty[0]]][(i, j)[empty[1]]] = 0
+            if seed % 3 == 0:
+                c[i][i] = c[j][j] = min(c[i][i], c[j][j])
+            starts = c[:, i] + c[:, j]
+            if int(np.sum(np.linalg.matrix_power(c, 5) @ starts)) <= 3000:
+                break
+        q = Quiver(c.tolist())
+        lam_i, lam_j, gamma = random_contractive_params(rng, q.count(i, i), q.count(i, j), q.count(j, j))
+        if seed % 3 == 0:
+            lam_j = lam_i
+        rep = TwoDimRep(q, i, j, lam_i, lam_j, gamma)
+        table = _norm_table(rep, 8)
+        assert len(table) == 8
+        for k, (closed, direct, bound) in enumerate(table, 1):
+            assert closed == t_tilde_k_norm_closed(rep, k)
+            assert direct == t_tilde_k_norm_direct(rep, k)
+            assert bound == purity_bound(rep, k)
+            if k <= 6:
+                m = t_tilde_k_matrix(q, i, j, lam_i, lam_j, gamma, k)
+                sigma = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
+                assert abs(direct - sigma) <= 1e-13
+
+    def test_norm_table_is_one_sweep(self, monkeypatch):
+        # one stacked eigvalsh for all rows, q1, q2 and t read once, and no
+        # walk over the quiver's arrows
+        rep = random_rep(np.random.default_rng(7), 3, 3, 3)
+        calls = {"eigvalsh": 0, "squared_params": 0}
+        eigvalsh, squared_params = np.linalg.eigvalsh, TwoDimRep.squared_params
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        def refused(*args):
+            raise AssertionError("the table walked the quiver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+        monkeypatch.setattr(TwoDimRep, "squared_params", counted("squared_params", squared_params))
+        for name in ("block", "count", "arrows"):
+            monkeypatch.setattr(Quiver, name, refused)
+        assert len(_norm_table(rep, 100)) == 100
+        assert calls == {"eigvalsh": 1, "squared_params": 1}
 
     def test_direct_k_range(self):
         # k >= 1 is the only bound on k
