@@ -211,7 +211,7 @@ def _run_recover(args: argparse.Namespace) -> tuple[int, dict, str]:
     report = {
         "n_recovered": result.n_recovered,
         "c_recovered": [list(row) for row in result.c_recovered],
-        "witness": None if result.witness is None else [t + 1 for t in result.witness],
+        "witness": [t + 1 for t in result.witness],
         "seed": args.seed,
     }
     code = EXIT_OK

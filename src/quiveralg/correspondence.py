@@ -26,17 +26,22 @@ from .quiver import Arrow, Quiver, _check_arrow_count
 
 class CorrespondenceElement:
     """A function on the arrows: ``vector[k]`` is the coefficient of arrow k
-    of ``quiver.arrows()``."""
+    of ``quiver.arrows()``.  A vector that is not 1-D, of another length or
+    with a NaN or infinite entry is refused."""
 
     __slots__ = ("quiver", "vector")
 
     def __init__(self, quiver: Quiver, vector) -> None:
-        vec = np.array(vector, dtype=complex).reshape(-1)
+        vec = np.array(vector, dtype=complex)
+        if vec.ndim != 1:
+            raise ValueError(f"an element must be a 1-D vector, got shape {vec.shape}")
         if vec.shape[0] != quiver.total_arrows():
             raise ValueError(
                 f"an element must have dimension {quiver.total_arrows()} (one "
                 f"coefficient per arrow), got {vec.shape[0]}"
             )
+        if not np.isfinite(vec).all():
+            raise ValueError("coefficients must be finite")
         self.quiver = quiver
         self.vector = vec
 

@@ -3,8 +3,7 @@
 The basis of ``FockSpace(q, depth)`` is every path of length <= depth, in the
 canonical enumeration order; the basis is orthonormal, so adjoints are
 conjugate transposes.  The space holds the basis as arrays (each path's
-length, end vertex, parent and last arrow), not as ``Path`` objects; the
-tuple ``FockSpace.basis`` is built only on first use.
+length, end vertex, parent and last arrow) and builds no ``Path`` object.
 
 A creation operator prepends one more arrow at the target end of a path:
 paths of length ``depth`` are mapped to zero.  Identities that hold on the
@@ -43,7 +42,10 @@ import numpy as np
 
 from .correspondence import CorrespondenceElement, _diagonal, inner_product
 from .polynomials import PathPolynomial, _evaluate
-from .quiver import Arrow, Path, Quiver, _path_tree, enumerate_paths
+from .quiver import Arrow, Quiver, _path_tree
+# Not called here: perfbench's tracer wraps quiveralg.fock.enumerate_paths and
+# its self-test requires every wrapped name to exist.
+from .quiver import enumerate_paths  # noqa: F401
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -65,15 +67,12 @@ class FockSpace:
     the length and end vertex of path k, and path n + r (n vertices) is path
     ``parent[r]`` followed by the arrow at position ``last_arrow[r]`` of
     ``tuple(quiver.arrows())``.  Creation operators and the checks on them
-    are computed from these arrays.  ``basis``, the tuple of those paths, is
-    built on first use and cached.  There is no ``index`` attribute: a
-    path's position is its place in ``basis``.
-    Graphs with more than ``PATH_LIMIT`` paths up to ``depth``, or more than
-    ``PATH_TOKEN_LIMIT`` arrows in them, are refused with ``ValueError``
-    before anything is allocated.
+    are computed from these arrays.  Graphs with more than ``PATH_LIMIT``
+    paths up to ``depth``, or more than ``PATH_TOKEN_LIMIT`` arrows in them,
+    are refused with ``ValueError`` before anything is allocated.
     """
 
-    __slots__ = ("quiver", "depth", "lengths", "targets", "parent", "last_arrow", "_basis")
+    __slots__ = ("quiver", "depth", "lengths", "targets", "parent", "last_arrow")
 
     def __init__(self, quiver: Quiver, depth: int = DEFAULT_DEPTH) -> None:
         if depth < 0:
@@ -81,22 +80,10 @@ class FockSpace:
         self.quiver = quiver
         self.depth = depth
         self.parent, self.last_arrow, self.lengths, self.targets = _path_tree(quiver, depth)
-        self._basis: Optional[tuple[Path, ...]] = None
 
     @property
     def dim(self) -> int:
         return len(self.lengths)
-
-    @property
-    def basis(self) -> tuple[Path, ...]:
-        """The basis paths in order, built on first use."""
-        if self._basis is None:
-            self._basis = tuple(enumerate_paths(self.quiver, self.depth))
-        return self._basis
-
-    def length_indices(self, max_len: int) -> np.ndarray:
-        """Positions of the basis paths of length <= max_len."""
-        return np.flatnonzero(self.lengths <= max_len)
 
     def __repr__(self) -> str:
         return f"FockSpace(n={self.quiver.n}, depth={self.depth}, dim={self.dim})"

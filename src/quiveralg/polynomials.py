@@ -39,7 +39,8 @@ MAX_DEGREE = 16
 
 
 class PathPolynomial:
-    """A finitely supported map from paths to complex coefficients."""
+    """A finitely supported map from paths to complex coefficients; NaN and
+    infinite coefficients are refused."""
 
     __slots__ = ("quiver", "terms")
 
@@ -50,6 +51,8 @@ class PathPolynomial:
             for path, coeff in terms.items():
                 self._check_path(quiver, path)
                 z = complex(coeff)
+                if not cmath.isfinite(z):
+                    raise ValueError(f"coefficients must be finite, got {z}")
                 if z != 0:
                     clean[path] = z
         self.terms = clean

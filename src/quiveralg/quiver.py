@@ -15,8 +15,8 @@ threads.  Only this module walks the multiplicity matrix: a ``Quiver``
 checks it once as a whole array and reads its arrow layout off one
 ``nonzero`` and one running sum.  The other modules read one entry
 ``c[i][j]`` at a time or the layout a ``Quiver`` caches: its nonempty
-blocks, their starts in ``arrows()``, the arrow ends, and the arrows grouped
-by source.
+blocks, their sizes and their starts in ``arrows()``, the arrow ends, and
+the arrows grouped by source.
 """
 
 from __future__ import annotations
@@ -131,17 +131,18 @@ class Quiver:
         # the nonempty blocks, target * n + source, ascending (a bool mask is
         # searched several times faster than the int64 matrix)
         keys = (counts != 0).ravel().nonzero()[0]
+        sizes = counts.ravel()[keys]
         starts = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.add.accumulate(counts.ravel()[keys], out=starts[1:])
+        np.add.accumulate(sizes, out=starts[1:])
         # the running total rises at every nonempty block unless a count is
         # negative or the total has wrapped past _MAX_ARROWS
         if (starts[1:] < starts[:-1]).any():
             for value in _entries(c):
                 _check_count(value)
             raise ValueError(f"size limit exceeded: refusing more than {_MAX_ARROWS} arrows in all")
-        # frozen: the fields are set once, here; _starts holds the position in
-        # arrows() of each nonempty block's first arrow, then the total
-        vars(self).update(c=counts, n=len(counts), _keys=keys, _starts=starts)
+        # frozen: the fields are set once, here; nonempty block k holds _sizes[k]
+        # arrows from position _starts[k] in arrows() on; _starts[-1] is the total
+        vars(self).update(c=counts, n=len(counts), _keys=keys, _sizes=sizes, _starts=starts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quiver):
@@ -187,7 +188,7 @@ class Quiver:
         (target, source) order, as Python ints; a walk over the blocks costs
         the number of blocks, not n^2."""
         targets, sources = divmod(self._keys, self.n)
-        return tuple(zip(targets.tolist(), sources.tolist(), self.c.ravel()[self._keys].tolist()))
+        return tuple(zip(targets.tolist(), sources.tolist(), self._sizes.tolist()))
 
     def block_start(self, target: int, source: int) -> int:
         """Position in ``arrows()`` of the first arrow from ``source`` to
@@ -206,7 +207,7 @@ class Quiver:
     @cached_property
     def _arrow_ends(self) -> tuple[np.ndarray, np.ndarray]:
         _check_arrow_count(self.total_arrows())
-        targets, sources = divmod(np.repeat(self._keys, self.c.ravel()[self._keys]), self.n)
+        targets, sources = divmod(np.repeat(self._keys, self._sizes), self.n)
         sources.flags.writeable = targets.flags.writeable = False
         return sources, targets
 
@@ -411,7 +412,7 @@ def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
     inv.put(tau, range(n))  # tau^-1
     targets, sources = divmod(q._keys, n)
     c = np.zeros(n * n, dtype=np.int64)
-    c[inv[targets] * n + inv[sources]] = q._starts[1:] - q._starts[:-1]  # the blocks' counts
+    c[inv[targets] * n + inv[sources]] = q._sizes
     return Quiver(c.reshape(n, n))
 
 

@@ -44,12 +44,13 @@ p_b == g, and ``recover`` evaluates with ``rho_eval`` the ``TwoDimRep`` of the
 first row at the first labelled off-diagonal pair on each arrow of its block;
 times V.T, this must give the batched row.  ``perfbench`` counts both.
 
-The counts meet the graph once, in ``_check_counts``: filed under the blocks
-their label pairs name (relabelled by tau^-1; label a names tau(a)), they
-must be the quiver's block sizes, or ``RecoveryError`` names the first block,
-in row-major order, that differs.  Beyond that the code reads of the graph
-only the vertex each idempotent names and the vertex count.  No isomorphism
-search runs, so ``recover`` caps no vertex count.
+The counts meet the graph once, in ``_check_counts``: their matrix by label
+pair, read through tau^-1 (label a names tau(a)), must be the quiver's block
+sizes, or ``RecoveryError`` names the first block, in row-major order, that
+differs.  That comparison certifies tau^-1, the witness ``recover`` returns
+for every presentation.  Beyond that the code reads of the graph only the
+vertex each idempotent names and the vertex count.  No isomorphism search
+runs, so ``recover`` caps no vertex count.
 """
 
 from __future__ import annotations
@@ -161,19 +162,18 @@ class ScrambledPresentation:
         vertex = self._vertex = np.array([_idempotent_vertex(p) for p in self.idempotents])
         if len(set(vertex.tolist())) != self.n:
             raise ValueError("duplicate idempotent label")
+        self._tau_inv = np.argsort(vertex)  # tau^-1: the label naming each vertex
 
     def _tabulate(self, groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """The table of a record per group (blocks (m, 2), generator indices
-        (m, k), rows (m, k, w)), the records in row-major order of first pairs."""
-        n, label = self.n, np.argsort(self._vertex)  # label[v] names the vertex v
+        (m, k), rows (m, k, w)), each record's pairs in row-major order."""
         records = []
         for blocks, gens, rows in groups:
             # each row is a finite vector in one block, labelled by its ends' labels
             if not np.isfinite(rows).all():
                 raise ValueError("generator coefficients must be finite")
-            pairs = label[blocks]
-            records.append(_Record(pairs, gens, rows, _ranks(rows)).take(np.argsort(pairs @ (n, 1))))
-        records.sort(key=lambda r: r.pairs[0].tolist())
+            pairs = self._tau_inv[blocks]
+            records.append(_Record(pairs, gens, rows, _ranks(rows)).take(np.argsort(pairs @ (self.n, 1))))
         # the polynomial route, on generator 0: p_a * g * p_b == g
         for r in records:
             for slot in np.flatnonzero(r.gens[:, 0] == 0).tolist():
@@ -215,8 +215,8 @@ class ScrambledPresentation:
 class RecoveryReport:
     n_recovered: int
     c_recovered: tuple[tuple[int, ...], ...]
-    #: tau^-1 read off the labels, certified against the hidden source graph
-    witness: Optional[tuple[int, ...]]
+    #: tau^-1, read off the labels and certified by the counts matching the graph's blocks
+    witness: tuple[int, ...]
 
 
 def _ranks(stack: np.ndarray) -> np.ndarray:
@@ -280,7 +280,7 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
     generator seeded with it.  Graphs whose unitaries would hold more than
     ``SCRAMBLE_LIMIT`` entries are refused before anything is drawn.
     """
-    sizes = np.diff(q._starts)
+    sizes = q._sizes
     # squared as Python ints: an int64 square of a size past 2**31 wraps
     entries = sum(d * d for d in sizes.tolist())
     if entries > SCRAMBLE_LIMIT:
@@ -303,8 +303,9 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
 
 
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
-    """Dimension of the character-parameter ball at the label a: the rank of
-    the doubly-compressed generators p_a * g * p_a."""
+    """Dimension of the character-parameter ball at the label a: the table's
+    span rank at (a, a).  That is the rank of the compressions p_a * g * p_a
+    only because every generator lies in one arrow block (ROADMAP item 6)."""
     _check_label(s, a)
     found = _find(s, a, a)
     return 0 if found is None else found.ranks.item()
@@ -372,14 +373,11 @@ def _check_label(s: ScrambledPresentation, a: int) -> None:
         raise ValueError(f"label {a} out of range 0..{s.n - 1}")
 
 
-def _check_counts(s: ScrambledPresentation) -> None:
-    """Refuse span ranks that, filed under the blocks their pairs name, differ
-    from the quiver's block sizes; name the first such block and both sizes."""
-    q = s.quiver
-    counted, expected = np.zeros((2, q.n * q.n), dtype=np.int64)
-    for r in s._records:
-        counted[s._vertex[r.pairs] @ (q.n, 1)] = r.ranks
-    expected[q._keys] = np.diff(q._starts)
+def _check_counts(q: Quiver, counted: np.ndarray) -> None:
+    """Refuse a counted matrix, indexed by vertices, that differs from the
+    quiver's block sizes; name the first such block and both sizes."""
+    counted, expected = counted.ravel(), np.zeros(q.n * q.n, dtype=np.int64)
+    expected[q._keys] = q._sizes
     for k in np.flatnonzero(counted != expected)[:1].tolist():
         raise RecoveryError(
             "recovered matrix is not a vertex relabelling of the source graph: "
@@ -392,10 +390,10 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
 
     Every entry is the span rank of its label pair; off the diagonal the
     representation probe must count the same, or ProbeMismatchError names
-    the first pair, in row-major order, where the two differ.  Relabelled by
-    tau^-1, the argsort of the labels' vertices, the matrix must be the
-    graph's, as ``_check_counts`` tests, before the ``rho_eval`` spot check
-    runs.  tau^-1 is the witness when the withheld scramble data is there.
+    the first pair, in row-major order, where the two differ.  Read through
+    tau^-1, the label naming each vertex, the matrix must be the graph's, as
+    ``_check_counts`` tests, before the ``rho_eval`` spot check runs; that
+    comparison certifies tau^-1, which is returned as the witness.
     """
     offs = [r.take(r.pairs[:, 0] != r.pairs[:, 1]) for r in s._records]
     picks = [r for r in offs if len(r.pairs)]
@@ -403,10 +401,9 @@ def recover(s: ScrambledPresentation) -> RecoveryReport:
     matrix = np.zeros((s.n, s.n), dtype=np.int64)
     for r in s._records:
         matrix[r.pairs[:, 0], r.pairs[:, 1]] = r.ranks
-    _check_counts(s)
+    _check_counts(s.quiver, matrix[s._tau_inv][:, s._tau_inv])
     if picks:
         # the first labelled off-diagonal pair, in row-major order
         first, rep = min(zip(picks, reps), key=lambda pick: pick[0].pairs[0].tolist())
         _spot_check(s, first, rep[0, 0])
-    witness = None if s.hidden_truth is None else tuple(np.argsort(s._vertex).tolist())
-    return RecoveryReport(s.n, tuple(map(tuple, matrix.tolist())), witness)
+    return RecoveryReport(s.n, tuple(map(tuple, matrix.tolist())), tuple(s._tau_inv.tolist()))

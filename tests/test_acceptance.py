@@ -17,6 +17,7 @@ from quiveralg import (
     PathPolynomial,
     Quiver,
     TwoDimRep,
+    apply_permutation,
     are_isomorphic,
     char_eval,
     check_isometric_covariance,
@@ -273,7 +274,7 @@ def test_criterion_7_recovery_sweep():
             s = scramble(q, seed)
             report = recover(s)
             recoveries += 1
-            if report.witness is None:
+            if apply_permutation(Quiver(report.c_recovered), report.witness) != q:
                 witness_failures += 1
             # the single-pair probes against recover's batched route
             probe_disagreements += sum(

@@ -663,7 +663,7 @@ def test_builds_no_path_objects(argv, reference, tmp_path, monkeypatch):
     built.clear()
     space = FockSpace(q, 6)
     assert built == []
-    assert len(space.basis) == space.dim == len(built)  # built on first use
+    assert not hasattr(space, "basis")  # the space holds its paths as arrays only
 
 
 class TestMainEntry:

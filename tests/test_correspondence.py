@@ -31,6 +31,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dimension"):
             CorrespondenceElement(q22, np.ones(5))
 
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ([np.nan, 0, 0, 0], "coefficients must be finite"),
+            ([0, np.inf, 0, 0], "coefficients must be finite"),
+            ([0, 0, 0, complex(1, -np.inf)], "coefficients must be finite"),
+            ([[1, 2], [3, 4]], "an element must be a 1-D vector, got shape (2, 2)"),
+            (1.0, "an element must be a 1-D vector, got shape ()"),
+            # a wrong length is named first, whatever the entries
+            ([np.nan, 0, 0], "an element must have dimension 4 (one coefficient per arrow), got 3"),
+        ],
+        ids=["nan", "inf", "imaginary_inf", "matrix", "scalar", "short_with_nan"],
+    )
+    def test_refuses_non_finite_or_non_vector_input(self, q22, vector, message):
+        with pytest.raises(ValueError) as info:
+            CorrespondenceElement(q22, vector)
+        assert str(info.value) == message
+
+    def test_arithmetic_that_overflows_is_refused(self, q22):
+        # numpy's overflow warning is silenced, so the refusal is what remains
+        xi = CorrespondenceElement(q22, [1e308, 0, 0, 0])
+        for overflow in (lambda: xi + xi, lambda: xi - (-xi), lambda: 10 * xi):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="^coefficients must be finite$"):
+                overflow()
+
     def test_empty_blocks_are_zero_dimensional(self, q22):
         xi = CorrespondenceElement.zeros(q22)
         assert xi.block(1, 0).shape == (0,)
@@ -112,9 +137,10 @@ class TestInnerProduct:
         assert inner_product(eta, xi)[0] == pytest.approx(6j)
 
     def test_shape_mismatch(self, q22):
-        other = CorrespondenceElement.zeros(Quiver([[2]]))
-        with pytest.raises(ValueError, match="different quivers"):
-            inner_product(CorrespondenceElement.zeros(q22), other)
+        xi, other = CorrespondenceElement.zeros(q22), CorrespondenceElement.zeros(Quiver([[2]]))
+        for mixed in (lambda: inner_product(xi, other), lambda: xi + other, lambda: xi - other):
+            with pytest.raises(ValueError, match="^elements live over different quivers$"):
+                mixed()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_positivity(self, seed):
@@ -196,6 +222,10 @@ class TestActions:
         lhs2 = inner_product(xi, left_action(d, eta))
         rhs2 = inner_product(left_action(np.conj(d), xi), eta)
         assert np.allclose(lhs2, rhs2, atol=1e-12)
+        # sums, differences and negatives act coefficient by coefficient
+        assert np.array_equal((xi + eta).vector, xi.vector + eta.vector)
+        assert np.array_equal((xi - eta).vector, xi.vector - eta.vector)
+        assert np.array_equal((-xi).vector, -xi.vector)
 
 
 @pytest.mark.parametrize("bad", [np.ones(3), np.ones((1, 2))], ids=["length_3", "2d"])

@@ -55,6 +55,19 @@ class TestArithmetic:
         rng = np.random.default_rng(2)
         p, r = random_polynomial(q, rng), random_polynomial(q, rng)
         assert (p + r) - r == p
+        assert (p + r) + (-r) == p
+        assert -(-p) == p and (-p).terms == {path: -c for path, c in p.terms.items()}
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)],
+        ids=["nan", "inf", "imaginary_inf", "nan_real"],
+    )
+    def test_rejects_non_finite_coefficients(self, q, coeff):
+        with pytest.raises(ValueError, match="^coefficients must be finite, got "):
+            PathPolynomial(q, {vertex_path(0): coeff})
+        with pytest.raises(ValueError, match="^coefficients must be finite, got "):
+            PathPolynomial.monomial(q, arrow_path(Arrow(0, 0, 0)), coeff)
 
     def test_rejects_a_path_off_the_quiver(self, q):
         with pytest.raises(ValueError, match=r"^Arrow\(source=1, target=0, index=2\) is not an arrow of this quiver$"):

@@ -903,7 +903,7 @@ def test_probes_read_no_multiplicity_matrix():
     must flag a read of ``self.quiver.c`` put into ``_tabulate``."""
     source = inspect.getsource(recovery)
     assert _graph_reads(source) == {name: [] for name in _GRAPH_BLIND}
-    marker = "        n, label = self.n, np.argsort(self._vertex)  # label[v] names the vertex v\n"
+    marker = "        records = []\n"
     assert source.count(marker) == 1
     mutated = source.replace(marker, marker + "        self.quiver.c\n")
     assert _graph_reads(mutated)["_tabulate"] == ["c"]

@@ -1,6 +1,7 @@
 """Property tests of recovery (need hypothesis): invariance under vertex
-relabelling, one generator table from either input of a presentation, and
-the table ``scramble`` fills equal to its draws made block by block."""
+relabelling, a certified witness for every presentation, one generator table
+from either input of a presentation, and the table ``scramble`` fills equal
+to its draws made block by block."""
 
 import numpy as np
 import pytest
@@ -61,6 +62,20 @@ def test_witness_is_tau_inverse_under_automorphisms(q, seed):
     report = recover(s)
     assert report.witness == tuple(np.argsort(s.hidden_truth.tau).tolist())
     assert apply_permutation(Quiver(report.c_recovered), report.witness) == q
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(quivers(6, 2), st.integers(0, 2**32 - 1))
+def test_witness_certifies_every_presentation(q, seed):
+    """The witness is the labels' tau^-1, certified by the counts matching
+    the graph's blocks, so a presentation rebuilt without the withheld
+    scramble data gets one too, and it carries the recovered matrix onto q."""
+    s = scramble(q, seed)
+    bare = ScrambledPresentation(s.idempotents, s.generators)
+    assert bare.hidden_truth is None
+    for presentation in (s, bare):
+        report = recover(presentation)
+        assert apply_permutation(Quiver(report.c_recovered), report.witness) == q
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

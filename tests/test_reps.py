@@ -80,6 +80,8 @@ class TestCharacter:
         c = Character(q, 0, [0.3])
         assert char_eval(c, PathPolynomial.vertex(q, 0)) == 1.0
         assert char_eval(c, PathPolynomial.vertex(q, 1)) == 0.0
+        with pytest.raises(ValueError, match="^polynomial lives over a different quiver$"):
+            char_eval(c, PathPolynomial.vertex(Quiver([[1, 0], [0, 2]]), 0))
 
     def test_monomial_product_of_loop_values(self, loop2):
         c = Character(loop2, 0, [0.5, 0.0])
@@ -261,6 +263,8 @@ class TestRhoEval:
         assert np.array_equal(rho_eval(rep, PathPolynomial.vertex(q, 0)), np.diag([1, 0]).astype(complex))
         assert np.array_equal(rho_eval(rep, PathPolynomial.vertex(q, 2)), np.diag([0, 1]).astype(complex))
         assert np.array_equal(rho_eval(rep, PathPolynomial.vertex(q, 1)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^polynomial lives over a different quiver$"):
+            rho_eval(rep, PathPolynomial.vertex(Quiver([[1, 0, 0], [0, 0, 0], [0, 0, 2]]), 0))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_homomorphism_exactly_on_dyadic_draws(self, seed):
