@@ -8,7 +8,10 @@ Subcommands:
   ``basis_arrow`` entry per arrow, named by the token ``paths`` prints for
   it (``"1<4:1"``), with all their operator norms read off the path tree in
   one pass; then ``VERIFY_RANDOM_NORM_CHECKS`` ``random`` entries, each with
-  its element's wire vector.
+  its element's wire vector.  The ``2 * VERIFY_COVARIANCE_PAIRS`` covariance
+  elements and the random ones are the rows of one draw, and the covariance
+  deviations and the random entries' norms are each one stacked pass over
+  those rows, equal bit for bit to the one-element functions.
 * ``norms``   -- tabulate {k, closed, direct, bound} for the compressed-map
   norms of a two-dimensional representation: the direct column of the whole
   table is one Gram recursion of k_max - 1 steps, O(k_max * (c_ii + c_ij +
@@ -41,9 +44,11 @@ which returns the exit code, the report and the detail of the summary line
 ``main`` prints on stderr.  ``main`` builds the parser on its first call and
 reuses it for the rest of the process (``parse_args`` leaves a parser
 unchanged).  Reports are byte-identical to
-``json.dumps(report, indent=2, sort_keys=True)``;
-``_report_text`` writes them with the stdlib's C encoder, which ``indent``
-would switch off, and flat lists of plain strings with one ``str.join``.
+``json.dumps(report, indent=2, sort_keys=True)``; ``_report_text`` writes
+them with the stdlib's C encoder, which ``indent`` would switch off, built
+once per indent level and reused (``json.dumps`` builds one per call),
+keys with ``encode_basestring_ascii``, and flat lists of plain strings with
+one ``str.join``, appending every piece to one list that is joined once.
 
 Exit codes: 0 success (also for ``--help`` and ``--version``), 1 validation
 error (bad input, a usage error such as a missing or malformed option, or
@@ -58,21 +63,25 @@ import functools
 import json
 import os
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .correspondence import CorrespondenceElement, element_norm
-# perfbench's tracer wraps the four fock functions here as well as in fock
+from .correspondence import CorrespondenceElement, _module_norms, _random_rows
+# Not called here: perfbench's tracer wraps quiveralg.cli.element_norm and the
+# three fock functions below, whose stacked forms verify calls, and its
+# self-test requires every wrapped name to exist.
+from .correspondence import element_norm  # noqa: F401
+from .fock import check_isometric_covariance, creation_operator, operator_norm  # noqa: F401
 from .fock import (
     DEFAULT_DEPTH,
     FockSpace,
     _arrow_shift_norms,
-    check_isometric_covariance,
+    _covariance_deviations,
+    _shift_norms,
     corner_shift_report,
-    creation_operator,
-    operator_norm,
 )
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
@@ -120,15 +129,11 @@ def _parse_complex_vector(text: Optional[str], dim: int, name: str) -> Optional[
 def _run_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     q = parse_quiver_file(args.graph)
     space = FockSpace(q, args.depth)
-    rng = np.random.default_rng(args.seed)
-
-    deviations = [
-        check_isometric_covariance(
-            space, CorrespondenceElement.random(q, rng), CorrespondenceElement.random(q, rng)
-        )
-        for _ in range(VERIFY_COVARIANCE_PAIRS)
-    ]
-    max_cov = max(deviations)
+    # one draw: the rows are the covariance pairs' xi and eta in turn, then
+    # the random norm-check elements, as consecutive element draws would give
+    pairs = 2 * VERIFY_COVARIANCE_PAIRS
+    rows = _random_rows(q, np.random.default_rng(args.seed), pairs + VERIFY_RANDOM_NORM_CHECKS)
+    max_cov = float(_covariance_deviations(space, rows[:pairs:2], rows[1:pairs:2]).max())
 
     corner_ok = True
     for v in q.vertices():
@@ -146,14 +151,14 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
         }
         for a, n_op in zip(q.arrows(), _arrow_shift_norms(space).tolist())
     ]
-    for _ in range(VERIFY_RANDOM_NORM_CHECKS):
-        xi = CorrespondenceElement.random(q, rng)
-        n_elem = element_norm(xi)
-        n_op = operator_norm(creation_operator(space, xi))
+    randoms = rows[pairs:]
+    n_elems = _module_norms(q, randoms).tolist()
+    n_ops = _shift_norms(space, randoms[:, space.last_arrow]).tolist()
+    for vec, n_elem, n_op in zip(randoms, n_elems, n_ops):
         norm_checks.append(
             {
                 "kind": "random",
-                "element": element_to_wire(xi),
+                "element": element_to_wire(CorrespondenceElement(q, vec)),
                 "element_norm": n_elem,
                 "operator_norm": n_op,
                 "deviation": abs(n_elem - n_op),
@@ -328,42 +333,69 @@ _CONTAINERS = (dict, list, tuple)
 
 
 @functools.cache
-def _flat_encoder(inner: str):
-    """The C encoder for a container of scalars whose items sit at ``inner``
-    (scalars hold no reference, so there is no cycle to check for)."""
-    return json.JSONEncoder(
-        separators=(",\n" + inner, ": "), sort_keys=True, check_circular=False
-    ).encode
+def _encoder(inner: str):
+    """The C encoder of ``json.dumps(value, sort_keys=True, separators=(",\\n"
+    + inner, ": "))``, which ``JSONEncoder.iterencode`` builds afresh on
+    every call, built once per indent level: it writes a scalar as
+    ``json.dumps`` does and a container of scalars with its items separated
+    by a newline and ``inner`` (scalars hold no reference, so there is no
+    cycle to check for)."""
+    # (markers, default, encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan)
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + inner, True, False, True,
+    )
 
 
 #: the bytes json.dumps writes as they are: printable ASCII but '"' and '\\'
 _PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
 
 
-def _report_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed values.
+def _report_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed values,
+    written as pieces appended to one list and joined once."""
+    out: list[str] = []
+    _write(value, "", out)
+    return "".join(out)
 
-    A nonempty list of exact ``str`` items whose text is all ``_PLAIN`` bytes
-    needs no escaping and is one ``str.join``; any other nonempty dict or list
-    of scalars is one call of the C encoder."""
-    if not value or not isinstance(value, _CONTAINERS):
-        return json.dumps(value)
+
+def _write(value, indent: str, out: list) -> None:
+    """Append the pieces of ``value``'s text, its lines after the first at
+    ``indent``.  A nonempty list of exact ``str`` items whose text is all
+    ``_PLAIN`` bytes needs no escaping and is one ``str.join``; a scalar, an
+    empty container or a container of scalars is one call of the C encoder;
+    a key is one ``encode_basestring_ascii``."""
     inner = indent + "  "
+    if not value or not isinstance(value, _CONTAINERS):
+        out += _encoder(inner)(value, 0)
+        return
     if isinstance(value, list) and type(value[0]) is str and set(map(type, value)) == {str}:
         text = "".join(value)
         if text.isascii() and not text.encode().translate(None, _PLAIN):
-            return f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]'
+            out += "[\n", inner, '"', f'",\n{inner}"'.join(value), '"\n', indent, "]"
+            return
     for v in value.values() if isinstance(value, dict) else value:
         if isinstance(v, _CONTAINERS):
             break
     else:
-        text = _flat_encoder(inner)(value)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
-    sep = ",\n" + inner
+        text = "".join(_encoder(inner)(value, 0))
+        out += text[0], "\n", inner, text[1:-1], "\n", indent, text[-1]
+        return
+    lead, sep = "\n" + inner, ",\n" + inner
     if isinstance(value, dict):
-        body = sep.join([f"{json.dumps(k)}: {_report_text(value[k], inner)}" for k in sorted(value)])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    return f"[\n{inner}{sep.join([_report_text(v, inner) for v in value])}\n{indent}]"
+        out.append("{")
+        for k in sorted(value):
+            out += lead, encode_basestring_ascii(k), ": "
+            _write(value[k], inner, out)
+            lead = sep
+        out += "\n", indent, "}"
+    else:
+        out.append("[")
+        for v in value:
+            out.append(lead)
+            _write(v, inner, out)
+            lead = sep
+        out += "\n", indent, "]"
 
 
 def main(argv=None) -> int:

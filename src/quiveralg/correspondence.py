@@ -15,6 +15,9 @@ with the scalar inner product conjugate-linear in the FIRST slot and linear
 in the second.  Every downstream pairing in this package follows the same
 convention.  Entry v is one ``np.vdot`` over the arrows leaving v, read in
 the quiver's by-source order; ``random`` is one ``_complex_gaussians`` draw.
+``inner_product``, ``element_norm`` and ``random`` are the one-row cases of
+``_inner_rows``, ``_module_norms`` and ``_random_rows``, which take or give
+m elements as the rows of an (m, arrows) array.
 """
 
 from __future__ import annotations
@@ -61,8 +64,7 @@ class CorrespondenceElement:
     def random(cls, quiver: Quiver, rng: np.random.Generator):
         """Standard complex Gaussian coefficients, drawn block by block in
         (target, source) order, real parts before imaginary parts."""
-        _check_arrow_count(quiver.total_arrows())
-        return cls(quiver, _complex_gaussians(rng, [d for _, _, d in quiver._nonempty_blocks]))
+        return cls(quiver, _random_rows(quiver, rng, 1)[0])
 
     def block(self, target: int, source: int) -> np.ndarray:
         """The coefficients of the arrows from ``source`` to ``target``, by index."""
@@ -118,6 +120,16 @@ def _complex_gaussians(rng: np.random.Generator, sizes: list[int]) -> np.ndarray
     return z[real] + 1j * z[real + np.repeat(sizes, sizes)]
 
 
+def _random_rows(quiver: Quiver, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k coefficient vectors as the rows of a (k, arrows) array, from one
+    ``_complex_gaussians`` draw.  One ``standard_normal`` call of size N
+    draws the numbers that consecutive calls with sizes adding up to N draw,
+    so row r is the vector of the (r + 1)-th of k consecutive ``random``
+    calls."""
+    _check_arrow_count(quiver.total_arrows())
+    return _complex_gaussians(rng, np.tile(quiver._sizes, k)).reshape(k, quiver.total_arrows())
+
+
 def _same_quiver(xi: CorrespondenceElement, eta: CorrespondenceElement) -> None:
     if xi.quiver != eta.quiver:
         raise ValueError("elements live over different quivers")
@@ -136,9 +148,19 @@ def inner_product(xi: CorrespondenceElement, eta: CorrespondenceElement) -> np.n
     conjugate-linear in ``xi``.  Entry v pairs the coefficients of the
     arrows that leave v."""
     _same_quiver(xi, eta)
-    order, bounds = xi.quiver._by_source
-    x, y, ends = xi.vector[order], eta.vector[order], bounds.tolist()
-    return np.array([np.vdot(x[lo:hi], y[lo:hi]) for lo, hi in zip(ends, ends[1:])], dtype=complex)
+    return _inner_rows(xi.quiver, xi.vector[None], eta.vector[None])[0]
+
+
+def _inner_rows(quiver: Quiver, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``inner_product`` of each row pair of two (m, arrows) coefficient
+    stacks, as an (m, n) array: one ``np.vdot`` per row and vertex."""
+    order, bounds = quiver._by_source
+    b = bounds.tolist()
+    ends = list(zip(b, b[1:]))
+    return np.array(
+        [[np.vdot(x[lo:hi], y[lo:hi]) for lo, hi in ends] for x, y in zip(xs[:, order], ys[:, order])],
+        dtype=complex,
+    )
 
 
 def left_action(d, xi: CorrespondenceElement) -> CorrespondenceElement:
@@ -155,5 +177,9 @@ def right_action(xi: CorrespondenceElement, d) -> CorrespondenceElement:
 
 def element_norm(xi: CorrespondenceElement) -> float:
     """Module norm: max over vertices v of sqrt(sum of |xi(e)|^2 over the arrows e leaving v)."""
-    cols = inner_product(xi, xi).real
-    return float(np.sqrt(np.max(cols)))
+    return float(_module_norms(xi.quiver, xi.vector[None])[0])
+
+
+def _module_norms(quiver: Quiver, xs: np.ndarray) -> np.ndarray:
+    """``element_norm`` of each row of an (m, arrows) coefficient stack."""
+    return np.sqrt(np.max(_inner_rows(quiver, xs, xs).real, axis=1))

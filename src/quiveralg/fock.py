@@ -17,7 +17,13 @@ path of length >= 1, and the checks ``verify`` makes (the covariance
 deviation, the corner report, the creation-operator norm) are read off
 those weights and the path tree's arrays with ``bincount``; the norms of
 all the arrows' basis elements come from one count over the tree
-(``_arrow_shift_norms``).  No sparse matrix is built for them.
+(``_arrow_shift_norms``).  No sparse matrix is built for them.  The checks
+on m elements are one stacked pass over (m, arrows) coefficient rows: one
+``bincount`` keyed by parent and row sums every row's children at once
+(``_child_sums``), in the order a single row's ``bincount`` sums them, so
+``_covariance_deviations`` and ``_shift_norms`` give each row the value
+``check_isometric_covariance`` and ``operator_norm`` give it alone, bit for
+bit; those two are the one-row case.
 ``scipy.sparse`` is imported only where a CSR matrix is asked for:
 ``FockOperator.matrix``, ``diag_operator`` and ``evaluate_polynomial``, the
 last two of which return a CSR matrix.
@@ -40,7 +46,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .correspondence import CorrespondenceElement, _diagonal, inner_product
+from .correspondence import CorrespondenceElement, _diagonal, _inner_rows
+# Not called here: perfbench's tracer wraps quiveralg.fock.inner_product and
+# its self-test requires every wrapped name to exist.
+from .correspondence import inner_product  # noqa: F401
 from .polynomials import PathPolynomial, _evaluate
 from .quiver import Arrow, Quiver, _path_tree
 # Not called here: perfbench's tracer wraps quiveralg.fock.enumerate_paths and
@@ -175,8 +184,7 @@ def operator_norm(op) -> float:
     Accepts a FockOperator, a numpy array, or a scipy sparse matrix.
     """
     if isinstance(op, FockOperator):
-        # column parent[r] holds weights[r]
-        return _column_norm(op.space.parent, op.weights, op.space.dim)
+        return float(_shift_norms(op.space, op.weights[None])[0])
     mat = op
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return 0.0
@@ -218,6 +226,25 @@ def _arrow_shift_norms(space: FockSpace) -> np.ndarray:
     return np.sqrt(largest)
 
 
+def _child_sums(space: FockSpace, values: np.ndarray) -> np.ndarray:
+    """For each row of an (m, dim - n) stack of values on the paths of
+    length >= 1, the sum over the children of every path of length <= depth
+    - 1 (the paths that have children, a prefix of the basis), as an (m,
+    width) array.  One ``bincount`` keyed ``parent + width * row`` adds each
+    path's children in the order of r, as a ``bincount`` of that row alone
+    would."""
+    m, width = len(values), int(np.searchsorted(space.lengths, space.depth))
+    keys = (space.parent + width * np.arange(m)[:, None]).ravel()
+    return np.bincount(keys, values.ravel(), minlength=m * width).reshape(m, width)
+
+
+def _shift_norms(space: FockSpace, weights: np.ndarray) -> np.ndarray:
+    """The norms of the creation operators with these (m, dim - n) weight
+    rows: column parent[r] holds weights[r], so each norm is its row's
+    largest column 2-norm (0 at depth 0, where no column holds one)."""
+    return np.sqrt(_child_sums(space, np.abs(weights) ** 2).max(axis=1, initial=0.0))
+
+
 def check_isometric_covariance(
     space: FockSpace, xi: CorrespondenceElement, eta: CorrespondenceElement
 ) -> float:
@@ -228,19 +255,27 @@ def check_isometric_covariance(
     row/column is excluded).  Both sides are diagonal: entry p of T_xi* T_eta
     is the sum of conj(x[r]) y[r] over the children n + r of path p, summed
     in the order of r, and the norm is the largest modulus on the diagonal.
+    This is the one-row case of ``_covariance_deviations``.
     """
+    if xi.quiver != space.quiver or eta.quiver != space.quiver:
+        raise ValueError("element lives over a different quiver")
+    return float(_covariance_deviations(space, xi.vector[None], eta.vector[None])[0])
+
+
+def _covariance_deviations(space: FockSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``check_isometric_covariance`` of each row pair of two (m, arrows)
+    coefficient stacks, in one pass; row k's deviation is the one its pair
+    gives alone, bit for bit."""
     if space.depth == 0:
         raise ValueError("depth too small: the covariance check needs depth >= 1")
-    x = creation_operator(space, xi).weights
-    y = creation_operator(space, eta).weights
-    gram_re = np.bincount(space.parent, x.real * y.real + x.imag * y.imag, minlength=space.dim)
-    gram_im = np.bincount(space.parent, x.real * y.imag - x.imag * y.real, minlength=space.dim)
-    rhs = inner_product(xi, eta)[space.targets]
-    inner = space.lengths <= space.depth - 1
-    dev = np.empty(np.count_nonzero(inner), dtype=complex)
-    dev.real = gram_re[inner] - rhs.real[inner]
-    dev.imag = gram_im[inner] - rhs.imag[inner]
-    return float(np.sqrt(np.max(np.abs(dev) ** 2)))
+    x, y = xs[:, space.last_arrow], ys[:, space.last_arrow]  # the creation-operator weights
+    gram_re = _child_sums(space, x.real * y.real + x.imag * y.imag)
+    gram_im = _child_sums(space, x.real * y.imag - x.imag * y.real)
+    rhs = _inner_rows(space.quiver, xs, ys)[:, space.targets[: gram_re.shape[1]]]
+    dev = np.empty(gram_re.shape, dtype=complex)
+    dev.real = gram_re - rhs.real
+    dev.imag = gram_im - rhs.imag
+    return np.sqrt(np.max(np.abs(dev) ** 2, axis=1))
 
 
 @dataclass

@@ -162,8 +162,8 @@ class Quiver:
 
     def count(self, target: int, source: int) -> int:
         """Number of arrows from ``source`` to ``target``."""
-        self._check_vertex(target)
-        self._check_vertex(source)
+        if not (0 <= target < self.n and 0 <= source < self.n):
+            self._check_vertex(target, source)  # names the vertex out of range
         return self.c.item(target, source)
 
     def vertices(self) -> range:
@@ -193,8 +193,8 @@ class Quiver:
     def block_start(self, target: int, source: int) -> int:
         """Position in ``arrows()`` of the first arrow from ``source`` to
         ``target``; the rest of that block follows it in index order."""
-        self._check_vertex(target)
-        self._check_vertex(source)
+        if not (0 <= target < self.n and 0 <= source < self.n):
+            self._check_vertex(target, source)  # names the vertex out of range
         # (target, source) sorts before its own block's triple and after every earlier one
         return self._starts.item(bisect_left(self._nonempty_blocks, (target, source)))
 
@@ -235,9 +235,10 @@ class Quiver:
     def total_arrows(self) -> int:
         return self._starts.item(-1)
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for a {self.n}-vertex quiver")
+    def _check_vertex(self, *vertices: int) -> None:
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for a {self.n}-vertex quiver")
 
 
 @dataclass(frozen=True)
@@ -359,27 +360,28 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     _path_count_check(q, max_len)
+    out_arrow = none = np.zeros(0, dtype=np.intp)
     if max_len:  # only then has _path_count_check bounded the arrows
         out_arrow, out_start = q._by_source  # out_start[v]: the first arrow leaving v
+        out_degree = np.diff(out_start)
         out_target = q.arrow_ends()[1][out_arrow]
 
     ends = np.arange(q.n, dtype=np.intp)  # end vertices of the current level
     start = 0  # position of its first path
-    none = np.zeros(0, dtype=np.intp)
-    parent, last_arrow, lengths, targets = [none], [none], [np.zeros(q.n, dtype=np.intp)], [ends]
-    for k in range(1, max_len + 1):
-        counts = out_start[ends + 1] - out_start[ends]
+    # per level: the parents, the children's places in out_arrow, the end vertices
+    parent, pos, targets = [none], [none], [ends]
+    for _ in range(max_len):
+        counts = out_degree[ends]
         size = int(counts.sum())
         if size == 0:
             break
         parent.append(np.repeat(np.arange(start, start + len(ends)), counts))
-        pos = np.repeat(out_start[ends] - (np.cumsum(counts) - counts), counts) + np.arange(size)
+        pos.append(np.repeat(out_start[ends] - (np.cumsum(counts) - counts), counts) + np.arange(size))
         start += len(ends)
-        ends = out_target[pos]
-        last_arrow.append(out_arrow[pos])
-        lengths.append(np.full(size, k, dtype=np.intp))
+        ends = out_target[pos[-1]]
         targets.append(ends)
-    return tuple(np.concatenate(a) for a in (parent, last_arrow, lengths, targets))
+    lengths = np.repeat(np.arange(len(targets), dtype=np.intp), [len(t) for t in targets])
+    return np.concatenate(parent), out_arrow[np.concatenate(pos)], lengths, np.concatenate(targets)
 
 
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:

@@ -58,7 +58,10 @@ def _block_vector(q: Quiver, target: int, source: int, x, name: str) -> tuple[np
     vec = _as_vector(x)
     if vec.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {vec.shape[0]}")
-    return vec, float(np.linalg.norm(vec))
+    parts = vec.view(float)  # the real and imaginary parts
+    scale = float(np.abs(parts).max(initial=0.0))
+    # divided by the largest part first, so that no finite vector's norm overflows
+    return vec, (scale * float(np.linalg.norm(parts / scale)) if scale else 0.0)
 
 
 def _ball_vector(q: Quiver, vertex: int, lam, name: str, *, strict: bool) -> tuple[np.ndarray, float]:
@@ -132,8 +135,7 @@ class TwoDimRep:
     __slots__ = ("quiver", "i", "j", "lam_i", "lam_j", "gamma")
 
     def __init__(self, quiver: Quiver, i: int, j: int, lam_i=None, lam_j=None, gamma=None):
-        quiver._check_vertex(i)
-        quiver._check_vertex(j)
+        quiver._check_vertex(i, j)
         if i == j:
             raise ValueError("the two diagonal vertices must be distinct")
         self.quiver = quiver
@@ -142,7 +144,8 @@ class TwoDimRep:
         self.lam_i, nrm_i = _ball_vector(quiver, i, lam_i, "lam_i", strict=True)
         self.lam_j, _ = _ball_vector(quiver, j, lam_j, "lam_j", strict=True)
         self.gamma, nrm_g = _block_vector(quiver, i, j, gamma, "gamma")
-        _check_contractive(nrm_g**2, nrm_i**2)
+        # a product, not a power: past 1e154 a norm squares to inf, where ** would raise
+        _check_contractive(nrm_g * nrm_g, nrm_i**2)
 
     def squared_params(self) -> tuple[float, float, float]:
         """(q1, q2, t) = squared norms of lam_i, lam_j, gamma."""

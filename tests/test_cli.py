@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestVerify:
 
     def test_impossible_tolerance_fails_numerically(self, two_loop, monkeypatch):
         # tolerance 0: the smallest positive covariance deviation fails the run
-        monkeypatch.setattr(cli, "check_isometric_covariance", lambda *args: 5e-324)
+        monkeypatch.setattr(cli, "_covariance_deviations", lambda *args: np.full(3, 5e-324))
         monkeypatch.setattr(cli, "VERIFY_TOL", 0.0)
         code, report, _ = run(["verify", "--graph", two_loop, "--depth", "3"])
         assert report["max_covariance_deviation"] == 5e-324
@@ -327,6 +328,23 @@ class TestNorms:
             times.append(time.perf_counter() - t0)
         assert [row["k"] for row in json.loads(out.read_text())["rows"]] == list(range(1, 101))
         assert min(times) < 0.025
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--gamma", "1e200", "not contractive: ||gamma||^2 = inf exceeds 1 - ||lam_i||^2 = 1.0"),
+            ("--lambda-i", "1e308j,0", "lam_i must lie in the open unit ball, got norm 1e+308"),
+        ],
+    )
+    def test_huge_parameters_refused_without_overflow(self, tmp_path, capsys, option, value, message):
+        # each norm is taken after dividing by the largest part, so none
+        # overflows; the suite turns every warning into an error
+        g = quiver_file(tmp_path, "g.json", [[2, 1], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norms", "--graph", g, "--i", "1", "--j", "2", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_oversized_blocks_refused_before_any_vector(self, tmp_path, capsys):
         # 10^15 loops at vertex 1: an omitted lambda-i would be a 14 PiB zero

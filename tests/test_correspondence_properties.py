@@ -16,6 +16,7 @@ from quiveralg import (  # noqa: E402
     left_action,
     right_action,
 )
+from quiveralg.correspondence import _random_rows  # noqa: E402
 from helpers import (  # noqa: E402
     quivers,
     reference_arrow_inner_product,
@@ -55,6 +56,17 @@ def test_random_draws_block_by_block(q, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     xi = CorrespondenceElement.random(q, rng)
     assert_same_blocks(reference_blocks(xi), reference_random_blocks(q, ref_rng))
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(quivers(4, 3), seeds, st.integers(1, 8))
+def test_one_draw_of_k_rows_is_k_consecutive_draws(q, seed, k):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _random_rows(q, rng, k)
+    assert rows.shape == (k, q.total_arrows())
+    for row in rows:
+        assert row.tobytes() == CorrespondenceElement.random(q, ref_rng).vector.tobytes()
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 

@@ -49,6 +49,16 @@ class TestCharacter:
         with pytest.raises(ValueError, match="finite"):
             Character(Quiver([[1]]), 0, [np.nan])
 
+    def test_huge_finite_parameters_refused_without_overflow(self, loop2):
+        # each norm is taken after dividing by the largest part; unscaled,
+        # these squares overflow (a RuntimeWarning, an error in this suite)
+        with pytest.raises(ValueError, match="closed unit ball, got norm 1e\\+308"):
+            Character(loop2, 0, [1e308j, 0.0])
+        with pytest.raises(ValueError, match="closed unit ball, got norm inf"):
+            Character(loop2, 0, [1.7e308, -1.7e308j])
+        with pytest.raises(ValueError, match=r"not contractive: \|\|gamma\|\|\^2 = inf"):
+            TwoDimRep(Quiver([[2, 1], [0, 1]]), 0, 1, gamma=[1e200])
+
     def test_zero_loop_vertex_forces_empty_lam(self):
         q = Quiver([[0, 1], [0, 0]])
         c = Character(q, 0)
