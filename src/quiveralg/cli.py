@@ -21,7 +21,11 @@ Subcommands:
   reference by isomorphism search.
 * ``iso``     -- the lexicographically least isomorphism witness between two
   graph files, found by signature-pruned backtracking.
-* ``paths``   -- enumerate the paths of a graph up to a length.
+* ``paths``   -- enumerate the paths of a graph up to a length.  The names
+  are built as bytes a level at a time, each level one add of fixed-width
+  byte-string arrays (an arrow's token before the name of the path it
+  extends), and written to the file or stdout as those chunks, with no
+  string per path and no full-size join of the report.
 
 ``verify`` and ``recover`` draw all their randomness from a single
 ``--seed`` (default 0) through one numpy generator, so identical
@@ -44,11 +48,12 @@ which returns the exit code, the report and the detail of the summary line
 ``main`` prints on stderr.  ``main`` builds the parser on its first call and
 reuses it for the rest of the process (``parse_args`` leaves a parser
 unchanged).  Reports are byte-identical to
-``json.dumps(report, indent=2, sort_keys=True)``; ``_report_text`` writes
+``json.dumps(report, indent=2, sort_keys=True)``; ``_report_chunks`` writes
 them with the stdlib's C encoder, which ``indent`` would switch off, built
-once per indent level and reused (``json.dumps`` builds one per call),
-keys with ``encode_basestring_ascii``, and flat lists of plain strings with
-one ``str.join``, appending every piece to one list that is joined once.
+once per indent level and reused (``json.dumps`` builds one per call), and
+keys with ``encode_basestring_ascii``, appending every piece to one list
+that is joined and encoded once; the ``paths`` names, rendered ahead, are
+spliced in as their byte chunks, which ``main`` writes as they are.
 
 Exit codes: 0 success (also for ``--help`` and ``--version``), 1 validation
 error (bad input, a usage error such as a missing or malformed option, or
@@ -243,19 +248,47 @@ def _run_iso(args: argparse.Namespace) -> tuple[int, dict, str]:
 def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
     q = parse_quiver_file(args.graph)
     parent, last_arrow, lengths, _ = _path_tree(q, args.max_len)
-    # a path's text is its last arrow's token before its parent's text; the
-    # levels are contiguous, so each level is one object-array add
+    # a path's name is its last arrow's token before its parent's name; the
+    # levels are contiguous, so each level is one add of fixed-width byte
+    # strings gathered from the level before it, written out as it is made
     # no arrow is named at --max-len 0, where nothing bounds their number
     arrows = q.arrows() if args.max_len else ()
-    tokens = np.array([format_path(arrow_path(a)) for a in arrows], dtype=object)
-    starred = tokens + "*"
-    names = np.empty(len(lengths), dtype=object)
-    names[: q.n] = [format_path(vertex_path(v)) for v in q.vertices()]
+    tokens = np.array([format_path(arrow_path(a)) for a in arrows], dtype="S")
+    starred = np.char.add(tokens, b"*")
+    level = np.array([format_path(vertex_path(v)) for v in q.vertices()], dtype="S")
+    chunks = [_joined(level)]
     ends = np.cumsum(np.bincount(lengths))
     for lo, hi in zip(ends[:-1], ends[1:]):
         r = slice(lo - q.n, hi - q.n)
-        names[lo:hi] = tokens[last_arrow[r]] if lo == q.n else starred[last_arrow[r]] + names[parent[r]]
-    return EXIT_OK, {"count": len(names), "paths": names.tolist()}, f"{len(names)} paths"
+        # the parents end at lo, so parent - lo counts back from the end of their level
+        level = tokens[last_arrow[r]] if lo == q.n else np.char.add(starred[last_arrow[r]], level[parent[r] - lo])
+        chunks.append(_joined(level))
+    chunks[-1] = memoryview(chunks[-1])[: -len(_ITEM_SEP)]
+    return EXIT_OK, {"count": len(lengths), "paths": _Rendered(chunks)}, f"{len(lengths)} paths"
+
+
+#: what follows each item but the last of a top-level key's list in a report
+_ITEM_SEP = b'",\n    "'
+
+
+def _joined(names: np.ndarray) -> np.ndarray | bytes:
+    """The bytes of a fixed-width byte-string array's names, each followed by
+    ``_ITEM_SEP``: its buffer, less the padding of the names shorter than the
+    widest (a name is printable ASCII, so it holds no NUL)."""
+    padded = np.char.add(names, _ITEM_SEP).view(np.uint8)
+    if padded.all():
+        return padded
+    data = padded.tobytes()
+    del padded  # freed before the padding is dropped from the copy
+    return data.translate(None, b"\0")
+
+
+class _Rendered(tuple):
+    """A top-level key's list of strings, written ahead: the UTF-8 chunks of
+    its items, each but the last followed by ``_ITEM_SEP``, which ``_write``
+    puts between the list's brackets as they are."""
+
+    __slots__ = ()
 
 
 def _seed(text: str) -> int:
@@ -347,33 +380,44 @@ def _encoder(inner: str):
     )
 
 
-#: the bytes json.dumps writes as they are: printable ASCII but '"' and '\\'
-_PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
+def _report_chunks(value) -> list:
+    """``json.dumps(value, indent=2, sort_keys=True)`` and a newline as bytes
+    to write in turn, for str-keyed values: the text between the lists
+    written ahead as one encoded piece each, and their chunks as they are."""
+    out: list[str] = []
+    spliced: list = []
+    _write(value, "", out, spliced)
+    out.append("\n")
+    chunks, start = [], 0
+    for at, rendered in spliced:
+        chunks.append("".join(out[start:at]).encode())
+        chunks += rendered
+        start = at
+    chunks.append("".join(out[start:]).encode())
+    return chunks
 
 
 def _report_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed values,
-    written as pieces appended to one list and joined once."""
-    out: list[str] = []
-    _write(value, "", out)
-    return "".join(out)
+    """``json.dumps(value, indent=2, sort_keys=True)``, read back from
+    ``_report_chunks``."""
+    return b"".join(_report_chunks(value))[:-1].decode()
 
 
-def _write(value, indent: str, out: list) -> None:
+def _write(value, indent: str, out: list, spliced: list) -> None:
     """Append the pieces of ``value``'s text, its lines after the first at
-    ``indent``.  A nonempty list of exact ``str`` items whose text is all
-    ``_PLAIN`` bytes needs no escaping and is one ``str.join``; a scalar, an
-    empty container or a container of scalars is one call of the C encoder;
-    a key is one ``encode_basestring_ascii``."""
+    ``indent``.  A scalar, an empty container or a container of scalars is
+    one call of the C encoder; a key is one ``encode_basestring_ascii``; a
+    ``_Rendered`` list is its brackets, with the place between them and the
+    list itself recorded in ``spliced``."""
     inner = indent + "  "
     if not value or not isinstance(value, _CONTAINERS):
         out += _encoder(inner)(value, 0)
         return
-    if isinstance(value, list) and type(value[0]) is str and set(map(type, value)) == {str}:
-        text = "".join(value)
-        if text.isascii() and not text.encode().translate(None, _PLAIN):
-            out += "[\n", inner, '"', f'",\n{inner}"'.join(value), '"\n', indent, "]"
-            return
+    if type(value) is _Rendered:
+        out += "[\n", inner, '"'
+        spliced.append((len(out), value))
+        out += '"\n', indent, "]"
+        return
     for v in value.values() if isinstance(value, dict) else value:
         if isinstance(v, _CONTAINERS):
             break
@@ -386,16 +430,29 @@ def _write(value, indent: str, out: list) -> None:
         out.append("{")
         for k in sorted(value):
             out += lead, encode_basestring_ascii(k), ": "
-            _write(value[k], inner, out)
+            _write(value[k], inner, out, spliced)
             lead = sep
         out += "\n", indent, "}"
     else:
         out.append("[")
         for v in value:
             out.append(lead)
-            _write(v, inner, out)
+            _write(v, inner, out, spliced)
             lead = sep
         out += "\n", indent, "]"
+
+
+def _write_stdout(chunks: list) -> None:
+    """Write the chunks to stdout's binary buffer, after any text pending
+    before them; a stdout without one takes their decoded text."""
+    sys.stdout.flush()
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        sys.stdout.write(b"".join(chunks).decode())
+        sys.stdout.flush()
+    else:
+        binary.writelines(chunks)
+        binary.flush()
 
 
 def main(argv=None) -> int:
@@ -408,17 +465,17 @@ def main(argv=None) -> int:
     except RecoveryError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    text = _report_text(report)
+    chunks = _report_chunks(report)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            with open(args.output, "wb") as fh:
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     else:
         try:
-            print(text, flush=True)
+            _write_stdout(chunks)
         except BrokenPipeError as exc:  # the reader closed stdout early
             # the flush at exit would fail again, so it goes to the null device
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

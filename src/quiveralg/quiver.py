@@ -34,7 +34,7 @@ import numpy as np
 #: graphs with more vertices than this.  It is an input guard, not a cost cap:
 #: the search is exponential on regular graphs, where every vertex has the
 #: same signature (a 3-regular pair took 8.6 s at n = 24, and one at n = 30
-#: did not finish in about 14 minutes; see ROADMAP item 5).
+#: did not finish in about 14 minutes; see ROADMAP item 7).
 ISO_VERTEX_LIMIT = 64
 
 #: ``enumerate_paths`` and ``FockSpace`` refuse graphs with more paths than

@@ -305,7 +305,7 @@ def scramble(q: Quiver, seed: int) -> ScrambledPresentation:
 def probe_character_dimension(s: ScrambledPresentation, a: int) -> int:
     """Dimension of the character-parameter ball at the label a: the table's
     span rank at (a, a).  That is the rank of the compressions p_a * g * p_a
-    only because every generator lies in one arrow block (ROADMAP item 6)."""
+    only because every generator lies in one arrow block (ROADMAP item 4)."""
     _check_label(s, a)
     found = _find(s, a, a)
     return 0 if found is None else found.ranks.item()
@@ -315,15 +315,21 @@ def _rep_rows(vecs: np.ndarray) -> np.ndarray:
     """The upper-right entries of a label pair's representations on the
     generators it labels (zero on every other generator), one row each: with
     V the pair's rows, (d, w) or a stack (m, d, w), and Gamma those rows normalized
-    (each first divided by its largest modulus, so no finite norm overflows),
-    every gamma must pass the family test; the entries are conj(Gamma) @ V.T."""
-    scaled = vecs / np.abs(vecs).max(axis=-1, keepdims=True, initial=0.0)
+    (each first divided by its largest real or imaginary part, so no finite
+    norm overflows), every gamma must pass the family test; the entries are
+    conj(Gamma) @ V.T, and a row whose norm is past the largest double, the
+    diagonal entry, raises RecoveryError."""
+    scaled = vecs / np.abs(vecs.view(float)).max(axis=-1, keepdims=True, initial=0.0)
     gammas = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
     try:
         _check_contractive(np.linalg.norm(gammas, axis=-1) ** 2, 0.0)
     except ValueError as exc:
         raise RecoveryError(f"normalized compression rejected by the family test: {exc}") from exc
-    return gammas.conj() @ vecs.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, raised on below
+        entries = gammas.conj() @ vecs.swapaxes(-1, -2)
+    if not np.isfinite(entries).all():
+        raise RecoveryError("representation rows overflow: a generator's coefficient row has norm past the largest double")
+    return entries
 
 
 def _spot_check(s: ScrambledPresentation, pick: _Record, batched: np.ndarray) -> None:
@@ -332,7 +338,7 @@ def _spot_check(s: ScrambledPresentation, pick: _Record, batched: np.ndarray) ->
     times the rows' transpose, must give ``batched``, the first row of
     ``_rep_rows`` at (a, b), or ProbeMismatchError is raised."""
     (a, b), (i, j), vecs = pick.pairs[0].tolist(), s._vertex[pick.pairs[0]].tolist(), pick.rows[0]
-    row = vecs[0] / np.abs(vecs[0]).max()
+    row = vecs[0] / np.abs(vecs[0].view(float)).max()
     rep = TwoDimRep(s.quiver, i, j, gamma=row / np.linalg.norm(row))
     arrows = [PathPolynomial.arrow(s.quiver, Arrow(j, i, m)) for m in range(vecs.shape[1])]
     spot = np.array([rho_eval(rep, x)[0, 1] for x in arrows]) @ vecs.T

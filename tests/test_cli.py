@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,9 +17,12 @@ from helpers import random_quiver, reference_enumerate_paths
 
 
 def run(argv):
-    """(exit code, report, summary detail) of one subcommand, without ``main``."""
+    """(exit code, report, summary detail) of one subcommand, without
+    ``main``: the report is read back from the text ``main`` writes, since
+    ``paths`` hands its list of names to the writer already rendered."""
     args = cli._cached_parser().parse_args(argv)
-    return args.run(args)
+    code, report, detail = args.run(args)
+    return code, json.loads(cli._report_text(report)), detail
 
 
 def graph_file(tmp_path, name, doc):
@@ -598,6 +602,28 @@ class TestPaths:
         assert code == 0
         assert json.loads(out.read_text())["count"] == 195023
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("max_len", [10, 13], ids=["three_loops", "mixed_width_120"])
+    def test_traced_peak_within_four_report_sizes(self, max_len, tmp_path):
+        """The names are rendered as bytes a level at a time and written as
+        those chunks: the traced peak of ``main`` stays within 4 report
+        sizes, on names of one width (three loops) and on names of widths 5
+        to 129 at one level (2 loops at vertex 1, 1 at vertex 120, one arrow
+        120 -> 1)."""
+        if max_len == 10:
+            c = [[3]]
+        else:
+            c = np.zeros((120, 120), dtype=int)
+            c[0, 0], c[119, 119], c[0, 119] = 2, 1, 1
+        g = quiver_file(tmp_path, "g.json", c)
+        out = tmp_path / "paths.json"
+        tracemalloc.start()
+        try:
+            assert main(["paths", "--graph", g, "--max-len", str(max_len), "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.stat().st_size
 
     def test_past_path_limit_exits_1(self, two_loop, capsys):
         # 2,097,151 paths: refused before any is built

@@ -3,6 +3,7 @@ import collections
 import inspect
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -738,6 +739,27 @@ def test_large_finite_coefficients_recover(scale):
     )
     assert recover(s).c_recovered == ((0, 2), (0, 0))
     assert probe_pair_dimension(s, 0, 1) == 2
+
+
+@pytest.mark.parametrize("z", [1.7e308 * (1 + 1j), 1.7e308j, 1.2e308 * (1 - 1j), 1.79e308, -1.79e308 * (1 + 1j)])
+def test_coefficients_near_the_largest_double_recover_or_raise(z):
+    """Generators x * z + y and x - y * z with both parts of z near the
+    largest double, whose modulus overflows: each row is divided by its
+    largest real or imaginary part, so under warnings as errors ``recover``
+    returns the matrix or, when a row's norm is past the largest double,
+    raises RecoveryError (never a numpy warning or LinAlgError)."""
+    q = Quiver([[0, 2], [0, 0]])
+    x, y = (PathPolynomial.arrow(q, arrow) for arrow in q.block(0, 1))
+    s = ScrambledPresentation(
+        idempotents=(PathPolynomial.vertex(q, 0), PathPolynomial.vertex(q, 1)),
+        generators=(x * z + y, x - y * z),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert recover(s).c_recovered == ((0, 2), (0, 0))
+        except RecoveryError as exc:
+            assert "overflow" in str(exc)
 
 
 def test_rank_inputs_no_wider_than_their_pair(monkeypatch):
