@@ -22,10 +22,12 @@ Subcommands:
 * ``iso``     -- the lexicographically least isomorphism witness between two
   graph files, found by signature-pruned backtracking.
 * ``paths``   -- enumerate the paths of a graph up to a length.  The names
-  are built as bytes a level at a time, each level one add of fixed-width
-  byte-string arrays (an arrow's token before the name of the path it
-  extends), and written to the file or stdout as those chunks, with no
-  string per path and no full-size join of the report.
+  are built as bytes a level at a time, as ``quiver._path_levels`` walks
+  the levels, each name with the separator that follows it in the report
+  and each level one add of fixed-width byte-string arrays (an arrow's
+  token before the name of the path it extends); they are written to the
+  file or stdout as those chunks, with no string per path, no array of the
+  whole path tree and no full-size join of the report.
 
 ``verify`` and ``recover`` draw all their randomness from a single
 ``--seed`` (default 0) through one numpy generator, so identical
@@ -47,7 +49,8 @@ their defaults, are declared; each subcommand sets ``run`` to its runner,
 which returns the exit code, the report and the detail of the summary line
 ``main`` prints on stderr.  ``main`` builds the parser on its first call and
 reuses it for the rest of the process (``parse_args`` leaves a parser
-unchanged).  Reports are byte-identical to
+unchanged); a command line that starts with a subcommand goes straight to
+that subcommand's parser.  Reports are byte-identical to
 ``json.dumps(report, indent=2, sort_keys=True)``; ``_report_chunks`` writes
 them with the stdlib's C encoder, which ``indent`` would switch off, built
 once per indent level and reused (``json.dumps`` builds one per call), and
@@ -90,7 +93,7 @@ from .fock import (
 )
 from .graphio import GRAPH_SCHEMA_VERSION, element_to_wire, parse_quiver_file
 from .polynomials import format_path
-from .quiver import PATH_LIMIT, Quiver, _check_iso_size, _path_tree, are_isomorphic, arrow_path, vertex_path
+from .quiver import PATH_LIMIT, Quiver, _check_iso_size, _path_levels, are_isomorphic, arrow_path, vertex_path
 # Not called here: perfbench's tracer wraps quiveralg.cli.enumerate_paths and
 # its self-test requires every wrapped name to exist.
 from .quiver import enumerate_paths  # noqa: F401
@@ -247,24 +250,24 @@ def _run_iso(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
     q = parse_quiver_file(args.graph)
-    parent, last_arrow, lengths, _ = _path_tree(q, args.max_len)
-    # a path's name is its last arrow's token before its parent's name; the
-    # levels are contiguous, so each level is one add of fixed-width byte
-    # strings gathered from the level before it, written out as it is made
-    # no arrow is named at --max-len 0, where nothing bounds their number
-    arrows = q.arrows() if args.max_len else ()
-    tokens = np.array([format_path(arrow_path(a)) for a in arrows], dtype="S")
-    starred = np.char.add(tokens, b"*")
-    level = np.array([format_path(vertex_path(v)) for v in q.vertices()], dtype="S")
+    levels = _path_levels(q, args.max_len)
+    # every name is made with the separator that follows it in the report; a
+    # path's name is its last arrow's token before its parent's name, so each
+    # level is one add of fixed-width byte strings gathered from the level
+    # before it, written out as it is made
+    level = np.char.add(np.array([format_path(vertex_path(v)) for v in q.vertices()], dtype="S"), _ITEM_SEP)
+    if args.max_len:  # only then has the walk bounded the arrows
+        tokens = np.array([format_path(arrow_path(a)) for a in q.arrows()], dtype="S")[q._by_source[0]]
+        starred = np.char.add(tokens, b"*")
+        arrow_names = np.char.add(tokens, _ITEM_SEP)  # level 1: every arrow, in out_arrow order
     chunks = [_joined(level)]
-    ends = np.cumsum(np.bincount(lengths))
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        r = slice(lo - q.n, hi - q.n)
-        # the parents end at lo, so parent - lo counts back from the end of their level
-        level = tokens[last_arrow[r]] if lo == q.n else np.char.add(starred[last_arrow[r]], level[parent[r] - lo])
+    count = q.n
+    for rows, places, _ in levels:
+        level = np.char.add(starred[places], level[rows]) if count > q.n else arrow_names
         chunks.append(_joined(level))
+        count += len(rows)
     chunks[-1] = memoryview(chunks[-1])[: -len(_ITEM_SEP)]
-    return EXIT_OK, {"count": len(lengths), "paths": _Rendered(chunks)}, f"{len(lengths)} paths"
+    return EXIT_OK, {"count": count, "paths": _Rendered(chunks)}, f"{count} paths"
 
 
 #: what follows each item but the last of a top-level key's list in a report
@@ -272,15 +275,11 @@ _ITEM_SEP = b'",\n    "'
 
 
 def _joined(names: np.ndarray) -> np.ndarray | bytes:
-    """The bytes of a fixed-width byte-string array's names, each followed by
-    ``_ITEM_SEP``: its buffer, less the padding of the names shorter than the
-    widest (a name is printable ASCII, so it holds no NUL)."""
-    padded = np.char.add(names, _ITEM_SEP).view(np.uint8)
-    if padded.all():
-        return padded
-    data = padded.tobytes()
-    del padded  # freed before the padding is dropped from the copy
-    return data.translate(None, b"\0")
+    """The bytes of a fixed-width byte-string array's names, each of which
+    ends in ``_ITEM_SEP``: its buffer, less the padding of the names shorter
+    than the widest (a name is printable ASCII, so it holds no NUL)."""
+    data = names.view(np.uint8)
+    return data if data.all() else names.tobytes().translate(None, b"\0")
 
 
 class _Rendered(tuple):
@@ -360,6 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: the parser ``main`` uses, built on its first call
 _cached_parser = functools.cache(build_parser)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` (default ``sys.argv[1:]``) read by the parser ``main`` uses.
+    A command line that starts with a subcommand's name goes straight to
+    that subcommand's parser, which is what the parser would hand it to; the
+    rest (``--help``, ``--version``, a missing or unknown subcommand) takes
+    the parser's own pass."""
+    parser = _cached_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in sub.choices:
+        return sub.choices[argv[0]].parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    return parser.parse_args(argv)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -457,7 +470,7 @@ def _write_stdout(chunks: list) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _cached_parser().parse_args(argv)
+        args = _parse_args(argv)
         code, report, detail = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,7 +71,8 @@ class FockSpace:
     """The span of all paths of length <= depth, with its canonical basis.
 
     Basis vector k is the k-th path of ``enumerate_paths(quiver, depth)``.
-    The space is defined by four arrays from ``quiver._path_tree``, and no
+    The space is defined by four arrays from ``quiver._path_tree``, the
+    levels of the level walk ``quiver._path_levels`` laid end to end, and no
     ``Path`` object is built for it: ``lengths[k]`` and ``targets[k]`` are
     the length and end vertex of path k, and path n + r (n vertices) is path
     ``parent[r]`` followed by the arrow at position ``last_arrow[r]`` of

@@ -87,7 +87,7 @@ def parse_quiver_dict(doc) -> Quiver:
             )
         seen.add(key)
         c[dst - 1, src - 1] = count
-    return Quiver(c)
+    return Quiver._of_counts(c)
 
 
 def parse_quiver_file(path) -> Quiver:

@@ -50,6 +50,9 @@ PATH_TOKEN_LIMIT = 2**24
 #: the most arrows a ``Quiver`` holds in all: arrow positions are int64
 _MAX_ARROWS = 2**63 - 1
 
+#: an empty array of positions, for the tree's empty levels
+_NO_PATHS = np.zeros(0, dtype=np.intp)
+
 
 def _check_count(value) -> None:
     """Refuse one matrix entry unless it is an integer or an integral float
@@ -126,7 +129,21 @@ class Quiver:
     c: np.ndarray
 
     def __init__(self, c) -> None:
-        counts = _as_counts(c)
+        self._lay_out(_as_counts(c), c)
+
+    @classmethod
+    def _of_counts(cls, counts: np.ndarray) -> Quiver:
+        """The quiver on ``counts``, a fresh square int64 matrix of checked
+        counts (each in 0..``_MAX_ARROWS``) that no one else holds: it is
+        taken as it is, neither copied nor scanned; only the total is
+        checked."""
+        q = object.__new__(cls)
+        q._lay_out(counts, counts)
+        return q
+
+    def _lay_out(self, counts: np.ndarray, given) -> None:
+        """Take ``counts`` as ``c`` and read the arrow layout off it; a count
+        or a total that is refused is named from ``given``, as it was given."""
         counts.setflags(write=False)
         # the nonempty blocks, target * n + source, ascending (a bool mask is
         # searched several times faster than the int64 matrix)
@@ -137,7 +154,7 @@ class Quiver:
         # the running total rises at every nonempty block unless a count is
         # negative or the total has wrapped past _MAX_ARROWS
         if (starts[1:] < starts[:-1]).any():
-            for value in _entries(c):
+            for value in _entries(given):
                 _check_count(value)
             raise ValueError(f"size limit exceeded: refusing more than {_MAX_ARROWS} arrows in all")
         # frozen: the fields are set once, here; nonempty block k holds _sizes[k]
@@ -302,10 +319,11 @@ def compose(p: Path, r: Path) -> Optional[Path]:
     return Path(r.base, r.arrows + p.arrows)
 
 
-def _path_count_check(q: Quiver, max_len: int) -> None:
+def _path_count_check(q: Quiver, max_len: int) -> list[int]:
     """Refuse, before anything is allocated, graphs with more than
     ``PATH_LIMIT`` paths of length <= ``max_len`` or with more than
-    ``PATH_TOKEN_LIMIT`` arrow tokens in those paths.
+    ``PATH_TOKEN_LIMIT`` arrow tokens in those paths; else return the number
+    of paths of each length, up to the last nonempty one.
 
     The count sum over k <= max_len of 1^T C^k 1 is taken in exact integers,
     level by level over the nonempty blocks of C, and stops at the first
@@ -319,6 +337,7 @@ def _path_count_check(q: Quiver, max_len: int) -> None:
     """
     n = q.n
     level = [1] * n  # paths of the current length, by end vertex
+    sizes = [n]
     total = n
     tokens = 0
     for k in range(1, max_len + 1):
@@ -329,6 +348,7 @@ def _path_count_check(q: Quiver, max_len: int) -> None:
         size = sum(level)
         if size == 0:
             break
+        sizes.append(size)
         total += size
         tokens += k * size
         if total > PATH_LIMIT or (k >= n and total + (max_len - k) > PATH_LIMIT):
@@ -341,6 +361,47 @@ def _path_count_check(q: Quiver, max_len: int) -> None:
                 f"size limit exceeded: refusing more than {PATH_TOKEN_LIMIT} arrow "
                 f"tokens in paths (lengths up to {max_len})"
             )
+    return sizes
+
+
+def _path_levels(q: Quiver, max_len: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The paths of lengths 1..``max_len``, one level at a time, in
+    ``enumerate_paths`` order.
+
+    Yields ``(rows, places, ends)`` per nonempty level: path r of the level
+    is path ``rows[r]`` of the level before (the vertices before length 1)
+    followed by the arrow at ``places[r]`` of ``Quiver._by_source``'s
+    ``out_arrow``, and ends at vertex ``ends[r]``.  Each level lists the
+    children of the level before it parent by parent, each parent's in
+    ``arrows_from`` order, so level 1 is ``out_arrow`` itself.  Graphs with
+    more than ``PATH_LIMIT`` such paths, or with more than
+    ``PATH_TOKEN_LIMIT`` arrows in them, are refused here, before the walk
+    starts and before any array is built.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    sizes = _path_count_check(q, max_len)
+    if len(sizes) == 1:  # no arrow, or max_len 0, where nothing bounds the arrows
+        return iter(())
+    out_arrow, out_start = q._by_source  # out_start[v]: the first arrow leaving v
+    out_degree = np.diff(out_start)
+    out_end = out_start[1:]
+    out_target = q.arrow_ends()[1][out_arrow]
+    index = np.arange(max(sizes), dtype=np.intp)
+
+    def walk():
+        ends = index[: q.n]  # the end vertices of the level before
+        for size in sizes[1:]:
+            counts = out_degree[ends]
+            last = np.cumsum(counts)  # the position after each parent's last child
+            rows = np.repeat(index[: len(ends)], counts)
+            # child i of the level is place out_start[e] + i - (last - counts)[r]
+            # of its parent r, which ends at e
+            places = (out_end[ends] - last)[rows] + index[:size]
+            ends = out_target[places]
+            yield rows, places, ends
+
+    return walk()
 
 
 def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -349,39 +410,20 @@ def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     Returns ``(parent, last_arrow, lengths, targets)``.  Paths 0..n-1 are the
     vertices; path n + r is path ``parent[r]`` followed by the arrow at
     position ``last_arrow[r]`` of ``tuple(q.arrows())``.  ``lengths`` and
-    ``targets`` hold every path's length and end vertex.  Each level lists
-    the children of the level before it parent by parent, each parent's in
-    ``arrows_from`` order (``Quiver._by_source``), so the children of all
-    paths shorter than ``max_len``, in path order, are the paths from
-    position n on.  Graphs with more than ``PATH_LIMIT`` such paths, or with
-    more than ``PATH_TOKEN_LIMIT`` arrows in them, are refused before any
-    array is built.
+    ``targets`` hold every path's length and end vertex.  The arrays are the
+    levels of ``_path_levels`` laid end to end, which refuses the graphs it
+    refuses before any array is built.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    _path_count_check(q, max_len)
-    out_arrow = none = np.zeros(0, dtype=np.intp)
-    if max_len:  # only then has _path_count_check bounded the arrows
-        out_arrow, out_start = q._by_source  # out_start[v]: the first arrow leaving v
-        out_degree = np.diff(out_start)
-        out_target = q.arrow_ends()[1][out_arrow]
-
-    ends = np.arange(q.n, dtype=np.intp)  # end vertices of the current level
-    start = 0  # position of its first path
-    # per level: the parents, the children's places in out_arrow, the end vertices
-    parent, pos, targets = [none], [none], [ends]
-    for _ in range(max_len):
-        counts = out_degree[ends]
-        size = int(counts.sum())
-        if size == 0:
-            break
-        parent.append(np.repeat(np.arange(start, start + len(ends)), counts))
-        pos.append(np.repeat(out_start[ends] - (np.cumsum(counts) - counts), counts) + np.arange(size))
-        start += len(ends)
-        ends = out_target[pos[-1]]
+    parent, places, targets = [_NO_PATHS], [_NO_PATHS], [np.arange(q.n, dtype=np.intp)]
+    start = 0  # the position of the level before
+    for rows, level_places, ends in _path_levels(q, max_len):
+        parent.append(rows + start)
+        places.append(level_places)
+        start += len(targets[-1])
         targets.append(ends)
     lengths = np.repeat(np.arange(len(targets), dtype=np.intp), [len(t) for t in targets])
-    return np.concatenate(parent), out_arrow[np.concatenate(pos)], lengths, np.concatenate(targets)
+    out_arrow = q._by_source[0] if len(places) > 1 else _NO_PATHS  # only a walk bounds the arrows
+    return np.concatenate(parent), out_arrow[np.concatenate(places)], lengths, np.concatenate(targets)
 
 
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
@@ -415,7 +457,7 @@ def apply_permutation(q: Quiver, tau: Sequence[int]) -> Quiver:
     targets, sources = divmod(q._keys, n)
     c = np.zeros(n * n, dtype=np.int64)
     c[inv[targets] * n + inv[sources]] = q._sizes
-    return Quiver(c.reshape(n, n))
+    return Quiver._of_counts(c.reshape(n, n))
 
 
 def _vertex_signatures(c: np.ndarray) -> list[tuple]:

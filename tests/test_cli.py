@@ -884,3 +884,17 @@ class TestMainEntry:
         assert args.subcommand == "norms" and args.run is cli._run_norms
         assert args.vertex_i == 1 and args.vertex_j == 2 and args.k_max == 3
         assert parser.parse_args(["verify", "--graph", "g.json"]).depth == cli.DEFAULT_DEPTH
+
+    def test_subcommand_parser_reads_as_the_full_parser(self):
+        # main hands a command line that starts with a subcommand straight to
+        # that subcommand's parser; the namespace is the one the full pass gives
+        parser = build_parser()
+        extra = [["paths", "--graph", "g.json"], ["verify", "--graph", "g.json", "--seed", "3", "--output", "r.json"]]
+        for argv in [run.argv for run in RUNS.values()] + extra:
+            assert cli._parse_args(argv) == parser.parse_args(argv)
+
+    def test_unrecognized_arguments_name_the_subcommand(self, two_loop, capsys):
+        assert main(["paths", "--graph", two_loop, "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quiveralg paths [-h] --graph GRAPH")
+        assert err.endswith("error: quiveralg paths: unrecognized arguments: --bogus\n")

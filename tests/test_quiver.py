@@ -21,7 +21,7 @@ from quiveralg import (
     vertex_path,
 )
 from quiveralg import quiver
-from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, PATH_TOKEN_LIMIT, _path_tree
+from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, PATH_TOKEN_LIMIT, _path_levels, _path_tree
 from helpers import (
     random_quiver,
     reference_enumerate_paths,
@@ -343,6 +343,36 @@ class TestPathTree:
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
             assert enumerate_paths(q, max_len) == reference_enumerate_paths(q, max_len)
+
+    @pytest.mark.parametrize("name", sorted(TREE_CASES))
+    def test_levels_are_the_reference_by_length(self, name):
+        """Level k of ``_path_levels`` is the reference tree's paths of
+        length k: the parents counted from the start of level k - 1, the
+        last arrows as places in ``out_arrow``, and the end vertices."""
+        q = TREE_CASES[name]
+        for max_len in range(5):
+            parent, last_arrow, lengths, targets = reference_path_tree(q, max_len)
+            levels = list(_path_levels(q, max_len))
+            assert len(levels) == lengths.max()
+            # the place in out_arrow of every arrow position
+            place = np.argsort(q._by_source[0]) if levels else None
+            starts = np.searchsorted(lengths, np.arange(len(levels) + 2))
+            for k, level in enumerate(levels, 1):
+                lo, hi = starts[k], starts[k + 1]
+                want = (
+                    parent[lo - q.n : hi - q.n] - starts[k - 1],
+                    place[last_arrow[lo - q.n : hi - q.n]],
+                    targets[lo:hi],
+                )
+                for g, w in zip(level, want):
+                    assert g.dtype == np.intp and g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes()
+
+    def test_levels_refuse_before_the_walk(self):
+        with pytest.raises(ValueError, match="max_len must be nonnegative"):
+            _path_levels(Quiver([[1]]), -1)
+        with pytest.raises(ValueError, match="size limit"):
+            _path_levels(Quiver([[0, 1], [1, 0]]), 10**12)
 
     def test_limit_is_inclusive(self, monkeypatch):
         # two loops at one vertex and an isolated vertex: 2^(L+1) paths

@@ -2,6 +2,8 @@
 hypothesis): every view equals the one read entry by entry off a tuple
 matrix, whichever form the matrix is given in."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,28 @@ def test_views_equal_the_tuple_reference(data):
     other = data.draw(matrices(n))
     for rows2 in (ref.permuted(tau), other):
         assert are_isomorphic(q, Quiver(rows2)) == reference_are_isomorphic(rows, rows2)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_checked_counts_build_the_same_quiver(data):
+    """``Quiver._of_counts``, which takes a fresh int64 matrix as it is,
+    builds the quiver ``Quiver`` builds from the same counts, and the keyed
+    relabelling ``apply_permutation`` builds with it equals the dense gather
+    c[tau[i]][tau[j]]."""
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 2**40), min_size=n, max_size=n), min_size=n, max_size=n))
+    q, checked = Quiver(rows), Quiver._of_counts(np.array(rows, dtype=np.int64))
+    assert checked == q and hash(checked) == hash(q)
+    assert not checked.c.flags.writeable and checked.c.dtype == np.int64
+    for got, want in ((checked._keys, q._keys), (checked._sizes, q._sizes), (checked._starts, q._starts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    back = pickle.loads(pickle.dumps(checked))
+    assert back == q and hash(back) == hash(q) and not back.c.flags.writeable
+
+    tau = list(data.draw(st.permutations(range(n))))
+    gathered = Quiver(q.c[np.ix_(tau, tau)])
+    permuted = apply_permutation(q, tau)
+    assert permuted == gathered and hash(permuted) == hash(gathered)
+    assert permuted._keys.tobytes() == gathered._keys.tobytes()
+    assert permuted._starts.tobytes() == gathered._starts.tobytes()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from golden import FIXTURES, REPORTS, ROOT, RUNS, check_report, python
+from quiveralg import cli, quiver
 from quiveralg.cli import main
 
 
@@ -35,6 +36,19 @@ def test_verify_takes_no_svd(name, capsys, monkeypatch):
         raise AssertionError("verify took a dense SVD")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
+    test_report_matches_fixture(name, capsys)
+
+
+@pytest.mark.parametrize("name", [n for n in REPORTS if RUNS[n].argv[0] == "paths"])
+def test_paths_builds_no_tree(name, capsys, monkeypatch):
+    """``paths`` renders its names from the level walk: with the path tree
+    of ``FockSpace`` disabled its reports are unchanged."""
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("paths built the path tree")
+
+    monkeypatch.setattr(quiver, "_path_tree", no_tree)
+    monkeypatch.setattr(cli, "_path_tree", no_tree, raising=False)  # a name imported from quiver
     test_report_matches_fixture(name, capsys)
 
 
