@@ -21,13 +21,14 @@ Subcommands:
   reference by isomorphism search.
 * ``iso``     -- the lexicographically least isomorphism witness between two
   graph files, found by signature-pruned backtracking.
-* ``paths``   -- enumerate the paths of a graph up to a length.  The names
-  are built as bytes a level at a time, as ``quiver._path_levels`` walks
-  the levels, each name with the separator that follows it in the report
-  and each level one add of fixed-width byte-string arrays (an arrow's
-  token before the name of the path it extends); they are written to the
-  file or stdout as those chunks, with no string per path, no array of the
-  whole path tree and no full-size join of the report.
+* ``paths``   -- enumerate the paths of a graph up to a length.  The report
+  is built as bytes: its head, then a level of names at a time, as
+  ``quiver._path_levels`` walks the levels, each name with the separator
+  that follows it in the report and each level one add of fixed-width
+  byte-string arrays (an arrow's token before the name of the path it
+  extends), then its tail.  It is written to the file or stdout as those
+  chunks, with no string per path, no array of the whole path tree and no
+  full-size join of the report.
 
 ``verify`` and ``recover`` draw all their randomness from a single
 ``--seed`` (default 0) through one numpy generator, so identical
@@ -55,8 +56,8 @@ that subcommand's parser.  Reports are byte-identical to
 them with the stdlib's C encoder, which ``indent`` would switch off, built
 once per indent level and reused (``json.dumps`` builds one per call), and
 keys with ``encode_basestring_ascii``, appending every piece to one list
-that is joined and encoded once; the ``paths`` names, rendered ahead, are
-spliced in as their byte chunks, which ``main`` writes as they are.
+that is joined and encoded once.  A ``paths`` report is rendered ahead as
+its byte chunks, which ``main`` writes as they are.
 
 Exit codes: 0 success (also for ``--help`` and ``--version``), 1 validation
 error (bad input, a usage error such as a missing or malformed option, or
@@ -248,7 +249,7 @@ def _run_iso(args: argparse.Namespace) -> tuple[int, dict, str]:
     return (EXIT_OK if tau is not None else EXIT_MISMATCH), report, f"permutation {report['permutation']}"
 
 
-def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
+def _run_paths(args: argparse.Namespace) -> tuple[int, _Rendered, str]:
     q = parse_quiver_file(args.graph)
     levels = _path_levels(q, args.max_len)
     # every name is made with the separator that follows it in the report; a
@@ -267,10 +268,11 @@ def _run_paths(args: argparse.Namespace) -> tuple[int, dict, str]:
         chunks.append(_joined(level))
         count += len(rows)
     chunks[-1] = memoryview(chunks[-1])[: -len(_ITEM_SEP)]
-    return EXIT_OK, {"count": count, "paths": _Rendered(chunks)}, f"{count} paths"
+    head = b'{\n  "count": %d,\n  "paths": [\n    "' % count
+    return EXIT_OK, _Rendered((head, *chunks, b'"\n  ]\n}\n')), f"{count} paths"
 
 
-#: what follows each item but the last of a top-level key's list in a report
+#: what follows each name but the last in a ``paths`` report
 _ITEM_SEP = b'",\n    "'
 
 
@@ -283,9 +285,8 @@ def _joined(names: np.ndarray) -> np.ndarray | bytes:
 
 
 class _Rendered(tuple):
-    """A top-level key's list of strings, written ahead: the UTF-8 chunks of
-    its items, each but the last followed by ``_ITEM_SEP``, which ``_write``
-    puts between the list's brackets as they are."""
+    """A report written ahead as the UTF-8 chunks of its text and final
+    newline, which ``_report_chunks`` passes through as they are."""
 
     __slots__ = ()
 
@@ -393,43 +394,25 @@ def _encoder(inner: str):
     )
 
 
-def _report_chunks(value) -> list:
+def _report_chunks(value) -> list | _Rendered:
     """``json.dumps(value, indent=2, sort_keys=True)`` and a newline as bytes
-    to write in turn, for str-keyed values: the text between the lists
-    written ahead as one encoded piece each, and their chunks as they are."""
+    to write in turn, for str-keyed values: one encoded piece, or the chunks
+    of a report written ahead as they are."""
+    if type(value) is _Rendered:
+        return value
     out: list[str] = []
-    spliced: list = []
-    _write(value, "", out, spliced)
+    _write(value, "", out)
     out.append("\n")
-    chunks, start = [], 0
-    for at, rendered in spliced:
-        chunks.append("".join(out[start:at]).encode())
-        chunks += rendered
-        start = at
-    chunks.append("".join(out[start:]).encode())
-    return chunks
+    return ["".join(out).encode()]
 
 
-def _report_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, read back from
-    ``_report_chunks``."""
-    return b"".join(_report_chunks(value))[:-1].decode()
-
-
-def _write(value, indent: str, out: list, spliced: list) -> None:
+def _write(value, indent: str, out: list) -> None:
     """Append the pieces of ``value``'s text, its lines after the first at
     ``indent``.  A scalar, an empty container or a container of scalars is
-    one call of the C encoder; a key is one ``encode_basestring_ascii``; a
-    ``_Rendered`` list is its brackets, with the place between them and the
-    list itself recorded in ``spliced``."""
+    one call of the C encoder; a key is one ``encode_basestring_ascii``."""
     inner = indent + "  "
     if not value or not isinstance(value, _CONTAINERS):
         out += _encoder(inner)(value, 0)
-        return
-    if type(value) is _Rendered:
-        out += "[\n", inner, '"'
-        spliced.append((len(out), value))
-        out += '"\n', indent, "]"
         return
     for v in value.values() if isinstance(value, dict) else value:
         if isinstance(v, _CONTAINERS):
@@ -443,14 +426,14 @@ def _write(value, indent: str, out: list, spliced: list) -> None:
         out.append("{")
         for k in sorted(value):
             out += lead, encode_basestring_ascii(k), ": "
-            _write(value[k], inner, out, spliced)
+            _write(value[k], inner, out)
             lead = sep
         out += "\n", indent, "}"
     else:
         out.append("[")
         for v in value:
             out.append(lead)
-            _write(v, inner, out, spliced)
+            _write(v, inner, out)
             lead = sep
         out += "\n", indent, "]"
 

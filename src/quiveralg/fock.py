@@ -12,21 +12,20 @@ paths of length <= depth - 1, where the truncation is invisible.
 
 Every path of length >= 1 has exactly one parent (itself without its last
 arrow), so a creation operator is a weighted shift: each row holds at most
-one entry and the columns are orthogonal.  It is held as one weight per
-path of length >= 1, and the checks ``verify`` makes (the covariance
-deviation, the corner report, the creation-operator norm) are read off
-those weights and the path tree's arrays with ``bincount``; the norms of
-all the arrows' basis elements come from one count over the tree
-(``_arrow_shift_norms``).  No sparse matrix is built for them.  The checks
-on m elements are one stacked pass over (m, arrows) coefficient rows: one
-``bincount`` keyed by parent and row sums every row's children at once
+one entry and the columns are orthogonal.  ``creation_operator`` returns it
+as a CSR matrix, but the checks ``verify`` makes (the covariance deviation,
+the corner report, the creation-operator norm) build none: they read its
+weights, one per path of length >= 1, and the basis arrays with
+``bincount``; the norms of all the arrows' basis elements come from one
+count over the basis (``_arrow_shift_norms``).  The checks on m elements
+are one stacked pass over (m, arrows) coefficient rows: one ``bincount``
+keyed by parent and row sums every row's children at once
 (``_child_sums``), in the order a single row's ``bincount`` sums them, so
 ``_covariance_deviations`` and ``_shift_norms`` give each row the value
-``check_isometric_covariance`` and ``operator_norm`` give it alone, bit for
-bit; those two are the one-row case.
-``scipy.sparse`` is imported only where a CSR matrix is asked for:
-``FockOperator.matrix``, ``diag_operator`` and ``evaluate_polynomial``, the
-last two of which return a CSR matrix.
+``check_isometric_covariance`` and ``operator_norm`` of its creation
+operator give it alone, bit for bit.  ``scipy.sparse`` is imported only
+where a CSR matrix is asked for: ``creation_operator``, ``diag_operator``
+and ``evaluate_polynomial``.
 
 ``operator_norm`` has two routes, both exact:
 
@@ -42,7 +41,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .correspondence import CorrespondenceElement, _diagonal, _inner_rows
 # its self-test requires every wrapped name to exist.
 from .correspondence import inner_product  # noqa: F401
 from .polynomials import PathPolynomial, _evaluate
-from .quiver import Arrow, Quiver, _path_tree
+from .quiver import Arrow, Quiver, _path_levels
 # Not called here: perfbench's tracer wraps quiveralg.fock.enumerate_paths and
 # its self-test requires every wrapped name to exist.
 from .quiver import enumerate_paths  # noqa: F401
@@ -71,15 +70,15 @@ class FockSpace:
     """The span of all paths of length <= depth, with its canonical basis.
 
     Basis vector k is the k-th path of ``enumerate_paths(quiver, depth)``.
-    The space is defined by four arrays from ``quiver._path_tree``, the
-    levels of the level walk ``quiver._path_levels`` laid end to end, and no
-    ``Path`` object is built for it: ``lengths[k]`` and ``targets[k]`` are
-    the length and end vertex of path k, and path n + r (n vertices) is path
-    ``parent[r]`` followed by the arrow at position ``last_arrow[r]`` of
-    ``tuple(quiver.arrows())``.  Creation operators and the checks on them
-    are computed from these arrays.  Graphs with more than ``PATH_LIMIT``
-    paths up to ``depth``, or more than ``PATH_TOKEN_LIMIT`` arrows in them,
-    are refused with ``ValueError`` before anything is allocated.
+    The space is defined by four arrays, the levels of the level walk
+    ``quiver._path_levels`` laid end to end, and no ``Path`` object is built
+    for it: ``lengths[k]`` and ``targets[k]`` are the length and end vertex
+    of path k, and path n + r (n vertices) is path ``parent[r]`` followed by
+    the arrow at position ``last_arrow[r]`` of ``tuple(quiver.arrows())``.
+    Creation operators and the checks on them are computed from these
+    arrays.  Graphs with more than ``PATH_LIMIT`` paths up to ``depth``, or
+    more than ``PATH_TOKEN_LIMIT`` arrows in them, are refused with
+    ``ValueError`` before anything is allocated.
     """
 
     __slots__ = ("quiver", "depth", "lengths", "targets", "parent", "last_arrow")
@@ -89,7 +88,20 @@ class FockSpace:
             raise ValueError("depth must be nonnegative")
         self.quiver = quiver
         self.depth = depth
-        self.parent, self.last_arrow, self.lengths, self.targets = _path_tree(quiver, depth)
+        empty = np.zeros(0, dtype=np.intp)
+        parent, places, targets = [empty], [empty], [np.arange(quiver.n, dtype=np.intp)]
+        start = 0  # the position of the level before
+        for rows, level_places, ends in _path_levels(quiver, depth):
+            parent.append(rows + start)
+            places.append(level_places)
+            start += len(targets[-1])
+            targets.append(ends)
+        self.lengths = np.repeat(np.arange(len(targets), dtype=np.intp), [len(t) for t in targets])
+        self.targets = np.concatenate(targets)
+        self.parent = np.concatenate(parent)
+        # a level's places index out_arrow, which only a walk bounds
+        out_arrow = quiver._by_source[0] if len(places) > 1 else empty
+        self.last_arrow = out_arrow[np.concatenate(places)]
 
     @property
     def dim(self) -> int:
@@ -99,44 +111,20 @@ class FockSpace:
         return f"FockSpace(n={self.quiver.n}, depth={self.depth}, dim={self.dim})"
 
 
-class FockOperator:
-    """A creation operator on a FockSpace, held as its weighted-shift weights.
+def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> sp.csr_matrix:
+    """The truncated shift sending path p to sum_a xi[a] * (a after p), as a
+    CSR matrix: row n + r (n vertices) holds the weight of path n + r's
+    last arrow in column ``space.parent[r]``, zero weights dropped."""
+    import scipy.sparse as sp
 
-    ``weights[r]`` is its entry in row n + r, column ``space.parent[r]``
-    (n vertices).  Its ``matrix``, in CSR form with the zero weights
-    dropped, is built on first use.
-    """
-
-    __slots__ = ("space", "weights", "_matrix")
-
-    def __init__(self, space: FockSpace, weights: np.ndarray) -> None:
-        self.space = space
-        self.weights = weights
-        self._matrix: Optional[sp.csr_matrix] = None
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            import scipy.sparse as sp
-
-            space, w = self.space, self.weights
-            keep = w != 0
-            # rows 0..n-1 (the vertices) are empty; row n + r holds keep[r] entries
-            indptr = np.concatenate(
-                (np.zeros(space.quiver.n + 1, dtype=np.intp), np.cumsum(keep))
-            )
-            self._matrix = sp.csr_matrix(
-                (w[keep], space.parent[keep], indptr), shape=(space.dim, space.dim)
-            )
-        return self._matrix
-
-
-def creation_operator(space: FockSpace, xi: CorrespondenceElement) -> FockOperator:
-    """The truncated shift sending path p to sum_a xi[a] * (a after p)."""
     if xi.quiver != space.quiver:
         raise ValueError("element lives over a different quiver")
     # last_arrow and xi.vector both index the arrows in arrows() order
-    return FockOperator(space, xi.vector[space.last_arrow])
+    w = xi.vector[space.last_arrow]
+    keep = w != 0
+    # rows 0..n-1 (the vertices) are empty; row n + r holds keep[r] entries
+    indptr = np.concatenate((np.zeros(space.quiver.n + 1, dtype=np.intp), np.cumsum(keep)))
+    return sp.csr_matrix((w[keep], space.parent[keep], indptr), shape=(space.dim, space.dim))
 
 
 def diag_operator(space: FockSpace, d) -> sp.csr_matrix:
@@ -159,7 +147,7 @@ def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> sp.csr_matrix:
 
     @cache
     def arrow_op(a: Arrow) -> sp.csr_matrix:
-        return creation_operator(space, CorrespondenceElement.basis(space.quiver, a)).matrix
+        return creation_operator(space, CorrespondenceElement.basis(space.quiver, a))
 
     eye = np.eye(space.quiver.n)
     zero = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -177,15 +165,13 @@ def operator_norm(op) -> float:
 
     1. At most one stored entry in every row (a weighted shift, such as a
        creation operator or a diagonal block): the largest column 2-norm,
-       in O(nnz); for a FockOperator, straight from its weights.
+       in O(nnz).
     2. Any other matrix: a dense SVD when both sides are below
        ``DENSE_SVD_LIMIT``; otherwise ``ValueError`` ("size limit
        exceeded"), raised before anything is densified.
 
-    Accepts a FockOperator, a numpy array, or a scipy sparse matrix.
+    Accepts a numpy array or a scipy sparse matrix.
     """
-    if isinstance(op, FockOperator):
-        return float(_shift_norms(op.space, op.weights[None])[0])
     mat = op
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return 0.0

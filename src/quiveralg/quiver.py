@@ -50,9 +50,6 @@ PATH_TOKEN_LIMIT = 2**24
 #: the most arrows a ``Quiver`` holds in all: arrow positions are int64
 _MAX_ARROWS = 2**63 - 1
 
-#: an empty array of positions, for the tree's empty levels
-_NO_PATHS = np.zeros(0, dtype=np.intp)
-
 
 def _check_count(value) -> None:
     """Refuse one matrix entry unless it is an integer or an integral float
@@ -404,44 +401,27 @@ def _path_levels(q: Quiver, max_len: int) -> Iterator[tuple[np.ndarray, np.ndarr
     return walk()
 
 
-def _path_tree(q: Quiver, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The paths of length <= ``max_len`` as arrays, in ``enumerate_paths`` order.
-
-    Returns ``(parent, last_arrow, lengths, targets)``.  Paths 0..n-1 are the
-    vertices; path n + r is path ``parent[r]`` followed by the arrow at
-    position ``last_arrow[r]`` of ``tuple(q.arrows())``.  ``lengths`` and
-    ``targets`` hold every path's length and end vertex.  The arrays are the
-    levels of ``_path_levels`` laid end to end, which refuses the graphs it
-    refuses before any array is built.
-    """
-    parent, places, targets = [_NO_PATHS], [_NO_PATHS], [np.arange(q.n, dtype=np.intp)]
-    start = 0  # the position of the level before
-    for rows, level_places, ends in _path_levels(q, max_len):
-        parent.append(rows + start)
-        places.append(level_places)
-        start += len(targets[-1])
-        targets.append(ends)
-    lengths = np.repeat(np.arange(len(targets), dtype=np.intp), [len(t) for t in targets])
-    out_arrow = q._by_source[0] if len(places) > 1 else _NO_PATHS  # only a walk bounds the arrows
-    return np.concatenate(parent), out_arrow[np.concatenate(places)], lengths, np.concatenate(targets)
-
-
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     """All paths of length at most ``max_len``.
 
     The order is deterministic: by length, then by the canonical per-length
     order of :meth:`Path.sort_key`.  This ordering fixes the basis of every
-    matrix built downstream, so runs are reproducible bit for bit.  The paths
-    are read off ``_path_tree``, which defines that order, and graphs with
-    more than ``PATH_LIMIT`` paths, or more than ``PATH_TOKEN_LIMIT`` arrows
-    in them, are refused.
+    matrix built downstream, so runs are reproducible bit for bit.  Each
+    level of ``_path_levels``, which defines that order, extends the paths
+    of the level before it, and graphs with more than ``PATH_LIMIT`` paths,
+    or more than ``PATH_TOKEN_LIMIT`` arrows in them, are refused.
     """
-    parent, last_arrow, _, _ = _path_tree(q, max_len)
-    arrows = tuple(q.arrows()) if max_len else ()
-    out = [Path(v) for v in q.vertices()]
-    for p, a in zip(parent.tolist(), last_arrow.tolist()):
-        head = out[p]
-        out.append(Path(head.base, head.arrows + (arrows[a],)))
+    levels = _path_levels(q, max_len)
+    arrows = tuple(q.arrows()) if max_len else ()  # only then has the count bounded them
+    out_arrows = [arrows[k] for k in q._by_source[0].tolist()] if arrows else []
+    level = [Path(v) for v in q.vertices()]
+    out = list(level)
+    for rows, places, _ in levels:
+        level = [
+            Path(level[r].base, level[r].arrows + (out_arrows[k],))
+            for r, k in zip(rows.tolist(), places.tolist())
+        ]
+        out += level
     return out
 
 

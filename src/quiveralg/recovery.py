@@ -21,8 +21,10 @@ polynomials into rows with ``_block_support`` and groups its blocks by row
 shape.  One table build then reads a block's label pair (a, b) off the
 idempotents, whose vertices are i and j, so p_a * g * p_b = g and every
 other pair compresses g to zero; the pair read back through those vertices
-is the block.  It takes one ``isfinite`` and one stacked SVD per record
-(singular values above ``RANK_TOL`` count, as in ``np.linalg.matrix_rank``).
+is the block.  It takes one ``isfinite`` and one stacked SVD per record: a
+slot's rank counts its singular values above ``RANK_TOL`` times its largest
+one, so generators scaled by one nonzero constant, which span the same
+algebra, count the same.
 
 Two independent probes count each off-diagonal entry:
 
@@ -71,7 +73,8 @@ from .reps import TwoDimRep, _check_contractive, rho_eval
 from .quiver import are_isomorphic  # noqa: F401
 from .reps import membership_G  # noqa: F401
 
-#: singular values below this count as numerical zero in rank computations
+#: singular values at most this times the largest one of their matrix count
+#: as numerical zero in rank computations
 RANK_TOL = 1e-8
 
 #: the rho_eval spot check's largest admitted difference from the batched
@@ -220,8 +223,12 @@ class RecoveryReport:
 
 
 def _ranks(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.matrix_rank(m, tol=RANK_TOL)`` of each m of a stack, by one SVD."""
-    return (np.linalg.svd(stack, compute_uv=False) > RANK_TOL).sum(-1)
+    """The rank of each matrix of a stack, by one SVD: the number of its
+    singular values above ``RANK_TOL`` times its largest one.  The largest
+    is capped at the largest float, so that a singular value that overflows
+    to inf still counts."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return (sv > RANK_TOL * np.minimum(sv[..., :1], np.finfo(float).max)).sum(-1)
 
 
 def _find(s: ScrambledPresentation, a: int, b: int) -> Optional[_Record]:

@@ -18,11 +18,11 @@ from helpers import random_quiver, reference_enumerate_paths
 
 def run(argv):
     """(exit code, report, summary detail) of one subcommand, without
-    ``main``: the report is read back from the text ``main`` writes, since
-    ``paths`` hands its list of names to the writer already rendered."""
+    ``main``: the report is read back from the bytes ``main`` writes, since
+    ``paths`` hands its report to the writer already rendered."""
     args = cli._cached_parser().parse_args(argv)
     code, report, detail = args.run(args)
-    return code, json.loads(cli._report_text(report)), detail
+    return code, json.loads(b"".join(cli._report_chunks(report))), detail
 
 
 def graph_file(tmp_path, name, doc):

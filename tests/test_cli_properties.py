@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from quiveralg import Quiver, enumerate_paths, format_path, write_quiver_file  # noqa: E402
-from quiveralg.cli import _report_text, main  # noqa: E402
+from quiveralg.cli import _report_chunks, main  # noqa: E402
 
 ODD_STRINGS = ["", "é", "\x00\x1f\n\t\"\\/", "  ", "\ud800", "\U0001f600", "ascii"]
 
@@ -67,7 +67,8 @@ class StrSubclass(str):
 @example({"a": "x", "b": "y"})
 @example([["v1", "v2"], ["1<1:1"], ["a\"b"]])
 def test_writer_matches_indented_dumps(value):
-    assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    text = b"".join(_report_chunks(value)).decode()
+    assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 #: paths a drawn listing may hold at most; longer lengths are cut back

@@ -7,10 +7,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from quiveralg import Arrow, Quiver, enumerate_paths  # noqa: E402
+from quiveralg import Arrow, FockSpace, Quiver, enumerate_paths  # noqa: E402
 from quiveralg import quiver  # noqa: E402
-from quiveralg.quiver import _path_tree  # noqa: E402
-from helpers import quivers  # noqa: E402
+from helpers import quivers, reference_path_tree  # noqa: E402
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -19,6 +18,17 @@ def test_path_count_identity(q, max_len):
     # sum over k <= max_len of 1^T C^k 1; exact in int64 at these sizes
     expected = sum(int(np.linalg.matrix_power(q.matrix(), k).sum()) for k in range(max_len + 1))
     assert len(enumerate_paths(q, max_len)) == expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(quivers(3, 2), st.integers(0, 5))
+def test_fock_arrays_equal_reference_tree(q, max_len):
+    # parent, last_arrow, lengths and targets, bit for bit and with their dtypes
+    space = FockSpace(q, max_len)
+    got = space.parent, space.last_arrow, space.lengths, space.targets
+    for g, w in zip(got, reference_path_tree(q, max_len)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -30,11 +40,11 @@ def test_token_budget_is_exact(q, max_len):
     # hypothesis refuses the function-scoped monkeypatch fixture
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quiver, "PATH_TOKEN_LIMIT", tokens)
-        _path_tree(q, max_len)
+        FockSpace(q, max_len)
         if tokens:
             mp.setattr(quiver, "PATH_TOKEN_LIMIT", tokens - 1)
             with pytest.raises(ValueError, match="arrow tokens"):
-                _path_tree(q, max_len)
+                FockSpace(q, max_len)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -186,7 +186,7 @@ class TestFromCorrespondence:
         xi = random_element(q, rng)
         via_poly = evaluate_polynomial(space, PathPolynomial.from_correspondence(xi))
         direct = creation_operator(space, xi)
-        assert operator_norm(via_poly - direct.matrix) <= 1e-12
+        assert operator_norm(via_poly - direct) <= 1e-12
 
 
 class TestTextForm:

@@ -20,8 +20,8 @@ from quiveralg import (
     enumerate_paths,
     vertex_path,
 )
-from quiveralg import quiver
-from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, PATH_TOKEN_LIMIT, _path_levels, _path_tree
+from quiveralg import FockSpace, quiver
+from quiveralg.quiver import ISO_VERTEX_LIMIT, PATH_LIMIT, PATH_TOKEN_LIMIT, _path_levels
 from helpers import (
     random_quiver,
     reference_enumerate_paths,
@@ -210,7 +210,7 @@ class TestQuiverConstruction:
     def test_largest_counts_accepted_and_per_arrow_views_refused(self):
         q = Quiver([[2**62, 2**62 - 1], [0, 0]])
         assert q.total_arrows() == 2**63 - 1 and q.block_start(0, 1) == 2**62
-        assert _path_tree(q, 0)[0].tolist() == []  # no level of arrows, no arrow view
+        assert FockSpace(q, 0).last_arrow.tolist() == []  # no level of arrows, no arrow view
         with pytest.raises(ValueError, match="size limit exceeded: refusing a vector over"):
             q.arrow_ends()
 
@@ -331,13 +331,16 @@ TREE_CASES = {
 
 
 class TestPathTree:
-    """``_path_tree`` against the path-by-path reference enumeration."""
+    """``FockSpace``'s arrays and the level walk against the path-by-path
+    reference enumeration."""
 
     @pytest.mark.parametrize("name", sorted(TREE_CASES))
     def test_equal_to_reference(self, name):
         q = TREE_CASES[name]
         for max_len in range(5):
-            got, want = _path_tree(q, max_len), reference_path_tree(q, max_len)
+            space = FockSpace(q, max_len)
+            got = space.parent, space.last_arrow, space.lengths, space.targets
+            want = reference_path_tree(q, max_len)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
@@ -380,11 +383,11 @@ class TestPathTree:
         # at L = 19 they hold 18 * 2^20 + 2 arrows, past the token budget;
         # the budget is raised below so that the path limit is the one tested
         with pytest.raises(ValueError, match="arrow tokens"):
-            _path_tree(q, 19)
+            FockSpace(q, 19)
         monkeypatch.setattr(quiver, "PATH_TOKEN_LIMIT", 2**25)
-        assert len(_path_tree(q, 19)[2]) == PATH_LIMIT
+        assert FockSpace(q, 19).dim == PATH_LIMIT
         with pytest.raises(ValueError, match="size limit"):
-            _path_tree(q, 20)
+            FockSpace(q, 20)
         with pytest.raises(ValueError, match="size limit"):
             enumerate_paths(q, 20)
 
@@ -392,9 +395,9 @@ class TestPathTree:
         t0 = time.perf_counter()
         # a cycle makes every level nonempty: refused without counting them
         with pytest.raises(ValueError, match="size limit"):
-            _path_tree(Quiver([[0, 1], [1, 0]]), 10**12)
+            FockSpace(Quiver([[0, 1], [1, 0]]), 10**12)
         # no cycle: the levels run out after one arrow
-        assert _path_tree(Quiver([[0, 1], [0, 0]]), 10**12)[2].tolist() == [0, 0, 1]
+        assert FockSpace(Quiver([[0, 1], [0, 0]]), 10**12).lengths.tolist() == [0, 0, 1]
         assert time.perf_counter() - t0 < 0.1
 
     def test_token_budget_refuses_before_any_path(self, monkeypatch):

@@ -515,17 +515,20 @@ class TestBatchedLinearAlgebra:
                 sv[-1] = RANK_TOL * scale
                 mats.append((u * sv) @ vh)
         mats += [np.zeros((2, 2)), np.zeros((2, 2), dtype=complex), np.zeros((1, 3))]
-        want = [int(np.linalg.matrix_rank(m, tol=RANK_TOL)) for m in mats]
+        # singular values above RANK_TOL times the largest one count
+        svs = [np.linalg.svd(m, compute_uv=False) for m in mats]
+        want = [int((sv > RANK_TOL * sv.max()).sum()) for sv in svs]
         assert [recovery._ranks(m[None]).item() for m in mats] == want
         # stacked: the matrices of one shape and dtype at once
         for key in {(m.shape, m.dtype) for m in mats}:
             ks = [k for k, m in enumerate(mats) if (m.shape, m.dtype) == key]
             assert recovery._ranks(np.stack([mats[k] for k in ks])).tolist() == [want[k] for k in ks]
-        # the list holds rank-deficient matrices, and the near-RANK_TOL ones
-        # fall on both sides
+        # the list holds rank-deficient matrices; a lone nonzero singular
+        # value always counts, and the near-RANK_TOL ones of larger
+        # matrices fall on both sides
         assert any(r < min(m.shape) for r, m in zip(want, mats))
-        near = [r for r, m in zip(want, mats) if m.shape == (1, 1)][3:7]
-        assert near == [0, 0, 1, 1]
+        assert [r for r, m in zip(want, mats) if m.shape == (1, 1)][3:7] == [1, 1, 1, 1]
+        assert [r for r, m in zip(want, mats) if m.shape == (2, 2)][3:7] == [1, 1, 2, 2]
         assert recovery._ranks(np.zeros((1, 0, 0))).tolist() == [0]
         assert recovery._ranks(np.zeros((0, 2, 2))).tolist() == []
 
@@ -884,6 +887,31 @@ def test_degenerate_and_redundant_generating_sets(c):
         s = ScrambledPresentation(idempotents, generators)
         with pytest.raises(RecoveryError, match=refusal):
             recover(s)
+
+
+@pytest.mark.parametrize("z", [1e-10, 1e-200])
+@pytest.mark.parametrize("c", [[[0, 2], [0, 0]], [[2]]], ids=["off_diagonal", "loops"])
+def test_small_scaled_generators_recover(c, z):
+    """Generators x * z + y * z and x * z - y * z span the block of two
+    arrows whatever z != 0 is: a rank counts singular values against the
+    largest one of the same rows, so a small z is not read as zero."""
+    q = Quiver(c)
+    x, y = (PathPolynomial.arrow(q, arrow) for arrow in q.block(0, q.n - 1))
+    idempotents = tuple(PathPolynomial.vertex(q, v) for v in range(q.n))
+    s = ScrambledPresentation(idempotents, (x * z + y * z, x * z - y * z))
+    assert recover(s).c_recovered == tuple(map(tuple, c))
+
+
+@pytest.mark.parametrize("z", [1.5e308, 1.79e308, 1.7e308j])
+def test_loops_near_the_largest_double_recover(z):
+    """Two loops with generators x * z + y * z and x * z - y * z: the rows'
+    singular values overflow to inf, and the largest one, against which
+    they are counted, is capped at the largest double, so both count."""
+    q = Quiver([[2]])
+    x, y = (PathPolynomial.arrow(q, arrow) for arrow in q.block(0, 0))
+    s = ScrambledPresentation((PathPolynomial.vertex(q, 0),), (x * z + y * z, x * z - y * z))
+    assert recover(s).c_recovered == ((2,),)
+    assert probe_character_dimension(s, 0) == 2
 
 
 #: the functions and ``ScrambledPresentation`` methods that must read no

@@ -1,7 +1,8 @@
 """Property tests of recovery (need hypothesis): invariance under vertex
 relabelling, a certified witness for every presentation, one generator table
 from either input of a presentation, and the table ``scramble`` fills equal
-to its draws made block by block."""
+to its draws made block by block, and the same recovery from generators
+scaled by one constant."""
 
 import numpy as np
 import pytest
@@ -120,3 +121,15 @@ def test_scramble_table_equals_per_block_draws(q, seed):
             assert np.array(coeffs).tobytes() == row.tobytes()
             seen.append(k)
     assert sorted(seen) == list(range(len(generators)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(quivers(5, 2), st.integers(0, 2**32 - 1), st.sampled_from([1e-200, 1e-12, 1e-9, 1e9, 1e200]))
+def test_recovery_is_invariant_under_scaling(q, seed, scale):
+    """Every generator times one nonzero constant spans the same algebra:
+    the presentation rebuilt from them recovers the same matrix and
+    witness."""
+    s = scramble(q, seed)
+    scaled = ScrambledPresentation(s.idempotents, [g * scale for g in s.generators], s.hidden_truth)
+    report, want = recover(scaled), recover(s)
+    assert (report.c_recovered, report.witness) == (want.c_recovered, want.witness)

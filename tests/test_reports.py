@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from golden import FIXTURES, REPORTS, ROOT, RUNS, check_report, python
-from quiveralg import cli, quiver
+from quiveralg import fock
 from quiveralg.cli import main
 
 
@@ -47,8 +47,7 @@ def test_paths_builds_no_tree(name, capsys, monkeypatch):
     def no_tree(*args, **kwargs):
         raise AssertionError("paths built the path tree")
 
-    monkeypatch.setattr(quiver, "_path_tree", no_tree)
-    monkeypatch.setattr(cli, "_path_tree", no_tree, raising=False)  # a name imported from quiver
+    monkeypatch.setattr(fock.FockSpace, "__init__", no_tree, raising=True)
     test_report_matches_fixture(name, capsys)
 
 
