@@ -17,12 +17,9 @@ from quiveralg import (
     Quiver,
     TwoDimRep,
     char_eval,
-    membership_G,
+    norm_table,
     parse_polynomial,
-    purity_bound,
     rho_eval,
-    t_tilde_k_norm_closed,
-    t_tilde_k_norm_direct,
     t_tilde_product,
 )
 
@@ -43,15 +40,22 @@ print(t_tilde_product(rep).real)
 
 print("\nnorm recursion (closed form vs Gram recursion) and decay bound:")
 print("   k   closed        direct        bound")
-for k in range(1, 7):
-    closed = t_tilde_k_norm_closed(rep, k)
-    direct = t_tilde_k_norm_direct(rep, k)
-    bound = purity_bound(rep, k)
+for k, (closed, direct, bound) in enumerate(norm_table(rep, 6), 1):
     print(f"   {k}   {closed:.10f}  {direct:.10f}  {bound:.10f}")
 
+
+def contractive(lam_i, gamma) -> bool:
+    """True iff the parameters make a representation of the family."""
+    try:
+        TwoDimRep(q, 0, 1, lam_i, [0.0], gamma)
+    except ValueError:
+        return False
+    return True
+
+
 print("\ncontractivity classification:")
-print("  (||lam_i||, ||gamma||) = (0.6, 0.8)  ->", membership_G(q, 0, 1, [0.6, 0], [0.0], [0.8]))
-print("  (||lam_i||, ||gamma||) = (0.8, 0.8)  ->", membership_G(q, 0, 1, [0.8, 0], [0.0], [0.8]))
+print("  (||lam_i||, ||gamma||) = (0.6, 0.8)  ->", contractive([0.6, 0], [0.8]))
+print("  (||lam_i||, ||gamma||) = (0.8, 0.8)  ->", contractive([0.8, 0], [0.8]))
 
 # the saturating witness element lands exactly on the unit sphere
 boundary = TwoDimRep(q, 0, 1, lam_i=[0.6, 0.0], lam_j=[0.0], gamma=[0.8])

@@ -46,12 +46,8 @@ from .reps import (
     Character,
     TwoDimRep,
     char_eval,
-    membership_G,
-    purity_bound,
+    norm_table,
     rho_eval,
-    t_tilde_k_matrix,
-    t_tilde_k_norm_closed,
-    t_tilde_k_norm_direct,
     t_tilde_product,
 )
 from .recovery import (
@@ -113,22 +109,18 @@ __all__ = [
     "format_polynomial",
     "inner_product",
     "left_action",
-    "membership_G",
+    "norm_table",
     "operator_norm",
     "parse_polynomial",
     "parse_quiver_dict",
     "parse_quiver_file",
     "probe_character_dimension",
     "probe_pair_dimension",
-    "purity_bound",
     "quiver_to_dict",
     "recover",
     "rho_eval",
     "right_action",
     "scramble",
-    "t_tilde_k_matrix",
-    "t_tilde_k_norm_closed",
-    "t_tilde_k_norm_direct",
     "t_tilde_product",
     "vertex_path",
     "write_quiver_file",

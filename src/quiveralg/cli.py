@@ -99,7 +99,7 @@ from .quiver import PATH_LIMIT, Quiver, _check_iso_size, _path_levels, are_isomo
 # its self-test requires every wrapped name to exist.
 from .quiver import enumerate_paths  # noqa: F401
 from .recovery import RecoveryError, recover, scramble
-from .reps import TwoDimRep, _norm_table
+from .reps import TwoDimRep, norm_table
 # Not called here: perfbench's tracer wraps quiveralg.cli.t_tilde_k_norm_direct
 # and quiveralg.cli.t_tilde_k_norm_closed, and its self-test requires every
 # wrapped name to exist.
@@ -201,7 +201,7 @@ def _run_norms(args: argparse.Namespace) -> tuple[int, dict, str]:
     rep = TwoDimRep(q, i, j, *(_parse_complex_vector(t, d, name) for (t, name), d in zip(texts, dims)))
     if not 1 <= args.k_max <= NORMS_K_MAX:
         raise ValueError(f"k-max must be in 1..{NORMS_K_MAX}, got {args.k_max}")
-    table = _norm_table(rep, args.k_max)
+    table = norm_table(rep, args.k_max)
     rows = [{"k": k, "closed": c, "direct": d, "bound": b} for k, (c, d, b) in enumerate(table, 1)]
     worst = max(abs(c - d) for c, d, _ in table)
     report = {

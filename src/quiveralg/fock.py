@@ -149,9 +149,9 @@ def evaluate_polynomial(space: FockSpace, p: PathPolynomial) -> sp.csr_matrix:
     def arrow_op(a: Arrow) -> sp.csr_matrix:
         return creation_operator(space, CorrespondenceElement.basis(space.quiver, a))
 
-    eye = np.eye(space.quiver.n)
+    vertices = np.arange(space.quiver.n)  # vertices == v is the indicator of v
     zero = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    return _evaluate(p, lambda v: diag_operator(space, eye[v]), arrow_op, zero).tocsr()
+    return _evaluate(p, lambda v: diag_operator(space, vertices == v), arrow_op, zero).tocsr()
 
 
 def _column_norm(cols: np.ndarray, vals: np.ndarray, width: int) -> float:
@@ -170,21 +170,26 @@ def operator_norm(op) -> float:
        ``DENSE_SVD_LIMIT``; otherwise ``ValueError`` ("size limit
        exceeded"), raised before anything is densified.
 
-    Accepts a numpy array or a scipy sparse matrix.
+    Accepts a scipy sparse matrix, or anything ``np.asarray`` reads as an
+    array.  Input that is not 2-D, or that stores a NaN or infinite entry,
+    is refused with ``ValueError`` before either route runs.
     """
-    mat = op
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return 0.0
     # a sparse matrix exists only once scipy.sparse has been imported
     sparse_mod = sys.modules.get("scipy.sparse")
-    sparse = sparse_mod is not None and sparse_mod.issparse(mat)
+    sparse = sparse_mod is not None and sparse_mod.issparse(op)
+    mat = op if sparse else np.asarray(op)
+    if len(mat.shape) != 2:
+        raise ValueError(f"operator_norm needs a 2-D matrix, got shape {mat.shape}")
     if sparse:
         coo = mat.tocoo()
         rows, cols, vals = coo.row, coo.col, coo.data
     else:
-        mat = np.asarray(mat)
         rows, cols = np.nonzero(mat)
         vals = mat[rows, cols]
+    if not np.isfinite(vals).all():
+        raise ValueError("operator_norm needs finite entries, got NaN or infinity")
+    if mat.shape[0] == 0 or mat.shape[1] == 0:
+        return 0.0
     if np.bincount(rows, minlength=mat.shape[0]).max() <= 1:
         return _column_norm(cols, vals, mat.shape[1])
     if max(mat.shape) >= DENSE_SVD_LIMIT:

@@ -60,9 +60,14 @@ class PathPolynomial:
     @classmethod
     def _of_valid_paths(cls, quiver: Quiver, terms: Mapping[Path, complex]) -> "PathPolynomial":
         """The polynomial with these complex terms, zeros dropped, when every
-        path is already known to be one of the quiver's: no path is checked."""
+        path is already known to be one of the quiver's: no path is checked,
+        but a non-finite coefficient kept (an overflow, or a NaN scalar) is
+        refused as the constructor refuses it."""
         p = cls(quiver)
         p.terms = {path: z for path, z in terms.items() if z != 0}
+        if not all(map(cmath.isfinite, p.terms.values())):
+            bad = next(z for z in p.terms.values() if not cmath.isfinite(z))
+            raise ValueError(f"coefficients must be finite, got {bad}")
         return p
 
     @staticmethod
@@ -313,7 +318,5 @@ def parse_polynomial(q: Quiver, text: str) -> PathPolynomial:
             if kind != "op":
                 raise ValueError(f"unexpected token {value!r} where '+' or '-' was expected")
             sign, coeff, paths, expect_atom = (-1.0 if value == "-" else 1.0), 1.0 + 0j, [], True
-    if not all(map(cmath.isfinite, total.values())):
-        raise ValueError("coefficients must be finite; the sum overflows")
-    # every path was checked as it was read
+    # every path was checked as it was read; ``_of_valid_paths`` refuses a sum that overflowed
     return PathPolynomial._of_valid_paths(q, total)

@@ -13,15 +13,12 @@ On a degree-1 element it acts by
      [       0          <lam_j, xi_jj> ]]
 
 and extends multiplicatively to monomials and linearly to polynomials.  The
-family is contractive exactly when ||gamma||^2 <= 1 - ||lam_i||^2; the
-compressed bimodule maps T~_k obey a two-term recursion whose closed-form
-norm and decay bound are implemented below.  Two independent routes
-cross-check the closed form: a recursion of the Gram matrix T~_k T~_k* as
-two 2 x 2 blocks, one per end vertex i and j, whose table for k = 1..k_max
-is one recursion of k_max - 1 steps, O(k_max * (c_ii + c_ij + c_jj)) in
-all, and the explicit 2 x d matrix assembly over the paths of
-``enumerate_paths``, whose width grows like arrows^k and which serves as
-the test oracle.
+family is contractive exactly when ||gamma||^2 <= 1 - ||lam_i||^2.
+``norm_table`` is the public route to the norms of the compressed bimodule
+maps T~_k, k = 1..k_max: the closed form, the same norm from a recursion
+of the Gram matrix T~_k T~_k*, and the decay bound.  The explicit 2 x d
+assembly ``t_tilde_k_matrix``, whose width grows like arrows^k, is the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -165,7 +162,8 @@ class TwoDimRep:
 def membership_G(q: Quiver, i: int, j: int, lam_i, lam_j, gamma) -> bool:
     """Classify candidate parameters: True iff :class:`TwoDimRep` accepts them,
     that is, the shapes match the quiver, i != j, lam_i and lam_j lie in the
-    open unit ball, and ||gamma||^2 <= 1 - ||lam_i||^2 (up to float slack)."""
+    open unit ball, and ||gamma||^2 <= 1 - ||lam_i||^2 (up to float slack).
+    Not exported; it stays for perfbench's tracer until ROADMAP item 8."""
     try:
         TwoDimRep(q, i, j, lam_i, lam_j, gamma)
     except ValueError:
@@ -207,10 +205,13 @@ def t_tilde_k_matrix(q: Quiver, i: int, j: int, lam_i, lam_j, gamma, k: int) -> 
     No contractivity is assumed, so this also measures parameters outside
     the admissible family.  Like ``enumerate_paths``, it refuses graphs with
     more than ``PATH_LIMIT`` paths of length <= k or more than
-    ``PATH_TOKEN_LIMIT`` arrows in them.
+    ``PATH_TOKEN_LIMIT`` arrows in them, and, like ``TwoDimRep``, i == j.
+    Not exported; it stays for perfbench's tracer until ROADMAP item 8.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if i == j:
+        raise ValueError("the two diagonal vertices must be distinct")
     lam_i, lam_j, gamma = _as_vector(lam_i), _as_vector(lam_j), _as_vector(gamma)
     if lam_i.shape[0] != q.count(i, i) or lam_j.shape[0] != q.count(j, j) or gamma.shape[0] != q.count(i, j):
         raise ValueError("parameter dimensions do not match the quiver blocks")
@@ -240,12 +241,6 @@ def _closed_norm(q1: float, q2: float, t: float, k: int) -> float:
     return float(np.sqrt(max(q1**k + t * geometric, q2**k)))
 
 
-def _bound(q1: float, q2: float, t: float, k: int) -> float:
-    if not (q1 < 1.0 and q2 < 1.0):
-        raise ValueError("not in the pure regime: both diagonal vectors must be interior")
-    return float(max(q1, q2) ** k + k * t * max(q1, q2) ** (k - 1))
-
-
 def t_tilde_k_norm_closed(r: TwoDimRep, k: int) -> float:
     """Closed-form norm of the k-fold compressed map:
 
@@ -255,6 +250,7 @@ def t_tilde_k_norm_closed(r: TwoDimRep, k: int) -> float:
     with q1, q2, t the squared norms of lam_i, lam_j, gamma.  The geometric
     sum telescopes to (q1^k - q2^k) / (q1 - q2); the degenerate case q1 = q2
     uses the limit value k * q1^{k-1}.
+    Not exported; it stays for perfbench's tracer until ROADMAP item 8.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -296,23 +292,23 @@ def t_tilde_k_norm_direct(r: TwoDimRep, k: int) -> float:
     (i, i), (i, j) and (j, j), so only their arrows are read, as one stack:
     k_max - 1 steps, O(k_max * (c_ii + c_ij + c_jj)), give every k <= k_max.
     No column is built, and the closed form in q1, q2 and t is not used.
+    Not exported; it stays for perfbench's tracer until ROADMAP item 8.
     """
     return _direct_norms(r, k)[-1]
 
 
-def purity_bound(r: TwoDimRep, k: int) -> float:
-    """The decay bound q^k + k t q^{k-1} with q = max(q1, q2).
-
-    The squared norm of the k-fold compressed map never exceeds this, and the
-    bound tends to zero, which is what makes the representation extend
-    continuously to the weak-star closure.
+def norm_table(r: TwoDimRep, k_max: int) -> list[tuple[float, float, float]]:
+    """One (closed, direct, bound) row per k = 1..k_max, from one sweep and
+    one read of q1, q2 and t: the norm of T~_k by ``t_tilde_k_norm_closed``
+    and by ``t_tilde_k_norm_direct``, and the decay bound q^k + k t q^{k-1}
+    with q = max(q1, q2).  The squared norm never exceeds the bound, which
+    tends to zero: that makes the representation extend continuously to the
+    weak-star closure.  Refuses k_max < 1, and a diagonal vector outside the
+    open ball (not the pure regime), with ``ValueError``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _bound(*r.squared_params(), k)
-
-
-def _norm_table(r: TwoDimRep, k_max: int) -> list[tuple[float, float, float]]:
-    """(closed, direct, bound) for k = 1..k_max from one sweep and one read of q1, q2, t."""
-    params = r.squared_params()
-    return [(_closed_norm(*params, k), d, _bound(*params, k)) for k, d in enumerate(_direct_norms(r, k_max), 1)]
+    q1, q2, t = r.squared_params()
+    if not (q1 < 1.0 and q2 < 1.0):
+        raise ValueError("not in the pure regime: both diagonal vectors must be interior")
+    q = max(q1, q2)
+    direct = _direct_norms(r, k_max)
+    return [(_closed_norm(q1, q2, t, k), d, q**k + k * t * q ** (k - 1)) for k, d in enumerate(direct, 1)]

@@ -22,14 +22,12 @@ from quiveralg import (
     char_eval,
     check_isometric_covariance,
     corner_shift_report,
-    purity_bound,
+    norm_table,
     recover,
     rho_eval,
     scramble,
-    t_tilde_k_matrix,
-    t_tilde_k_norm_closed,
-    t_tilde_k_norm_direct,
 )
+from quiveralg.reps import t_tilde_k_matrix, t_tilde_k_norm_closed, t_tilde_k_norm_direct
 from helpers import (
     dyadic_ball_vector,
     dyadic_polynomial,
@@ -90,11 +88,12 @@ def test_criterion_2_norm_formula_and_decay_bound():
             quiv = two_block_quiver(d_i, d_g, d_j)
             lam_i, lam_j, gamma = random_contractive_params(rng, d_i, d_g, d_j)
         rep = TwoDimRep(quiv, 0, 1, lam_i, lam_j, gamma)
+        bounds = [bound for _, _, bound in norm_table(rep, 6)]
         for k in range(1, 7):
             closed = t_tilde_k_norm_closed(rep, k)
             direct = t_tilde_k_norm_direct(rep, k)
             worst_gap = max(worst_gap, abs(closed - direct))
-            bound_ok = bound_ok and direct**2 <= purity_bound(rep, k) + 1e-12
+            bound_ok = bound_ok and direct**2 <= bounds[k - 1] + 1e-12
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-10 and bound_ok and elapsed < 10.0
     _report(2, ok, elapsed, f"max closed/direct gap {worst_gap:.3e}, bound held: {bound_ok}")

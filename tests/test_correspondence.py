@@ -66,6 +66,10 @@ class TestConstruction:
         assert xi.component(a) == 1.0
         assert np.all(xi.block(0, 0) == 0)
 
+    def test_repr_counts_the_nonzero_coefficients(self, q22):
+        xi = CorrespondenceElement.basis(q22, Arrow(0, 0, 0))
+        assert repr(xi) == "<CorrespondenceElement over n=2, 1 nonzero coefficients>"
+
     def test_basis_rejects_foreign_arrow(self, q22):
         with pytest.raises(ValueError):
             CorrespondenceElement.basis(q22, Arrow(0, 1, 0))

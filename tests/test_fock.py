@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,9 @@ class TestFockSpace:
             int(np.linalg.matrix_power(q.matrix(), k).sum()) for k in range(5)
         )
         assert space.dim == expected
+
+    def test_repr(self):
+        assert repr(FockSpace(Quiver([[1, 1], [0, 1]]), 3)) == "FockSpace(n=2, depth=3, dim=14)"
 
     def test_rejects_negative_depth(self, loop1):
         with pytest.raises(ValueError):
@@ -210,6 +214,23 @@ class TestEvaluatePolynomial:
         assert operator_norm(block) <= 1e-12
 
 
+    def test_vertex_projection_builds_no_identity(self):
+        # 3,000 vertices with one loop each at depth 1 (dim 6,000): an n x n
+        # identity to pick the vertex's indicator from would take 72 MB
+        q = Quiver(np.diag(np.ones(3000, dtype=np.int64)))
+        space = FockSpace(q, 1)
+        p = PathPolynomial.vertex(q, 0)
+        evaluate_polynomial(space, p)  # the first call's imports are not measured
+        tracemalloc.start()
+        try:
+            m = evaluate_polynomial(space, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert np.array_equal(m.diagonal(), (space.targets == 0).astype(complex)) and m.nnz == 2
+
+
 class TestOperatorNorm:
     def test_identity(self, loop2):
         space = FockSpace(loop2, 3)
@@ -272,6 +293,26 @@ class TestOperatorNorm:
         assert operator_norm(m) == dense
         assert operator_norm(sp.csr_matrix(m)) == dense
 
+    def test_nested_list_is_read_as_an_array(self):
+        assert operator_norm([[3.0, 0.0], [0.0, -4.0]]) == 4.0
+        assert operator_norm([[1.0, 1.0]]) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_input_that_is_not_two_dimensional_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^operator_norm needs a 2-D matrix, got shape \("):
+            operator_norm(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[np.nan, 1.0], [1.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["nan_on_the_shift_route", "nan_on_the_svd_route", "inf"],
+    )
+    def test_non_finite_entries_are_refused_before_either_route(self, entries, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("SVD taken"))
+        for m in (np.array(entries), sp.csr_matrix(entries)):
+            with pytest.raises(ValueError, match="^operator_norm needs finite entries"):
+                operator_norm(m)
+
     def test_large_matrix_off_the_shift_route_is_refused(self, monkeypatch):
         # norm 1 + O(1e-9); an iterative route stopped at |delta sigma| <=
         # 1e-9 returned 0.99998373 here, so no such route is taken
@@ -309,6 +350,12 @@ class TestIsometricCovariance:
             space, random_element(q, rng), random_element(q, rng)
         )
         assert dev <= 1e-12
+
+    def test_elements_over_a_different_quiver_refused(self, loop1):
+        space, other = FockSpace(loop1, 2), CorrespondenceElement.zeros(Quiver([[2]]))
+        for xi, eta in ((other, other), (CorrespondenceElement.zeros(loop1), other)):
+            with pytest.raises(ValueError, match="^element lives over a different quiver$"):
+                check_isometric_covariance(space, xi, eta)
 
     def test_depth_zero_rejected(self, loop1):
         space = FockSpace(loop1, 0)

@@ -69,6 +69,25 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="^coefficients must be finite, got "):
             PathPolynomial.monomial(q, arrow_path(Arrow(0, 0, 0)), coeff)
 
+    @pytest.mark.parametrize(
+        "build, got",
+        [
+            (lambda v, x: v.scaled(1e308) * 10, "(inf+0j)"),
+            (lambda v, x: v.scaled(1e308) + v.scaled(1e308), "(inf+0j)"),
+            (lambda v, x: x.scaled(1e200) * x.scaled(1e200), "(inf+0j)"),
+            (lambda v, x: v * float("nan"), "(nan+nanj)"),
+        ],
+        ids=["scaled", "sum", "product", "nan_scalar"],
+    )
+    def test_arithmetic_refuses_a_non_finite_coefficient(self, build, got):
+        # sums, multiples and products check no path, but keep the
+        # constructor's refusal of a coefficient that overflows or is NaN
+        q = Quiver([[1]])
+        v, x = PathPolynomial.vertex(q, 0), PathPolynomial.arrow(q, Arrow(0, 0, 0))
+        with pytest.raises(ValueError) as info:
+            build(v, x)
+        assert str(info.value) == f"coefficients must be finite, got {got}"
+
     def test_rejects_a_path_off_the_quiver(self, q):
         with pytest.raises(ValueError, match=r"^Arrow\(source=1, target=0, index=2\) is not an arrow of this quiver$"):
             PathPolynomial(q, {arrow_path(Arrow(1, 0, 2)): 1.0})
@@ -269,6 +288,11 @@ class TestTextForm:
         with pytest.raises(ValueError, match="finite"):
             parse_polynomial(q, text)
 
+    def test_parse_refuses_a_sum_that_overflows_as_arithmetic_does(self, q):
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(q, "1e308*v1 + 1e308*v1")
+        assert str(info.value) == "coefficients must be finite, got (inf+0j)"
+
     @pytest.mark.parametrize("text", ["2*", "-", "v1 +", "v1 - 3*1<1:1*"])
     def test_parse_names_the_end_of_the_text(self, q, text):
         with pytest.raises(ValueError, match="text ends where a monomial or scalar was expected"):
@@ -331,6 +355,12 @@ class TestTextForm:
         p = parse_polynomial(q, text)
         assert time.perf_counter() - t0 < 0.5
         assert p.terms == {path: k + 1 for k, path in enumerate(paths)}
+
+    def test_str_and_repr_give_text_that_parses_back(self, q):
+        p = parse_polynomial(q, "v1 + (0.5-2j)*1<1:1 - 1j*1<2:2*2<2:1")
+        assert str(p) == format_polynomial(p) == "(1+0j)*v1 + (0.5-2j)*1<1:1 + (-1j)*1<2:2*2<2:1"
+        assert repr(p) == f"PathPolynomial({str(p)!r})"
+        assert parse_polynomial(q, str(p)) == p
 
     def test_format_zero(self, q):
         assert format_polynomial(PathPolynomial.zero(q)) == "0"

@@ -127,6 +127,12 @@ class TestQuiverConstruction:
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range for a 2-vertex quiver$"):
             Quiver([[1, 2], [0, 1]]).count(target, source)
 
+    @pytest.mark.parametrize("target, source", [(2, 0), (0, 2), (-1, 0)])
+    def test_block_start_refuses_vertex_out_of_range(self, target, source):
+        bad = source if target == 0 else target
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for a 2-vertex quiver$"):
+            Quiver([[1, 2], [0, 1]]).block_start(target, source)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Quiver([[-1]])

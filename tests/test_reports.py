@@ -58,9 +58,10 @@ def test_summary_line_matches_fixture(name, capsys):
 
 
 def test_fresh_process_never_loads_scipy(tmp_path):
-    """``import quiveralg`` and every golden run (all five subcommands) in one
-    fresh interpreter leave scipy unloaded, since the CLI builds no CSR
-    matrix, and their exit codes, reports and stderr lines match the table."""
+    """``import quiveralg``, every golden run (all five subcommands) and the
+    norm of a dense matrix in one fresh interpreter leave scipy unloaded,
+    since neither builds a CSR matrix, and the runs' exit codes, reports and
+    stderr lines match the table."""
     names = sorted(RUNS)
     assert {RUNS[n].argv[0] for n in names} == {"verify", "norms", "recover", "iso", "paths"}
     script = (
@@ -68,6 +69,7 @@ def test_fresh_process_never_loads_scipy(tmp_path):
         "import quiveralg\n"
         "from quiveralg import cli\n"
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "assert quiveralg.operator_norm([[1.0, 1.0], [0.0, 1.0]]) > 1.0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
     )

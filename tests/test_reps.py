@@ -10,15 +10,18 @@ from quiveralg import (
     arrow_path,
     char_eval,
     compose,
-    membership_G,
-    purity_bound,
+    norm_table,
     rho_eval,
+    t_tilde_product,
+)
+from quiveralg.reps import (
+    TwoDimRep,
+    _check_contractive,
+    membership_G,
     t_tilde_k_matrix,
     t_tilde_k_norm_closed,
     t_tilde_k_norm_direct,
-    t_tilde_product,
 )
-from quiveralg.reps import TwoDimRep, _check_contractive, _norm_table
 from helpers import (
     dyadic_ball_vector,
     dyadic_polynomial,
@@ -58,6 +61,9 @@ class TestCharacter:
             Character(loop2, 0, [1.7e308, -1.7e308j])
         with pytest.raises(ValueError, match=r"not contractive: \|\|gamma\|\|\^2 = inf"):
             TwoDimRep(Quiver([[2, 1], [0, 1]]), 0, 1, gamma=[1e200])
+
+    def test_repr(self, loop2):
+        assert repr(Character(loop2, 0, [0.5, 0])) == "Character(vertex=0, lam=[(0.5+0j), 0j])"
 
     def test_zero_loop_vertex_forces_empty_lam(self):
         q = Quiver([[0, 1], [0, 0]])
@@ -130,6 +136,10 @@ class TestTwoDimRepValidation:
         q = two_block_quiver(1, 1, 1)
         with pytest.raises(ValueError, match="distinct"):
             TwoDimRep(q, 0, 0, [0.0], [0.0], [0.0])
+
+    def test_repr(self):
+        rep = TwoDimRep(Quiver([[1, 1], [0, 1]]), 0, 1, [0.5], [0.25j], [0.5])
+        assert repr(rep) == "TwoDimRep(i=0, j=1, lam_i=[(0.5+0j)], lam_j=[0.25j], gamma=[(0.5+0j)])"
 
     def test_open_ball_required_for_diagonal_data(self):
         q = two_block_quiver(1, 1, 1)
@@ -434,12 +444,13 @@ class TestNormRecursion:
         if seed % 3 == 0:
             lam_j = lam_i
         rep = TwoDimRep(q, i, j, lam_i, lam_j, gamma)
-        table = _norm_table(rep, 8)
+        table = norm_table(rep, 8)
         assert len(table) == 8
+        q1, q2, t = rep.squared_params()
         for k, (closed, direct, bound) in enumerate(table, 1):
             assert closed == t_tilde_k_norm_closed(rep, k)
             assert direct == t_tilde_k_norm_direct(rep, k)
-            assert bound == purity_bound(rep, k)
+            assert bound == max(q1, q2) ** k + k * t * max(q1, q2) ** (k - 1)
             if k <= 6:
                 m = t_tilde_k_matrix(q, i, j, lam_i, lam_j, gamma, k)
                 sigma = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
@@ -465,7 +476,7 @@ class TestNormRecursion:
         monkeypatch.setattr(TwoDimRep, "squared_params", counted("squared_params", squared_params))
         for name in ("block", "count", "arrows"):
             monkeypatch.setattr(Quiver, name, refused)
-        assert len(_norm_table(rep, 100)) == 100
+        assert len(norm_table(rep, 100)) == 100
         assert calls == {"eigvalsh": 1, "squared_params": 1}
 
     def test_direct_k_range(self):
@@ -486,13 +497,18 @@ class TestNormRecursion:
         with pytest.raises(ValueError, match="dimensions"):
             t_tilde_k_matrix(q, 0, 1, [0.5, 3], [0.1], [0.2], 2)
 
+    def test_k_matrix_refuses_equal_vertices_as_the_rep_does(self):
+        q = Quiver([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="^the two diagonal vertices must be distinct$"):
+            t_tilde_k_matrix(q, 0, 0, [0.5], [0.5], [0.5], 2)
+
     def test_closed_norm_and_bound_reject_k_zero(self):
         rep = random_rep(np.random.default_rng(6), 1, 1, 1)
         for k in (0, -1):
             with pytest.raises(ValueError, match="^k must be at least 1$"):
                 t_tilde_k_norm_closed(rep, k)
             with pytest.raises(ValueError, match="^k must be at least 1$"):
-                purity_bound(rep, k)
+                norm_table(rep, k)
 
     def test_k_matrix_without_paths_is_empty(self):
         # the one arrow leaves j = 1 and ends at i = 0, where no arrow leaves
@@ -536,34 +552,34 @@ class TestPurityBound:
         # no diagonal data at all: the bound and the norm both vanish at k = 2
         q = two_block_quiver(0, 1, 0)
         rep = TwoDimRep(q, 0, 1, [], [], [1.0])
-        assert purity_bound(rep, 2) == 0.0
-        assert t_tilde_k_norm_direct(rep, 2) == 0.0
+        assert norm_table(rep, 2)[-1][1:] == (0.0, 0.0)
 
     def test_hand_value(self):
         # q = t = 1/4, k = 3: 1/64 + 3/4 * 1/16 = 1/16
         q = two_block_quiver(1, 1, 0)
         rep = TwoDimRep(q, 0, 1, [0.5], [], [0.5])
-        assert purity_bound(rep, 3) == pytest.approx(0.0625, abs=1e-15)
-        assert t_tilde_k_norm_direct(rep, 3) ** 2 <= 0.0625 + 1e-12
+        _, direct, bound = norm_table(rep, 3)[-1]
+        assert bound == pytest.approx(0.0625, abs=1e-15)
+        assert direct**2 <= 0.0625 + 1e-12
 
     def test_eventually_monotone_decay(self):
         q = two_block_quiver(1, 1, 0)
         rep = TwoDimRep(q, 0, 1, [0.5], [], [0.5])
-        values = [purity_bound(rep, k) for k in range(1, 10)]
+        values = [bound for _, _, bound in norm_table(rep, 9)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bounds_squared_direct_norm(self, seed):
         rng = np.random.default_rng(1300 + seed)
         rep = random_rep(rng, 2, 2, 2)
-        for k in range(1, 7):
-            assert t_tilde_k_norm_direct(rep, k) ** 2 <= purity_bound(rep, k) + 1e-12
+        for _, direct, bound in norm_table(rep, 6):
+            assert direct**2 <= bound + 1e-12
 
     def test_pure_regime_precondition(self):
         rep = random_rep(np.random.default_rng(5), 1, 1, 1)
         rep.lam_i = np.array([1.0 + 0j])  # force a boundary vector past validation
         with pytest.raises(ValueError, match="pure regime"):
-            purity_bound(rep, 2)
+            norm_table(rep, 2)
 
 
 class TestContractivityBoundary:
